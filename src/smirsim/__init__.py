@@ -37,6 +37,7 @@ from .meanfield import (
     derivatives,
     initial_state,
     integrate,
+    integrate_many,
     r0,
     summarize,
     sweep,
@@ -60,8 +61,8 @@ __all__ = [
     "InfoGenConfig", "InfoNetwork", "MisinfoLabeling", "generate_synthetic_infonet",
     "load_infonet", "propagate_alignment", "save_infonet", "spread_misinformation",
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
-    "derivatives", "initial_state", "integrate", "r0", "summarize", "sweep",
-    "sweep_grid",
+    "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",
+    "sweep", "sweep_grid",
     "MobilityMatrix", "Scenario", "ScenarioConfig", "generate_scenario",
     "load_scenario", "save_scenario",
 ]

@@ -23,7 +23,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,21 +220,20 @@ def cmd_meanfield(args) -> int:
     elif args.sweep:
         name, values = _parse_range(args.sweep, "--sweep")
         _progress(f"sweeping {name} over {len(values)} values")
-        rows = meanfield.sweep(
-            params, name, values, horizon=args.horizon, dt=args.dt, method=args.method
+        trajs = meanfield.integrate_many(
+            [meanfield.apply_param(params, name, v) for v in values],
+            args.horizon, args.dt, args.method,
         )
         traj_dir = out / "trajectories"
         traj_dir.mkdir(exist_ok=True)
         series = []
-        for v, _ in rows:
-            p = meanfield.apply_param(params, name, v)
-            traj = meanfield.integrate(p, args.horizon, args.dt, args.method)
+        for v, traj in zip(values, trajs):
             tp = traj_dir / f"traj_{name}_{v:g}.csv"
             write_trajectory_csv(traj, tp)
             outputs.append(tp)
             series.append((f"{name}={v:g}", list(traj.days), list(traj.infected)))
         summary_path = out / "sweep_summary.csv"
-        table = [(name, v, s) for v, s in rows]
+        table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
         _write_summary_csv(table, summary_path)
         outputs.append(summary_path)
         if args.svg:
@@ -304,85 +304,147 @@ class _Stage:
         return False
 
 
-def _load_pipeline_scenario(args, out: Path, outputs: list, inputs: list):
-    """Returns (scenario, infonet); synthetic mode also persists the inputs."""
-    if not args.synthetic and not args.scenario_dir:
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Resolved parameters of one pipeline run, as manifest.json records them.
+
+    With a ``scenario_dir`` the scenario files are loaded from it; without
+    one the scenario is generated from ``scenario_config``, ``counties`` and
+    ``seed``.
+    """
+
+    scenario_dir: str | None
+    scenario_config: str | None
+    counties: int | None
+    phi: int
+    mode: str
+    sample: float
+    k_bar: float
+    p_o: float
+    p_m: float
+    gamma: float
+    initial_infected: int
+    steps: int
+    reps: int
+    regen_network: bool
+    seed: int
+
+
+def _manifest_parameters(path) -> dict:
+    """The pipeline parameters recorded in a pipeline or sweep manifest."""
+    try:
+        with open(path) as f:
+            recorded = json.load(f)
+    except ValueError as e:  # not JSON, or not text at all
+        raise InputError(f"{path} is not a JSON manifest: {e}") from e
+    if not isinstance(recorded, dict) or recorded.get("subcommand") not in ("pipeline", "sweep"):
+        raise InputError(f"{path} is not a pipeline manifest")
+    params = recorded.get("parameters")
+    if not isinstance(params, dict):
+        raise InputError(f"{path} records no parameters")
+    known = {f.name for f in fields(PipelineConfig)}
+    unknown = sorted(params.keys() - known - {"vary", "values", "jobs"})  # sweep-only keys
+    if unknown:
+        raise InputError(f"{path} records unknown parameters: {', '.join(unknown)}")
+    return {k: v for k, v in params.items() if k in known}
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """The flags as a PipelineConfig, overridden by --from-manifest when given."""
+    values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    if args.from_manifest:
+        values.update(_manifest_parameters(args.from_manifest))
+    elif not args.synthetic and not args.scenario_dir:
         raise InputError("choose a scenario source: --synthetic or --scenario-dir")
-    if args.scenario_dir:
-        d = Path(args.scenario_dir)
+    return PipelineConfig(**values)
+
+
+_SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
+
+
+def _generate_scenario(scenario_config, counties, seed, out: Path):
+    """Generate a synthetic scenario and save it under `out`.
+
+    Returns (scenario, infonet, the four files written).
+    """
+    cfg = (
+        scenario.parse_scenario_config(scenario_config)
+        if scenario_config
+        else scenario.ScenarioConfig()
+    )
+    cfg = replace(cfg, seed=seed)
+    if counties is not None:
+        cfg = replace(cfg, county_count=counties)
+    sc, net = scenario.generate_scenario(cfg)
+    paths = [out / name for name in _SCENARIO_FILES]
+    scenario.save_scenario(sc, paths[0], paths[1])
+    infonet.save_infonet(net, paths[2], paths[3])
+    return sc, net, paths
+
+
+def _pipeline_scenario(cfg: PipelineConfig, out: Path):
+    """Load or generate the scenario. Returns (scenario, infonet, inputs, outputs)."""
+    if cfg.scenario_dir:
+        paths = [Path(cfg.scenario_dir) / name for name in _SCENARIO_FILES]
         with _Stage("load_scenario"):
-            sc = scenario.load_scenario(d / "counties.csv", d / "mobility.csv")
-            net = infonet.load_infonet(d / "infonet_nodes.csv", d / "infonet_edges.csv")
-        inputs += [
-            d / "counties.csv", d / "mobility.csv",
-            d / "infonet_nodes.csv", d / "infonet_edges.csv",
-        ]
-        return sc, net
+            sc = scenario.load_scenario(paths[0], paths[1])
+            net = infonet.load_infonet(paths[2], paths[3])
+        return sc, net, paths, []
     with _Stage("generate_scenario"):
-        cfg = (
-            scenario.parse_scenario_config(args.scenario_config)
-            if args.scenario_config
-            else scenario.ScenarioConfig()
-        )
-        cfg = replace(cfg, seed=args.seed)
-        if args.counties:
-            cfg = replace(cfg, county_count=args.counties)
-        sc, net = scenario.generate_scenario(cfg)
-        scenario.save_scenario(sc, out / "counties.csv", out / "mobility.csv")
-        infonet.save_infonet(net, out / "infonet_nodes.csv", out / "infonet_edges.csv")
-        outputs += [
-            out / "counties.csv", out / "mobility.csv",
-            out / "infonet_nodes.csv", out / "infonet_edges.csv",
-        ]
-        if args.scenario_config:
-            inputs.append(args.scenario_config)
-    return sc, net
+        sc, net, outputs = _generate_scenario(cfg.scenario_config, cfg.counties, cfg.seed, out)
+    return sc, net, [cfg.scenario_config] if cfg.scenario_config else [], outputs
 
 
-def _run_pipeline_core(sc, net, args):
+def _run_pipeline_core(sc, net, cfg: PipelineConfig):
     """Spread -> sample -> build -> simulate. Returns (contact_net, result)."""
     with _Stage("spread_misinformation"):
-        labeling = infonet.spread_misinformation(net, args.phi, args.mode)
+        labeling = infonet.spread_misinformation(net, cfg.phi, cfg.mode)
     with _Stage("sample_population"):
         nodes = contactnet.sample_population(
-            sc, net, labeling, args.sample, scenario.derive_seed(args.seed, _STREAM_SAMPLE)
+            sc, net, labeling, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
         )
     with _Stage("expected_edges"):
-        e_matrix = contactnet.expected_edges(sc.mobility, args.k_bar, nodes.n)
-    cfg = abm.AbmConfig(
-        p_o=args.p_o,
-        p_m=args.p_m,
-        gamma=args.gamma,
-        initial_infected=args.initial_infected,
-        steps=args.steps,
-        repetitions=args.reps,
+        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, nodes.n)
+    abm_cfg = abm.AbmConfig(
+        p_o=cfg.p_o,
+        p_m=cfg.p_m,
+        gamma=cfg.gamma,
+        initial_infected=cfg.initial_infected,
+        steps=cfg.steps,
+        repetitions=cfg.reps,
     )
-    if args.regen_network:
-        cnet = None
-        parts = []
-        for rep in range(args.reps):
-            with _Stage(f"build_contact_network[rep={rep}]"):
-                cnet = contactnet.build_contact_network(
-                    nodes, e_matrix, args.k_bar,
-                    scenario.derive_seed(args.seed, _STREAM_NET_REP + rep),
-                )
-            with _Stage(f"abm[rep={rep}]"):
-                parts.append(
-                    abm.run(
-                        cnet,
-                        replace(cfg, repetitions=1),
-                        scenario.derive_seed(args.seed, _STREAM_ABM_REP + rep),
-                    )
-                )
-        result = abm.merge_results(parts)
+    # (stage suffix, network stream, epidemic stream, config) per network built
+    if cfg.regen_network:
+        builds = [
+            (f"[rep={rep}]", _STREAM_NET_REP + rep, _STREAM_ABM_REP + rep,
+             replace(abm_cfg, repetitions=1))
+            for rep in range(cfg.reps)
+        ]
     else:
-        with _Stage("build_contact_network"):
+        builds = [("", _STREAM_NET, _STREAM_ABM, abm_cfg)]
+    parts = []
+    for suffix, net_stream, abm_stream, run_cfg in builds:
+        with _Stage(f"build_contact_network{suffix}"):
             cnet = contactnet.build_contact_network(
-                nodes, e_matrix, args.k_bar, scenario.derive_seed(args.seed, _STREAM_NET)
+                nodes, e_matrix, cfg.k_bar, scenario.derive_seed(cfg.seed, net_stream)
             )
-        with _Stage("abm"):
-            result = abm.run(cnet, cfg, scenario.derive_seed(args.seed, _STREAM_ABM))
-    return cnet, result
+        with _Stage(f"abm{suffix}"):
+            parts.append(abm.run(cnet, run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
+    return cnet, abm.merge_results(parts)
+
+
+def _run_pipeline(cfg: PipelineConfig, out: Path):
+    """One full run that saves contactnet.bin and result.csv under `out`.
+
+    Returns (contact_net, result, inputs, outputs).
+    """
+    sc, net, inputs, outputs = _pipeline_scenario(cfg, out)
+    cnet, result = _run_pipeline_core(sc, net, cfg)
+    net_path = out / "contactnet.bin"
+    contactnet.save_contact_network(cnet, net_path)
+    result_path = out / "result.csv"
+    abm.write_result_csv(result, result_path)
+    return cnet, result, inputs, outputs + [net_path, result_path]
 
 
 def _result_summary(cnet, result) -> dict:
@@ -399,42 +461,17 @@ def _result_summary(cnet, result) -> dict:
     }
 
 
-def _apply_manifest(args) -> None:
-    """Overwrite pipeline flags with the parameters a manifest recorded."""
-    with open(args.from_manifest) as f:
-        recorded = json.load(f)
-    if recorded.get("subcommand") not in ("pipeline", "sweep"):
-        raise InputError(f"{args.from_manifest} is not a pipeline manifest")
-    synthetic = recorded["parameters"].get("scenario_dir") is None
-    for key, value in recorded["parameters"].items():
-        if key in ("vary", "values", "jobs"):
-            continue
-        setattr(args, key, value)
-    args.synthetic = synthetic
-    if recorded.get("master_seed") is not None:
-        args.seed = recorded["master_seed"]
-
-
 def cmd_pipeline(args) -> int:
     out = _out_dir(args)
     started = time.monotonic()
-    if args.from_manifest:
-        _apply_manifest(args)
-    outputs: list = []
-    inputs: list = []
-    sc, net = _load_pipeline_scenario(args, out, outputs, inputs)
-    cnet, result = _run_pipeline_core(sc, net, args)
-
-    net_path = out / "contactnet.bin"
-    contactnet.save_contact_network(cnet, net_path)
-    result_path = out / "result.csv"
-    abm.write_result_csv(result, result_path)
+    cfg = _pipeline_config(args)
+    cnet, result, inputs, outputs = _run_pipeline(cfg, out)
     summary = _result_summary(cnet, result)
     summary_path = out / "summary.json"
     with open(summary_path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    outputs += [net_path, result_path, summary_path]
+    outputs.append(summary_path)
     if args.svg:
         p = out / "epidemic.svg"
         days = list(result.days)
@@ -449,66 +486,43 @@ def cmd_pipeline(args) -> int:
             ylabel="individuals",
         )
         outputs.append(p)
-    _write_manifest(out, "pipeline", _pipeline_params(args), inputs, args.seed, started, outputs)
+    _write_manifest(out, "pipeline", asdict(cfg), inputs, cfg.seed, started, outputs)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-def _pipeline_params(args) -> dict:
-    return {
-        "scenario_dir": args.scenario_dir,
-        "scenario_config": args.scenario_config,
-        "counties": args.counties,
-        "phi": args.phi,
-        "mode": args.mode,
-        "sample": args.sample,
-        "k_bar": args.k_bar,
-        "p_o": args.p_o,
-        "p_m": args.p_m,
-        "gamma": args.gamma,
-        "initial_infected": args.initial_infected,
-        "steps": args.steps,
-        "reps": args.reps,
-        "regen_network": args.regen_network,
-        "seed": args.seed,
-    }
+def _parse_values(text: str, vary: str) -> list:
+    """Comma-separated --values: integers for phi, numbers otherwise."""
+    kind = int if vary == "phi" else float
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as e:
+        raise InputError(f"bad --values {text!r}: {e}") from e
 
 
-_SWEEP_FLAGS = {"phi": "phi", "k-bar": "k_bar", "sample": "sample"}
-
-
-def _sweep_row(args, value):
-    """One pipeline run with the varying flag replaced; used by --jobs workers."""
-    row_args = argparse.Namespace(**vars(args))
-    setattr(row_args, _SWEEP_FLAGS[args.vary], value)
-    out = Path(args.out) / "rows" / f"{args.vary.replace('-', '_')}_{value:g}"
-    out.mkdir(parents=True, exist_ok=True)
-    row_args.out = str(out)
-    outputs: list = []
-    inputs: list = []
-    sc, net = _load_pipeline_scenario(row_args, out, outputs, inputs)
-    cnet, result = _run_pipeline_core(sc, net, row_args)
-    contactnet.save_contact_network(cnet, out / "contactnet.bin")
-    abm.write_result_csv(result, out / "result.csv")
+def _sweep_row(cfg: PipelineConfig, vary: str, out: Path, value):
+    """One pipeline run with the varying parameter replaced; used by --jobs workers."""
+    field = vary.replace("-", "_")
+    row_out = out / "rows" / f"{field}_{value:g}"
+    row_out.mkdir(parents=True, exist_ok=True)
+    cnet, result, _, _ = _run_pipeline(replace(cfg, **{field: value}), row_out)
     return _result_summary(cnet, result)
 
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     started = time.monotonic()
-    if args.vary == "phi":
-        values = [int(v) for v in args.values.split(",")]
-    else:
-        values = [float(v) for v in args.values.split(",")]
-    args.out = str(out)
+    cfg = _pipeline_config(args)
+    values = _parse_values(args.values, args.vary)
+    row = partial(_sweep_row, cfg, args.vary, out)
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_sweep_row, [args] * len(values), values))
+            summaries = list(pool.map(row, values))
     else:
-        summaries = [_sweep_row(args, v) for v in values]
+        summaries = [row(v) for v in values]
 
     # Largest phi (the most-resilient scenario) anchors relative increases;
     # for other axes the last value is the baseline.
@@ -547,7 +561,7 @@ def cmd_sweep(args) -> int:
             ylabel="individuals",
         )
         outputs.append(p)
-    _write_manifest(out, "sweep", {**_pipeline_params(args), "vary": args.vary, "values": values, "jobs": args.jobs}, [], args.seed, started, outputs)
+    _write_manifest(out, "sweep", {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}, [], cfg.seed, started, outputs)
     print(f"{'value':>10}{'misinformed':>14}{'peak_day':>10}{'cum_mean':>14}")
     for v, s in zip(values, summaries):
         print(
@@ -560,24 +574,10 @@ def cmd_sweep(args) -> int:
 def cmd_gen_scenario(args) -> int:
     out = _out_dir(args)
     started = time.monotonic()
-    cfg = (
-        scenario.parse_scenario_config(args.scenario_config)
-        if args.scenario_config
-        else scenario.ScenarioConfig()
-    )
-    cfg = replace(cfg, seed=args.seed)
-    if args.counties:
-        cfg = replace(cfg, county_count=args.counties)
-    sc, net = scenario.generate_scenario(cfg)
-    scenario.save_scenario(sc, out / "counties.csv", out / "mobility.csv")
-    infonet.save_infonet(net, out / "infonet_nodes.csv", out / "infonet_edges.csv")
-    outputs = [
-        out / "counties.csv", out / "mobility.csv",
-        out / "infonet_nodes.csv", out / "infonet_edges.csv",
-    ]
+    sc, net, outputs = _generate_scenario(args.scenario_config, args.counties, args.seed, out)
     _write_manifest(
         out, "gen-scenario",
-        {"counties": cfg.county_count, "seed": args.seed,
+        {"counties": sc.n_counties, "seed": args.seed,
          "scenario_config": args.scenario_config},
         [args.scenario_config] if args.scenario_config else [],
         args.seed, started, outputs,
@@ -594,8 +594,8 @@ def cmd_inspect(args) -> int:
     if not path.exists():
         raise InputError(f"no such artifact: {path}")
     with open(path, "rb") as f:
-        head = f.read(10)
-    if head == b"SMIRCNET1\n":
+        head = f.read(len(contactnet.MAGIC))
+    if head == contactnet.MAGIC:
         net = contactnet.load_contact_network(path)
         by_county = np.bincount(net.county_index, minlength=len(net.county_ids))
         print(f"contact network: {net.n_nodes} nodes, {net.n_edges} edges")
@@ -607,7 +607,10 @@ def cmd_inspect(args) -> int:
         print(f"counties: {len(net.county_ids)} (largest block {int(by_county.max())})")
         print(f"build seed: {net.seed}")
         return 0
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise InputError(f"unrecognized artifact format: {path}") from None
     first = text.splitlines()[0] if text else ""
     if first.startswith("fips,"):
         sc = scenario.load_scenario(path, path.parent / "mobility.csv")
@@ -694,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="pipeline over a list of values")
     _add_pipeline_args(p)
-    p.add_argument("--vary", choices=list(_SWEEP_FLAGS), required=True)
+    p.add_argument("--vary", choices=["phi", "k-bar", "sample"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--jobs", type=int, default=1, help="parallel rows")
     p.set_defaults(func=cmd_sweep)

@@ -24,8 +24,9 @@ results do not depend on evaluation order. Arrays use 32-bit indices; a
 
 from __future__ import annotations
 
-import struct
 import csv
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,9 @@ from .scenario import MobilityMatrix, Scenario
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
 
-_MAGIC = b"SMIRCNET1\n"
+MAGIC = b"SMIRCNET1\n"
+# Node count, edge count, k_bar, seed, county count.
+_HEADER = struct.Struct("<QQdQI")
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -405,10 +408,9 @@ def save_contact_network(net: ContactNetwork, path) -> None:
     label bits, then the sorted edge list (uint32 pairs).
     """
     with open(path, "wb") as f:
-        f.write(_MAGIC)
+        f.write(MAGIC)
         f.write(
-            struct.pack(
-                "<QQdQI",
+            _HEADER.pack(
                 net.n_nodes,
                 net.n_edges,
                 net.k_bar,
@@ -423,11 +425,20 @@ def save_contact_network(net: ContactNetwork, path) -> None:
 
 
 def load_contact_network(path) -> ContactNetwork:
+    """Read a `save_contact_network` artifact; a wrong magic or a file size
+    other than its header declares (truncated, trailing bytes) is invalid."""
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
+        magic = f.read(len(MAGIC))
+        if magic != MAGIC:
             raise ValidationError(f"{path} is not a contact-network artifact")
-        n, m, k_bar, seed, n_counties = struct.unpack("<QQdQI", f.read(36))
+        header = f.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValidationError(f"{path}: truncated header")
+        n, m, k_bar, seed, n_counties = _HEADER.unpack(header)
+        declared = len(MAGIC) + _HEADER.size + 8 * n_counties + 4 * n + (n + 7) // 8 + 8 * m
+        size = os.fstat(f.fileno()).st_size
+        if size != declared:
+            raise ValidationError(f"{path}: {size} bytes, but its header declares {declared}")
         county_ids = np.frombuffer(f.read(8 * n_counties), dtype="<i8")
         county_index = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int32)
         n_label_bytes = (n + 7) // 8

@@ -213,38 +213,63 @@ def _resolve_step(dt: float | None, method: str) -> tuple[float, int]:
     return dt, steps_per_day
 
 
-def _integrate_batch(
-    y0: np.ndarray,
-    beta_o,
-    beta_m,
-    gamma,
-    alpha,
-    horizon: int,
-    dt: float,
-    steps_per_day: int,
-    method: str,
-) -> np.ndarray:
-    """Integrate a batch of initial states; returns shape (B, horizon+1, 6)."""
-    y = np.array(y0, dtype=float)
-    out = np.empty(y.shape[:-1] + (horizon + 1, 6))
-    out[..., 0, :] = y
+def integrate_many(
+    params_seq: Iterable[MeanFieldParams],
+    horizon: int = DEFAULT_HORIZON,
+    dt: float | None = None,
+    method: str = DEFAULT_METHOD,
+) -> list[Trajectory]:
+    """Integrate several parameter sets in lockstep, one trajectory each.
+
+    Every row starts from its canonical initial condition and is stepped
+    independently, so each trajectory is bit-identical to integrating its
+    parameters alone. The horizon, step and initial conditions are checked
+    before any integration.
+
+    Args:
+        params_seq: validated system parameters, one per trajectory (>= 1).
+        horizon: number of days to simulate (>= 1).
+        dt: integration step in days; must divide one day evenly. Defaults to
+            1.0 for "euler" and 0.01 for "rk4".
+        method: "euler" (daily map, reference configuration) or "rk4".
+
+    Raises:
+        NonfiniteStateError: if any compartment leaves [0, 1] by more than
+            1e-9, which signals a step-size or parameter pathology; the
+            message names the first offending row's parameters.
+    """
+    params_seq = list(params_seq)
+    if not params_seq:
+        raise InvalidParamsError("no parameter sets to integrate")
+    if horizon < 1:
+        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
+    dt, steps_per_day = _resolve_step(dt, method)
+    y = np.array([initial_state(p) for p in params_seq], dtype=float)
+    rates = np.array([(p.beta_o, p.beta_m, p.gamma, p.alpha) for p in params_seq]).T
+    states = np.empty((len(params_seq), horizon + 1, 6))
+    states[:, 0] = y
     for day in range(horizon):
         for _ in range(steps_per_day):
             if method == "euler":
-                y = y + dt * _rhs(y, beta_o, beta_m, gamma, alpha)
+                y = y + dt * _rhs(y, *rates)
             else:
-                k1 = _rhs(y, beta_o, beta_m, gamma, alpha)
-                k2 = _rhs(y + 0.5 * dt * k1, beta_o, beta_m, gamma, alpha)
-                k3 = _rhs(y + 0.5 * dt * k2, beta_o, beta_m, gamma, alpha)
-                k4 = _rhs(y + dt * k3, beta_o, beta_m, gamma, alpha)
+                k1 = _rhs(y, *rates)
+                k2 = _rhs(y + 0.5 * dt * k1, *rates)
+                k3 = _rhs(y + 0.5 * dt * k2, *rates)
+                k4 = _rhs(y + dt * k3, *rates)
                 y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[..., day + 1, :] = y
-        if not np.all(np.isfinite(y)) or np.any(y < -_BOUND_TOL) or np.any(y > 1 + _BOUND_TOL):
+        states[:, day + 1] = y
+        in_bounds = np.isfinite(y) & (y >= -_BOUND_TOL) & (y <= 1 + _BOUND_TOL)
+        if not in_bounds.all():
+            row = int(np.argmin(in_bounds.all(axis=1)))
             raise NonfiniteStateError(
-                f"compartment left [0, 1] on day {day + 1} "
+                f"compartment left [0, 1] on day {day + 1} for {params_seq[row]} "
                 f"(method={method}, dt={dt}); reduce dt or check parameters"
             )
-    return out
+    return [
+        Trajectory(params=p, dt=dt, horizon=horizon, method=method, states=st)
+        for p, st in zip(params_seq, states)
+    ]
 
 
 def integrate(
@@ -255,26 +280,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the canonical initial condition for `horizon` days.
 
-    Args:
-        params: validated system parameters.
-        horizon: number of days to simulate (>= 1).
-        dt: integration step in days; must divide one day evenly. Defaults to
-            1.0 for "euler" and 0.01 for "rk4".
-        method: "euler" (daily map, reference configuration) or "rk4".
-
-    Raises:
-        NonfiniteStateError: if any compartment leaves [0, 1] by more than
-            1e-9, which signals a step-size or parameter pathology.
+    A batch of one: see `integrate_many` for the arguments and errors.
     """
-    if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    dt, steps_per_day = _resolve_step(dt, method)
-    y0 = np.asarray(initial_state(params), dtype=float)
-    states = _integrate_batch(
-        y0, params.beta_o, params.beta_m, params.gamma, params.alpha,
-        horizon, dt, steps_per_day, method,
-    )
-    return Trajectory(params=params, dt=dt, horizon=horizon, method=method, states=states)
+    return integrate_many([params], horizon, dt, method)[0]
 
 
 @dataclass(frozen=True)
@@ -345,36 +353,11 @@ def sweep(
 ) -> list[tuple[float, TrajectorySummary]]:
     """Integrate and summarize once per value of one varying parameter.
 
-    Rows come back in input order. A numeric failure in any row is re-raised
-    annotated with the offending value.
+    Rows come back in input order and are integrated as one batch. A numeric
+    failure names the offending row's parameters.
     """
-    rows = []
-    all_params = [apply_param(params, varying, v) for v in values]
-    dt, steps_per_day = _resolve_step(dt, method)
-    # One lockstep batch integration over all rows.
-    y0 = np.stack([np.asarray(initial_state(p), dtype=float) for p in all_params])
-    beta_o = np.array([p.beta_o for p in all_params])
-    beta_m = np.array([p.beta_m for p in all_params])
-    gamma = np.array([p.gamma for p in all_params])
-    alpha = np.array([p.alpha for p in all_params])
-    try:
-        states = _integrate_batch(
-            y0, beta_o, beta_m, gamma, alpha, horizon, dt, steps_per_day, method
-        )
-    except NonfiniteStateError:
-        # Fall back to row-at-a-time so the failure names its value.
-        states = None
-    if states is not None:
-        for v, p, st in zip(values, all_params, states):
-            traj = Trajectory(params=p, dt=dt, horizon=horizon, method=method, states=st)
-            rows.append((v, summarize(traj)))
-        return rows
-    for v, p in zip(values, all_params):
-        try:
-            rows.append((v, summarize(integrate(p, horizon, dt, method))))
-        except NonfiniteStateError as e:
-            raise NonfiniteStateError(f"{varying}={v}: {e}") from e
-    return rows
+    trajs = integrate_many([apply_param(params, varying, v) for v in values], horizon, dt, method)
+    return [(v, summarize(t)) for v, t in zip(values, trajs)]
 
 
 @dataclass(frozen=True)
@@ -411,22 +394,11 @@ def sweep_grid(
     """
     alphas = np.asarray(list(alphas), dtype=float)
     beta_os = np.asarray(list(beta_os), dtype=float)
-    grid_params = [
-        [replace(params, alpha=float(a), beta_o=float(b)) for a in alphas] for b in beta_os
-    ]
-    flat = [p for row in grid_params for p in row]
-    for p in flat:
-        initial_state(p)  # validate epsilon/mu combination up front
-    dt, steps_per_day = _resolve_step(dt, method)
-    y0 = np.stack([np.asarray(initial_state(p), dtype=float) for p in flat])
-    beta_o = np.array([p.beta_o for p in flat])
-    beta_m = np.array([p.beta_m for p in flat])
-    gamma = np.array([p.gamma for p in flat])
-    alpha = np.array([p.alpha for p in flat])
-    states = _integrate_batch(
-        y0, beta_o, beta_m, gamma, alpha, horizon, dt, steps_per_day, method
+    trajs = integrate_many(
+        [replace(params, alpha=float(a), beta_o=float(b)) for b in beta_os for a in alphas],
+        horizon, dt, method,
     )
-    final = states[:, -1, :]
+    final = np.array([t.states[-1] for t in trajs])
     shape = (len(beta_os), len(alphas))
     mu = params.mu
     ord_total = (final[:, I_O] + final[:, R_O]).reshape(shape)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from smirsim.cli import main
+from smirsim import meanfield
+from smirsim.cli import main, write_trajectory_csv
+from smirsim.contactnet import ContactNetwork, save_contact_network
 
 
 def run_cli(*argv):
@@ -91,6 +93,23 @@ class TestMeanfieldCommand:
         with pytest.raises(SystemExit) as e:
             run_cli("meanfield", "--beta-o", "lots")
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "method,name,values", [("euler", "lambda", (1, 2, 3)), ("rk4", "tau", (2, 4, 6))]
+    )
+    def test_sweep_trajectories_match_single_runs(self, tmp_path, method, name, values):
+        out = tmp_path / "mf"
+        spec = f"{name}={values[0]}:{values[-1]}:{values[1] - values[0]}"
+        rc = run_cli("meanfield", "--lambda", "2", "--method", method, "--horizon", "40",
+                     "--sweep", spec, "--out", str(out))
+        assert rc == 0
+        base = meanfield.MeanFieldParams(beta_o=0.3, gamma=0.2, lam=2.0)
+        expected = tmp_path / "expected.csv"
+        for v in values:
+            p = meanfield.apply_param(base, name, float(v))
+            write_trajectory_csv(meanfield.integrate(p, 40, None, method), expected)
+            produced = out / "trajectories" / f"traj_{name}_{v:g}.csv"
+            assert produced.read_bytes() == expected.read_bytes(), produced.name
 
     def test_bad_sweep_spec_is_input_error(self, tmp_path, capsys):
         rc = run_cli("meanfield", "--sweep", "lambda=banana",
@@ -208,6 +227,17 @@ class TestSweepCommand:
             == (pipe_out / "result.csv").read_bytes()
         )
 
+    def test_from_manifest_reproduces_pipeline(self, tmp_path):
+        pipe_out, sweep_out = tmp_path / "p", tmp_path / "s"
+        assert run_cli(*PIPELINE_BASE, "--phi", "2", "--out", str(pipe_out)) == 0
+        rc = run_cli("sweep", "--from-manifest", str(pipe_out / "manifest.json"),
+                     "--vary", "phi", "--values", "2", "--out", str(sweep_out))
+        assert rc == 0
+        assert (
+            (sweep_out / "rows" / "phi_2" / "result.csv").read_bytes()
+            == (pipe_out / "result.csv").read_bytes()
+        )
+
     def test_parallel_rows_match_serial(self, tmp_path):
         serial, par = tmp_path / "ser", tmp_path / "par"
         argv = [
@@ -249,3 +279,70 @@ class TestOtherCommands:
         monkeypatch.chdir(tmp_path)
         assert run_cli("gen-scenario", "--counties", "2", "--seed", "1") == 0
         assert (tmp_path / "envout" / "counties.csv").exists()
+
+
+def _write_bad_inputs(d):
+    """Malformed files for the error-contract table below."""
+    (d / "malformed.json").write_text("{not json")
+    (d / "no_parameters.json").write_text(json.dumps({"subcommand": "pipeline"}))
+    (d / "unknown_key.json").write_text(
+        json.dumps({"subcommand": "pipeline", "parameters": {"phi": 1, "colour": "red"}})
+    )
+    (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
+    net = ContactNetwork(
+        county_ids=np.array([1000]),
+        county_index=np.zeros(3, dtype=np.int32),
+        misinformed=np.array([True, False, False]),
+        edges=np.array([[0, 1], [1, 2]], dtype=np.uint32),
+        k_bar=2.0,
+        seed=0,
+    )
+    save_contact_network(net, d / "good.bin")
+    data = (d / "good.bin").read_bytes()
+    (d / "truncated.bin").write_bytes(data[:-3])
+    (d / "trailing.bin").write_bytes(data + b"\0")
+    (d / "header_only.bin").write_bytes(data[:20])
+
+
+# case -> (argv, with {d} for the input directory; text the error must contain)
+BAD_INPUTS = {
+    "gen-scenario --counties 0": (["gen-scenario", "--counties", "0"], "county_count"),
+    "pipeline --counties 0": (["pipeline", "--synthetic", "--counties", "0"], "county_count"),
+    "manifest not JSON": (["pipeline", "--from-manifest", "{d}/malformed.json"], "malformed.json"),
+    "manifest without parameters": (
+        ["pipeline", "--from-manifest", "{d}/no_parameters.json"], "no_parameters.json"),
+    "manifest with unknown key": (
+        ["pipeline", "--from-manifest", "{d}/unknown_key.json"], "colour"),
+    "manifest not text": (["pipeline", "--from-manifest", "{d}/binary.dat"], "binary.dat"),
+    "sweep manifest not JSON": (
+        ["sweep", "--from-manifest", "{d}/malformed.json", "--vary", "phi", "--values", "1"],
+        "malformed.json"),
+    "sweep --values 1,x": (
+        ["sweep", "--synthetic", "--vary", "phi", "--values", "1,x"], "--values"),
+    "sweep --values empty": (["sweep", "--synthetic", "--vary", "phi", "--values", ""], "--values"),
+    "sweep --values 2,y for k-bar": (
+        ["sweep", "--synthetic", "--vary", "k-bar", "--values", "2,y"], "--values"),
+    "meanfield --horizon -1 --sweep": (
+        ["meanfield", "--horizon", "-1", "--sweep", "lambda=1:2"], "horizon"),
+    "meanfield --horizon 0 --sweep": (
+        ["meanfield", "--horizon", "0", "--sweep", "lambda=1:2"], "horizon"),
+    "meanfield --horizon -1 --grid": (
+        ["meanfield", "--horizon", "-1", "--sweep", "alpha=0.5:1", "--grid", "beta-o=0.1:0.2"],
+        "horizon"),
+    "inspect truncated contactnet": (["inspect", "{d}/truncated.bin"], "truncated.bin"),
+    "inspect contactnet with trailing bytes": (["inspect", "{d}/trailing.bin"], "trailing.bin"),
+    "inspect contactnet header only": (["inspect", "{d}/header_only.bin"], "header_only.bin"),
+    "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    argv, expected = BAD_INPUTS[case]
+    _write_bad_inputs(tmp_path)
+    argv = [a.format(d=tmp_path) for a in argv]
+    if argv[0] != "inspect":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and expected in last

@@ -169,6 +169,22 @@ class TestIntegrate:
         with pytest.raises(InvalidParamsError):
             mf.integrate(p, method="leapfrog")
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_batch_rows_equal_single_runs(self, method):
+        batch = [
+            mf.MeanFieldParams(lam=3.0, **FIG2),
+            mf.MeanFieldParams(beta_o=0.5, gamma=0.1, lam=1.5, mu=0.3, alpha=0.9),
+            mf.MeanFieldParams(beta_o=0.2, gamma=0.25, mu=1.0),
+        ]
+        trajs = mf.integrate_many(batch, horizon=30, method=method)
+        for p, traj in zip(batch, trajs):
+            assert traj.params == p
+            assert np.array_equal(traj.states, mf.integrate(p, 30, method=method).states)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            mf.integrate_many([])
+
     def test_euler_blowup_raises(self):
         with pytest.raises(NonfiniteStateError):
             mf.integrate(mf.MeanFieldParams(beta_o=2.0, gamma=0.2), horizon=50, method="euler")
