@@ -19,13 +19,13 @@ workstation memory.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contactnet import ContactNetwork
 from .errors import InsufficientMisinformedError, ValidationError
+from .tables import write_csv
 
 S, I, R = 0, 1, 2
 
@@ -276,16 +276,8 @@ def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
 
 def write_result_csv(result: EpidemicResult, path) -> None:
     """Write the per-day mean/std table: day, then mean_/std_ per measure."""
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        header = ["day"]
-        for name in MEASURES:
-            header += [f"mean_{name}", f"std_{name}"]
-        out.writerow(header)
-        means = {name: result.mean(name) for name in MEASURES}
-        stds = {name: result.std(name) for name in MEASURES}
-        for d in range(len(result.days)):
-            row = [int(result.days[d])]
-            for name in MEASURES:
-                row += [repr(float(means[name][d])), repr(float(stds[name][d]))]
-            out.writerow(row)
+    header, columns = ["day"], [result.days.tolist()]
+    for name in MEASURES:
+        header += [f"mean_{name}", f"std_{name}"]
+        columns += [result.mean(name).tolist(), result.std(name).tolist()]
+    write_csv(path, header, zip(*columns))

@@ -17,9 +17,9 @@ success, 2 for argument/input errors, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__, abm, contactnet, infonet, meanfield, scenario, svgplot
 from .errors import InputError, NumericError
+from .tables import write_csv
 
 # Seed-derivation stream ids for pipeline stages (scenario generation itself
 # uses streams 0-2 of the same master seed).
@@ -74,6 +75,10 @@ def _write_manifest(out: Path, subcommand: str, params: dict, inputs: list, seed
         f.write("\n")
 
 
+# Most values one --sweep or --grid range may expand to.
+_MAX_RANGE_VALUES = 10_000
+
+
 def _parse_range(spec: str, flag: str) -> tuple[str, list[float]]:
     """Parse NAME=START:STOP[:STEP] into (name, inclusive values)."""
     try:
@@ -91,9 +96,12 @@ def _parse_range(spec: str, flag: str) -> tuple[str, list[float]]:
     name = name.strip().replace("-", "_")
     if name == "lam":
         name = "lambda"
-    if step <= 0 or stop < start:
-        raise InputError(f"bad {flag} range in {spec!r}")
-    count = int(round((stop - start) / step)) + 1
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise InputError(f"bad {flag} range in {spec!r}: need finite START <= STOP and STEP > 0")
+    steps = (stop - start) / step  # may overflow to inf; checked before any list is built
+    if steps >= _MAX_RANGE_VALUES:
+        raise InputError(f"{flag} range {spec!r} has more than {_MAX_RANGE_VALUES} values")
+    count = int(round(steps)) + 1
     values = [round(start + i * step, 12) for i in range(count)]
     if values and values[-1] > stop + 1e-9:
         values.pop()
@@ -102,34 +110,32 @@ def _parse_range(spec: str, flag: str) -> tuple[str, list[float]]:
 
 def write_trajectory_csv(traj: meanfield.Trajectory, path) -> None:
     """Per-day compartment fractions: day, S_O, I_O, R_O, S_M, I_M, R_M."""
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["day", "S_O", "I_O", "R_O", "S_M", "I_M", "R_M"])
-        for d in range(traj.horizon + 1):
-            out.writerow([d] + [repr(float(v)) for v in traj.states[d]])
-
-
-_SUMMARY_FIELDS = (
-    "peak_day",
-    "peak_infected",
-    "total_infected",
-    "peak_day_ordinary",
-    "peak_infected_ordinary",
-    "total_infected_ordinary",
-    "peak_day_misinformed",
-    "peak_infected_misinformed",
-    "total_infected_misinformed",
-)
+    write_csv(
+        path,
+        ["day", *meanfield.COMPARTMENTS],
+        ([d, *row] for d, row in enumerate(traj.states.tolist())),
+    )
 
 
 def _write_summary_csv(rows: list[tuple[str, float, meanfield.TrajectorySummary]], path) -> None:
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["param", "value"] + list(_SUMMARY_FIELDS))
-        for name, value, s in rows:
-            out.writerow(
-                [name, repr(float(value))]
-                + [repr(float(getattr(s, fld))) for fld in _SUMMARY_FIELDS]
+    names = [f.name for f in fields(meanfield.TrajectorySummary)]
+    write_csv(
+        path,
+        ["param", "value", *names],
+        ([name, float(value), *(float(getattr(s, n)) for n in names)] for name, value, s in rows),
+    )
+
+
+def _check_output_names(values, flag: str) -> None:
+    """Outputs are named after f"{value:g}"; values that print alike would share a name."""
+    by_name: dict[str, list] = {}
+    for v in values:
+        by_name.setdefault(f"{v:g}", []).append(v)
+    for name, same in by_name.items():
+        if len(same) > 1:
+            raise InputError(
+                f"{flag}: values {', '.join(map(str, same))} all print as {name}, "
+                "so their outputs would overwrite each other"
             )
 
 
@@ -168,30 +174,20 @@ def cmd_meanfield(args) -> int:
             params, alphas, beta_os, horizon=args.horizon, dt=args.dt, method=args.method
         )
         grid_path = out / "grid.csv"
-        with open(grid_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["beta_o", "alpha", "ordinary", "misinformed", "overall"])
-            for i, b in enumerate(grid.beta_os):
-                for j, a in enumerate(grid.alphas):
-                    w.writerow(
-                        [repr(float(b)), repr(float(a))]
-                        + [
-                            repr(float(m[i, j]))
-                            for m in (grid.ordinary, grid.misinformed, grid.overall)
-                        ]
-                    )
+        b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
+        write_csv(
+            grid_path,
+            ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
+            zip(*(m.ravel().tolist() for m in (
+                b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall))),
+        )
         argmax_path = out / "grid_argmax.csv"
-        with open(argmax_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["beta_o", "argmax_alpha", "max_overall"])
-            for i, b in enumerate(grid.beta_os):
-                w.writerow(
-                    [
-                        repr(float(b)),
-                        repr(float(grid.argmax_alpha[i])),
-                        repr(float(grid.overall[i].max())),
-                    ]
-                )
+        write_csv(
+            argmax_path,
+            ["beta_o", "argmax_alpha", "max_overall"],
+            zip(*(v.tolist() for v in (
+                grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)))),
+        )
         outputs += [grid_path, argmax_path]
         if args.svg:
             for name, matrix in (
@@ -219,6 +215,7 @@ def cmd_meanfield(args) -> int:
         print(f"grid: {len(grid.beta_os)} x {len(grid.alphas)} cells -> {grid_path}")
     elif args.sweep:
         name, values = _parse_range(args.sweep, "--sweep")
+        _check_output_names(values, "--sweep")
         _progress(f"sweeping {name} over {len(values)} values")
         trajs = meanfield.integrate_many(
             [meanfield.apply_param(params, name, v) for v in values],
@@ -253,12 +250,8 @@ def cmd_meanfield(args) -> int:
             days = list(traj.days)
             svgplot.line_chart(
                 [
-                    ("S_O", days, list(traj.states[:, meanfield.S_O])),
-                    ("I_O", days, list(traj.states[:, meanfield.I_O])),
-                    ("R_O", days, list(traj.states[:, meanfield.R_O])),
-                    ("S_M", days, list(traj.states[:, meanfield.S_M])),
-                    ("I_M", days, list(traj.states[:, meanfield.I_M])),
-                    ("R_M", days, list(traj.states[:, meanfield.R_M])),
+                    (name, days, list(traj.states[:, i]))
+                    for i, name in enumerate(meanfield.COMPARTMENTS)
                 ],
                 p,
                 title="Compartment fractions",
@@ -330,6 +323,10 @@ class PipelineConfig:
     seed: int
 
 
+# JSON values each PipelineConfig annotation accepts ("X | None" also takes null).
+_MANIFEST_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 def _manifest_parameters(path) -> dict:
     """The pipeline parameters recorded in a pipeline or sweep manifest."""
     try:
@@ -342,11 +339,22 @@ def _manifest_parameters(path) -> dict:
     params = recorded.get("parameters")
     if not isinstance(params, dict):
         raise InputError(f"{path} records no parameters")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(params.keys() - known - {"vary", "values", "jobs"})  # sweep-only keys
+    known = {f.name: f.type for f in fields(PipelineConfig)}
+    unknown = sorted(params.keys() - known.keys() - {"vary", "values", "jobs"})  # sweep-only keys
     if unknown:
         raise InputError(f"{path} records unknown parameters: {', '.join(unknown)}")
-    return {k: v for k, v in params.items() if k in known}
+    values = {k: v for k, v in params.items() if k in known}
+    for key, value in values.items():
+        kind, _, optional = known[key].partition(" | ")
+        if value is None and optional:
+            continue
+        # bool is a subclass of int, so it is told apart explicitly.
+        is_bool = isinstance(value, bool)
+        if not isinstance(value, _MANIFEST_KINDS[kind]) or is_bool != (kind == "bool"):
+            raise InputError(
+                f"{path}: parameter {key} is {json.dumps(value)}, expected {known[key]}"
+            )
+    return values
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -514,6 +522,7 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = _pipeline_config(args)
     values = _parse_values(args.values, args.vary)
+    _check_output_names(values, "--values")
     row = partial(_sweep_row, cfg, args.vary, out)
 
     if args.jobs > 1:
@@ -530,25 +539,19 @@ def cmd_sweep(args) -> int:
     base = summaries[base_idx]["cumulative_final_mean"]
 
     summary_path = out / "sweep_summary.csv"
-    with open(summary_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "vary", "value", "n_nodes", "misinformed_nodes", "misinformed_fraction",
-                "peak_day_mean", "peak_height_mean", "cumulative_final_mean",
-                "cumulative_final_std", "relative_increase_vs_baseline",
-            ]
-        )
-        for v, s in zip(values, summaries):
-            rel = (s["cumulative_final_mean"] - base) / base if base > 0 else 0.0
-            w.writerow(
-                [
-                    args.vary, repr(float(v)), s["n_nodes"], s["misinformed_nodes"],
-                    repr(s["misinformed_fraction"]), repr(s["peak_day_mean"]),
-                    repr(s["peak_height_mean"]), repr(s["cumulative_final_mean"]),
-                    repr(s["cumulative_final_std"]), repr(rel),
-                ]
-            )
+    columns = [
+        "n_nodes", "misinformed_nodes", "misinformed_fraction", "peak_day_mean",
+        "peak_height_mean", "cumulative_final_mean", "cumulative_final_std",
+    ]
+    write_csv(
+        summary_path,
+        ["vary", "value", *columns, "relative_increase_vs_baseline"],
+        (
+            [args.vary, float(v), *(s[c] for c in columns),
+             (s["cumulative_final_mean"] - base) / base if base > 0 else 0.0]
+            for v, s in zip(values, summaries)
+        ),
+    )
     outputs = [summary_path]
     if args.svg:
         p = out / "sweep_cumulative.svg"

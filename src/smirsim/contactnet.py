@@ -24,7 +24,6 @@ results do not depend on evaluation order. Arrays use 32-bit indices; a
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork, MisinfoLabeling
 from .scenario import MobilityMatrix, Scenario
+from .tables import write_csv
 
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
@@ -457,13 +457,10 @@ def load_contact_network(path) -> ContactNetwork:
 
 def save_contact_network_csv(net: ContactNetwork, nodes_path, edges_path) -> None:
     """Equivalent human-readable dump of the binary artifact."""
-    with open(nodes_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["node", "county_fips", "misinformed"])
-        fips = net.county_ids[net.county_index]
-        for i in range(net.n_nodes):
-            out.writerow([i, int(fips[i]), int(net.misinformed[i])])
-    with open(edges_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["u", "v"])
-        out.writerows(net.edges.tolist())
+    fips = net.county_ids[net.county_index]
+    write_csv(
+        nodes_path,
+        ["node", "county_fips", "misinformed"],
+        zip(range(net.n_nodes), fips.tolist(), net.misinformed.astype(np.int64).tolist()),
+    )
+    write_csv(edges_path, ["u", "v"], net.edges.tolist())

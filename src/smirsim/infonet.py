@@ -18,13 +18,13 @@ objects.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NoScoredNodesError, ParseError, ValidationError
+from .tables import read_csv, write_csv
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -319,24 +319,16 @@ def generate_synthetic_infonet(
 
 def save_infonet(net: InfoNetwork, nodes_path, edges_path) -> None:
     """Write the node and edge tables in the documented CSV contract."""
-    with open(nodes_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["id", "county_fips", "alignment", "misinformed_seed"])
-        for i in range(net.n_nodes):
-            a = net.alignment[i]
-            out.writerow(
-                [
-                    net.ids[i],
-                    int(net.county[i]),
-                    "" if np.isnan(a) else repr(float(a)),
-                    int(net.seed[i]),
-                ]
-            )
-    with open(edges_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["src", "dst", "weight"])
-        for s, d, w in zip(net.edge_src, net.edge_dst, net.edge_weight):
-            out.writerow([net.ids[s], net.ids[d], int(w)])
+    alignment = net.alignment.astype(object)
+    alignment[np.isnan(net.alignment)] = None  # an unknown score is an empty cell
+    nodes = [net.ids, net.county, alignment, net.seed.astype(np.int64)]
+    write_csv(
+        nodes_path,
+        ["id", "county_fips", "alignment", "misinformed_seed"],
+        zip(*(c.tolist() for c in nodes)),
+    )
+    edges = [net.ids[net.edge_src], net.ids[net.edge_dst], net.edge_weight]
+    write_csv(edges_path, ["src", "dst", "weight"], zip(*(c.tolist() for c in edges)))
 
 
 def load_infonet(nodes_path, edges_path) -> InfoNetwork:
@@ -346,41 +338,25 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     Edge rows: src, dst, weight, referring to node ids.
     """
     ids, county, alignment, seed = [], [], [], []
-    with open(nodes_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(nodes_path, 1, "empty node file")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(nodes_path, line_no, f"expected 4 columns, got {len(row)}")
-            try:
-                ids.append(row[0])
-                county.append(int(row[1]))
-                alignment.append(float(row[2]) if row[2] != "" else np.nan)
-                seed.append(bool(int(row[3])))
-            except ValueError as e:
-                raise ParseError(nodes_path, line_no, str(e)) from e
+    for line_no, row in read_csv(nodes_path, 4):
+        try:
+            ids.append(row[0])
+            county.append(int(row[1]))
+            alignment.append(float(row[2]) if row[2] != "" else np.nan)
+            seed.append(bool(int(row[3])))
+        except ValueError as e:
+            raise ParseError(nodes_path, line_no, str(e)) from e
     index = {node_id: i for i, node_id in enumerate(ids)}
     src, dst, weight = [], [], []
-    with open(edges_path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader, None)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(edges_path, line_no, f"expected 3 columns, got {len(row)}")
-            try:
-                src.append(index[row[0]])
-                dst.append(index[row[1]])
-                weight.append(int(row[2]))
-            except KeyError as e:
-                raise ParseError(edges_path, line_no, f"unknown node id {e}") from e
-            except ValueError as e:
-                raise ParseError(edges_path, line_no, str(e)) from e
+    for line_no, row in read_csv(edges_path, 3):
+        try:
+            src.append(index[row[0]])
+            dst.append(index[row[1]])
+            weight.append(int(row[2]))
+        except KeyError as e:
+            raise ParseError(edges_path, line_no, f"unknown node id {e}") from e
+        except ValueError as e:
+            raise ParseError(edges_path, line_no, str(e)) from e
     return InfoNetwork(
         ids=np.asarray(ids),
         county=np.asarray(county, dtype=np.int64),

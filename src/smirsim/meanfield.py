@@ -41,8 +41,9 @@ from .errors import InvalidParamsError, NonfiniteStateError
 # Tolerated excursion outside [0, 1] before a trajectory is declared broken.
 _BOUND_TOL = 1e-9
 
-# Columns of a packed state vector / trajectory array.
-S_O, I_O, R_O, S_M, I_M, R_M = range(6)
+# Columns of a packed state vector / trajectory array, in order.
+COMPARTMENTS = ("S_O", "I_O", "R_O", "S_M", "I_M", "R_M")
+S_O, I_O, R_O, S_M, I_M, R_M = range(len(COMPARTMENTS))
 
 DEFAULT_METHOD = "euler"
 DEFAULT_HORIZON = 100

@@ -15,7 +15,6 @@ mobility -> infonet), so each stage is reproducible in isolation.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .infonet import InfoGenConfig, InfoNetwork
+from .tables import read_csv, write_csv
 
 # Stream indices for hierarchical seed derivation from the master seed.
 _STREAM_COUNTIES = 0
@@ -111,61 +111,39 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
     (L + L^T) / 2, with a warning when the relative asymmetry exceeds 1%.
     """
     fips, voters, share, users = [], [], [], []
-    with open(counties_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(counties_path, 1, "empty county file")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(
-                    counties_path, line_no, f"expected 4 columns, got {len(row)}"
-                )
-            try:
-                fips.append(int(row[0]))
-                voters.append(int(row[1]))
-                share.append(float(row[2]))
-                users.append(int(row[3]))
-            except ValueError as e:
-                raise ParseError(counties_path, line_no, str(e)) from e
-            if voters[-1] < 0:
-                raise ValidationError(
-                    f"{counties_path}:{line_no}: negative voter population {voters[-1]}"
-                )
-            if not (0 <= share[-1] <= 1):
-                raise ValidationError(
-                    f"{counties_path}:{line_no}: republican_share {share[-1]} outside [0, 1]"
-                )
+    for line_no, row in read_csv(counties_path, 4):
+        try:
+            fips.append(int(row[0]))
+            voters.append(int(row[1]))
+            share.append(float(row[2]))
+            users.append(int(row[3]))
+        except ValueError as e:
+            raise ParseError(counties_path, line_no, str(e)) from e
+        if voters[-1] < 0:
+            raise ValidationError(
+                f"{counties_path}:{line_no}: negative voter population {voters[-1]}"
+            )
+        if not (0 <= share[-1] <= 1):
+            raise ValidationError(
+                f"{counties_path}:{line_no}: republican_share {share[-1]} outside [0, 1]"
+            )
 
     index = {c: i for i, c in enumerate(fips)}
     n = len(fips)
     raw = np.zeros((n, n))
     filled = np.zeros((n, n), dtype=bool)
-    with open(mobility_path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader, None)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    mobility_path, line_no, f"expected 3 columns, got {len(row)}"
-                )
-            try:
-                x, y, v = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as e:
-                raise ParseError(mobility_path, line_no, str(e)) from e
-            if x not in index or y not in index:
-                raise ParseError(mobility_path, line_no, f"unknown county in pair ({x}, {y})")
-            if v < 0:
-                raise ValidationError(
-                    f"{mobility_path}:{line_no}: negative mobility {v}"
-                )
-            i, j = index[x], index[y]
-            raw[i, j] = v
-            filled[i, j] = True
+    for line_no, row in read_csv(mobility_path, 3):
+        try:
+            x, y, v = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as e:
+            raise ParseError(mobility_path, line_no, str(e)) from e
+        if x not in index or y not in index:
+            raise ParseError(mobility_path, line_no, f"unknown county in pair ({x}, {y})")
+        if v < 0:
+            raise ValidationError(f"{mobility_path}:{line_no}: negative mobility {v}")
+        i, j = index[x], index[y]
+        raw[i, j] = v
+        filled[i, j] = True
 
     # Where only one direction was given, mirror it; where both, average.
     both = filled & filled.T
@@ -191,34 +169,25 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
 
 def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
     """Write the canonical CSV form (upper-triangular nonzero mobility rows)."""
-    with open(counties_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["fips", "voters", "republican_share", "twitter_users"])
-        for i in range(scenario.n_counties):
-            out.writerow(
-                [
-                    int(scenario.county_ids[i]),
-                    int(scenario.voters[i]),
-                    repr(float(scenario.republican_share[i])),
-                    int(scenario.twitter_users[i]),
-                ]
-            )
+    share = scenario.republican_share.astype(float)
+    columns = [scenario.county_ids, scenario.voters, share, scenario.twitter_users]
+    write_csv(
+        counties_path,
+        ["fips", "voters", "republican_share", "twitter_users"],
+        zip(*(c.tolist() for c in columns)),
+    )
     if scenario.mobility is None:
         raise ValidationError("cannot save a scenario without a mobility matrix")
     values = scenario.mobility.values
-    with open(mobility_path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["x_fips", "y_fips", "value"])
-        for i in range(scenario.n_counties):
-            for j in range(i, scenario.n_counties):
-                if values[i, j] > 0:
-                    out.writerow(
-                        [
-                            int(scenario.county_ids[i]),
-                            int(scenario.county_ids[j]),
-                            repr(float(values[i, j])),
-                        ]
-                    )
+    i, j = np.triu_indices(scenario.n_counties)  # row-major: (0, 0), (0, 1), ...
+    keep = values[i, j] > 0
+    i, j = i[keep], j[keep]
+    ids = scenario.county_ids
+    write_csv(
+        mobility_path,
+        ["x_fips", "y_fips", "value"],
+        zip(ids[i].tolist(), ids[j].tolist(), values[i, j].astype(float).tolist()),
+    )
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,27 @@ def _write_bad_inputs(d):
     (d / "unknown_key.json").write_text(
         json.dumps({"subcommand": "pipeline", "parameters": {"phi": 1, "colour": "red"}})
     )
+    for name, params in {
+        "phi_text": {"phi": "x"},
+        "counties_text": {"counties": "4"},
+        "reps_fraction": {"reps": 2.5},
+        "seed_bool": {"seed": True},
+        "regen_number": {"regen_network": 1},
+    }.items():
+        (d / f"{name}.json").write_text(
+            json.dumps({"subcommand": "pipeline", "parameters": params})
+        )
+    for empty in ("mobility.csv", "infonet_edges.csv"):
+        scen = d / f"empty_{empty[:-4]}"
+        scen.mkdir()
+        for name, text in (
+            ("counties.csv", "fips,voters,republican_share,twitter_users\n1000,50,0.5,5\n"),
+            ("mobility.csv", "x_fips,y_fips,value\n1000,1000,1.0\n"),
+            ("infonet_nodes.csv", "id,county_fips,alignment,misinformed_seed\n0,1000,,1\n"),
+            ("infonet_edges.csv", "src,dst,weight\n"),
+        ):
+            (scen / name).write_text(text)
+        (scen / empty).write_text("")
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
     net = ContactNetwork(
         county_ids=np.array([1000]),
@@ -333,6 +354,29 @@ BAD_INPUTS = {
     "inspect contactnet with trailing bytes": (["inspect", "{d}/trailing.bin"], "trailing.bin"),
     "inspect contactnet header only": (["inspect", "{d}/header_only.bin"], "header_only.bin"),
     "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
+    "manifest phi text": (["pipeline", "--from-manifest", "{d}/phi_text.json"], "phi"),
+    "manifest counties text": (
+        ["pipeline", "--from-manifest", "{d}/counties_text.json"], "counties"),
+    "manifest reps fraction": (
+        ["pipeline", "--from-manifest", "{d}/reps_fraction.json"], "reps"),
+    "manifest seed bool": (["pipeline", "--from-manifest", "{d}/seed_bool.json"], "seed"),
+    "manifest regen_network number": (
+        ["pipeline", "--from-manifest", "{d}/regen_number.json"], "regen_network"),
+    "meanfield --sweep nan start": (["meanfield", "--sweep", "lambda=nan:1:0.1"], "--sweep"),
+    "meanfield --sweep nan step": (["meanfield", "--sweep", "lambda=1:2:nan"], "--sweep"),
+    "meanfield --sweep inf stop": (["meanfield", "--sweep", "lambda=1:inf:1"], "--sweep"),
+    # rejected before any value is built: 10^12 floats would exhaust memory
+    "meanfield --sweep 10^12 values": (["meanfield", "--sweep", "lambda=1:1e12:1"], "--sweep"),
+    "meanfield --grid 10^9 values": (
+        ["meanfield", "--sweep", "alpha=0.5:1", "--grid", "beta-o=0:1e9:1"], "--grid"),
+    "meanfield --sweep values print alike": (
+        ["meanfield", "--sweep", "lambda=1:1.000002:0.000001"], "1.000001"),
+    "sweep --values 1,1": (
+        ["sweep", "--synthetic", "--vary", "phi", "--values", "1,1"], "--values"),
+    "empty mobility file": (
+        ["pipeline", "--scenario-dir", "{d}/empty_mobility"], "mobility.csv"),
+    "empty infonet edges file": (
+        ["pipeline", "--scenario-dir", "{d}/empty_infonet_edges"], "infonet_edges.csv"),
 }
 
 
