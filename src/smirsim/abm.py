@@ -12,14 +12,20 @@ keyed by (repetition key, day), and the d-th value of that stream belongs to
 node d. Outcomes are therefore independent of evaluation order and thread
 count, and any single day of any repetition can be replayed in isolation.
 
-State is one byte per node with (current, next) double buffers; per-day
-scratch is two float vectors, which keeps the 20M-node configuration within
-workstation memory.
+A day costs in proportion to its infected nodes and their neighbors, not to
+the edge count: the infected nodes scatter infection pressure through the
+network's ``adjacency`` index, built once per network (~4 bytes per edge plus
+16 bytes per node), and ``1 - (1 - p)^m`` is evaluated only at the
+susceptibles they touch. Only the day's two uniform draws and a few flat
+array passes touch every node. Once no node is infected the state is
+absorbing and the remaining days are copied, not stepped. State is one byte
+per node with (current, next) double buffers, which keeps the 20M-node
+configuration within workstation memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,6 +114,16 @@ def seed_infection(
     return AbmState(compartment=compartment, day=0)
 
 
+def _neighbors(ptr: np.ndarray, nbr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenated CSR rows ``nbr[ptr[r]:ptr[r + 1]]`` for each r in rows."""
+    start = ptr[rows]
+    count = ptr[rows + 1] - start
+    # Output slot k of row j reads nbr[start[j] + k - first[j]], where
+    # first[j] is row j's first output slot.
+    shift = start - (np.cumsum(count) - count)
+    return nbr[np.repeat(shift, count) + np.arange(int(count.sum()))]
+
+
 def step(
     state: AbmState, net: ContactNetwork, cfg: AbmConfig, rng: np.random.Generator
 ) -> AbmState:
@@ -115,23 +131,23 @@ def step(
 
     Draws one uniform per node for infection and one per node for recovery
     from ``rng``, in node order, so a counter-based generator keyed to the
-    day gives per-(day, node) reproducibility.
+    day gives per-(day, node) reproducibility. Infection pressure flows only
+    from the day's infected nodes, through ``net.adjacency``.
     """
     comp = state.compartment
     n = len(comp)
-    infected = comp == I
-    src = net.edges[:, 0]
-    dst = net.edges[:, 1]
-    m = np.bincount(dst[infected[src]], minlength=n) + np.bincount(
-        src[infected[dst]], minlength=n
-    )
+    inf = np.flatnonzero(comp == I)
+    exposed = np.concatenate([_neighbors(ptr, nbr, inf) for ptr, nbr in net.adjacency])
+    # m[j] = infected neighbors of susceptible j; candidates are those with m >= 1.
+    m = np.bincount(exposed[comp[exposed] == S], minlength=n)
+    cand = np.flatnonzero(m)
     u_inf = rng.random(n)
     u_rec = rng.random(n)
-    p = np.where(net.misinformed, cfg.p_m, cfg.p_o)
-    p_infect = 1.0 - np.power(1.0 - p, m)
+    p = np.where(net.misinformed[cand], cfg.p_m, cfg.p_o)
+    p_infect = 1.0 - np.power(1.0 - p, m[cand])
     nxt = comp.copy()
-    nxt[(comp == S) & (m > 0) & (u_inf < p_infect)] = I
-    nxt[infected & (u_rec < cfg.gamma)] = R
+    nxt[cand[u_inf[cand] < p_infect]] = I
+    nxt[inf[u_rec[inf] < cfg.gamma]] = R
     return AbmState(compartment=nxt, day=state.day + 1)
 
 
@@ -147,6 +163,9 @@ MEASURES = (
     "prev_I_mis",
     "cum_mis",
 )
+
+# Measures that an absorbing state holds constant; new_inf* stay zero.
+_CARRIED = tuple(name for name in MEASURES if not name.startswith("new_inf"))
 
 
 @dataclass(frozen=True)
@@ -208,15 +227,16 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     for rep in range(cfg.repetitions):
         rep_key = repetition_key(master_seed, rep)
         state = seed_infection(net, cfg, _stream(rep_key, _STREAM_SEEDING))
-        newly = state.compartment == I
-        ever = newly.copy()
-        _record(per_rep, rep, 0, newly, state.compartment, ever, mis)
-        for day in range(cfg.steps):
-            prev = state.compartment
-            state = step(state, net, cfg, day_stream(rep_key, day))
-            newly = (state.compartment == I) & (prev == S)
-            ever |= newly
-            _record(per_rep, rep, day + 1, newly, state.compartment, ever, mis)
+        _record(per_rep, rep, 0, state.compartment, mis)
+        for day in range(1, t):
+            if per_rep["prev_I"][rep, day - 1] == 0:
+                # Absorbing: no one can be infected or recover again. Each day
+                # owns its own stream, so skipping draws changes nothing later.
+                for name in _CARRIED:
+                    per_rep[name][rep, day:] = per_rep[name][rep, day - 1]
+                break
+            state = step(state, net, cfg, day_stream(rep_key, day - 1))
+            _record(per_rep, rep, day, state.compartment, mis)
         prev_series = per_rep["prev_I"][rep]
         peak_day[rep] = int(np.argmax(prev_series))
         peak_height[rep] = int(prev_series.max())
@@ -233,17 +253,26 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     )
 
 
-def _record(per_rep, rep, day, newly, comp, ever, mis):
+def _record(per_rep, rep, day, comp, mis):
+    """Fill one day's measures from four counts over the compartment bytes.
+
+    A node leaves S only by infection, so the ever-infected nodes are the
+    non-S ones and a day's new infections are the growth of their count.
+    """
     infected = comp == I
-    per_rep["new_inf"][rep, day] = newly.sum()
-    per_rep["prev_I"][rep, day] = infected.sum()
-    per_rep["cum"][rep, day] = ever.sum()
-    per_rep["new_inf_ord"][rep, day] = (newly & ~mis).sum()
-    per_rep["prev_I_ord"][rep, day] = (infected & ~mis).sum()
-    per_rep["cum_ord"][rep, day] = (ever & ~mis).sum()
-    per_rep["new_inf_mis"][rep, day] = (newly & mis).sum()
-    per_rep["prev_I_mis"][rep, day] = (infected & mis).sum()
-    per_rep["cum_mis"][rep, day] = (ever & mis).sum()
+    ever = comp != S
+    prev, cum = np.count_nonzero(infected), np.count_nonzero(ever)
+    prev_mis, cum_mis = np.count_nonzero(infected & mis), np.count_nonzero(ever & mis)
+    for suffix, prev_k, cum_k in (
+        ("", prev, cum),
+        ("_ord", prev - prev_mis, cum - cum_mis),
+        ("_mis", prev_mis, cum_mis),
+    ):
+        per_rep["prev_I" + suffix][rep, day] = prev_k
+        per_rep["cum" + suffix][rep, day] = cum_k
+        per_rep["new_inf" + suffix][rep, day] = cum_k - (
+            per_rep["cum" + suffix][rep, day - 1] if day else 0
+        )
 
 
 def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
@@ -260,12 +289,10 @@ def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
         name: np.concatenate([p.per_rep[name] for p in parts]) for name in MEASURES
     }
     total_reps = sum(p.config.repetitions for p in parts)
-    from dataclasses import replace as _replace
-
     return EpidemicResult(
         n_nodes=first.n_nodes,
         misinformed_nodes=first.misinformed_nodes,
-        config=_replace(first.config, repetitions=total_reps),
+        config=replace(first.config, repetitions=total_reps),
         master_seed=first.master_seed,
         days=first.days,
         per_rep=per_rep,

@@ -75,7 +75,7 @@ def _write_manifest(out: Path, subcommand: str, params: dict, inputs: list, seed
         f.write("\n")
 
 
-# Most values one --sweep or --grid range may expand to.
+# Most values one --sweep or --grid range, or one grid's cells, may expand to.
 _MAX_RANGE_VALUES = 10_000
 
 
@@ -169,7 +169,10 @@ def cmd_meanfield(args) -> int:
             raise InputError("grid mode sweeps alpha against beta-o")
         alphas = sweep_values if sweep_name == "alpha" else grid_values
         beta_os = grid_values if sweep_name == "alpha" else sweep_values
-        _progress(f"integrating {len(alphas) * len(beta_os)} grid cells")
+        cells = len(alphas) * len(beta_os)
+        if cells > _MAX_RANGE_VALUES:
+            raise InputError(f"--sweep x --grid has {cells} cells, more than {_MAX_RANGE_VALUES}")
+        _progress(f"integrating {cells} grid cells")
         grid = meanfield.sweep_grid(
             params, alphas, beta_os, horizon=args.horizon, dt=args.dt, method=args.method
         )
@@ -278,17 +281,20 @@ def cmd_meanfield(args) -> int:
 
 
 class _Stage:
-    """Annotates errors with the pipeline stage that raised them."""
+    """Reports a pipeline stage's wall time on stderr when it succeeds, and
+    annotates errors with the stage that raised them."""
 
     def __init__(self, name: str):
         self.name = name
 
     def __enter__(self):
         _progress(f"stage {self.name}")
+        self.started = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc is None:
+            _progress(f"stage {self.name} done in {time.monotonic() - self.started:.3f}s")
             return False
         if isinstance(exc, NumericError):
             raise NumericError(f"stage {self.name}: {exc}") from exc

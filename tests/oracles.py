@@ -131,6 +131,69 @@ def empirical_outcome_counts(
     return np.bincount(codes @ powers, minlength=3**k)
 
 
+def reference_step(
+    state: abm.AbmState, net: ContactNetwork, cfg: abm.AbmConfig, rng: np.random.Generator
+) -> abm.AbmState:
+    """One synchronous day by a full scan of the edge list.
+
+    Counts every node's infected neighbors with two bincounts over all
+    edges, whatever the number of infected nodes; draws the same uniforms in
+    the same order as ``abm.step``, so both give identical states.
+    """
+    comp = state.compartment
+    n = len(comp)
+    infected = comp == abm.I
+    src = net.edges[:, 0]
+    dst = net.edges[:, 1]
+    m = np.bincount(dst[infected[src]], minlength=n) + np.bincount(
+        src[infected[dst]], minlength=n
+    )
+    u_inf = rng.random(n)
+    u_rec = rng.random(n)
+    p = np.where(net.misinformed, cfg.p_m, cfg.p_o)
+    p_infect = 1.0 - np.power(1.0 - p, m)
+    nxt = comp.copy()
+    nxt[(comp == abm.S) & (m > 0) & (u_inf < p_infect)] = abm.I
+    nxt[infected & (u_rec < cfg.gamma)] = abm.R
+    return abm.AbmState(compartment=nxt, day=state.day + 1)
+
+
+def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> abm.EpidemicResult:
+    """``abm.run`` by brute force: `reference_step` on every day, even after
+    the epidemic has died out, with each measure counted by its own mask."""
+    mis = net.misinformed
+    t = cfg.steps + 1
+    per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in abm.MEASURES}
+    for rep in range(cfg.repetitions):
+        rep_key = abm.repetition_key(master_seed, rep)
+        # Stream 0, the one day -1 would own, seeds the infection.
+        state = abm.seed_infection(net, cfg, abm.day_stream(rep_key, -1))
+        ever = np.zeros(net.n_nodes, dtype=bool)
+        prev = np.zeros(net.n_nodes, dtype=np.uint8)
+        for day in range(t):
+            if day:
+                prev = state.compartment
+                state = reference_step(state, net, cfg, abm.day_stream(rep_key, day - 1))
+            comp = state.compartment
+            newly = (comp == abm.I) & (prev == abm.S)
+            ever |= newly
+            for suffix, keep in (("", np.ones_like(mis)), ("_ord", ~mis), ("_mis", mis)):
+                per_rep["new_inf" + suffix][rep, day] = (newly & keep).sum()
+                per_rep["prev_I" + suffix][rep, day] = ((comp == abm.I) & keep).sum()
+                per_rep["cum" + suffix][rep, day] = (ever & keep).sum()
+    prevalence = per_rep["prev_I"]
+    return abm.EpidemicResult(
+        n_nodes=net.n_nodes,
+        misinformed_nodes=net.misinformed_count,
+        config=cfg,
+        master_seed=int(master_seed),
+        days=np.arange(t),
+        per_rep=per_rep,
+        peak_day=prevalence.argmax(axis=1),
+        peak_height=prevalence.max(axis=1),
+    )
+
+
 def encode_state(state: tuple[int, ...]) -> int:
     code = 0
     for c in state:

@@ -4,7 +4,7 @@ import pytest
 from smirsim import abm
 from smirsim.errors import InsufficientMisinformedError, ValidationError
 
-from oracles import adjacency, compare_to_oracle, stacked_network
+from oracles import adjacency, compare_to_oracle, reference_run, stacked_network
 
 
 class TestConfig:
@@ -241,3 +241,75 @@ class TestRun:
         assert header[:3] == ["day", "mean_new_inf", "std_new_inf"]
         assert "mean_cum_mis" in header and "std_prev_I_ord" in header
         assert len(lines) == cfg.steps + 2
+
+
+def _random_graph(rng, k, density):
+    return [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < density]
+
+
+class TestFrontierMatchesFullScan:
+    """``abm.run`` (frontier step, absorbing short-cut, one count per day)
+    against `reference_run` (full edge scan every day): equal, not close."""
+
+    def assert_same(self, net, cfg, master_seed):
+        got = abm.run(net, cfg, master_seed)
+        want = reference_run(net, cfg, master_seed)
+        for name in abm.MEASURES:
+            assert np.array_equal(got.per_rep[name], want.per_rep[name]), name
+        assert np.array_equal(got.peak_day, want.peak_day)
+        assert np.array_equal(got.peak_height, want.peak_height)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_small_networks(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(10, 120))
+        edges = _random_graph(rng, k, float(rng.uniform(0.01, 0.3)))
+        mis = list(rng.random(k) < rng.uniform(0.2, 0.8))
+        net = stacked_network(edges, mis, copies=int(rng.integers(1, 4)))
+        p_o = float(rng.uniform(0.0, 0.5))
+        cfg = abm.AbmConfig(
+            p_o=p_o, p_m=float(rng.uniform(p_o, 1.0)), gamma=float(rng.uniform(0.05, 0.6)),
+            initial_infected=min(3, net.misinformed_count), steps=30, repetitions=3,
+        )
+        self.assert_same(net, cfg, master_seed=seed)
+
+    def test_early_die_out(self):
+        rng = np.random.default_rng(11)
+        net = stacked_network(_random_graph(rng, 60, 0.05), list(rng.random(60) < 0.5), copies=1)
+        cfg = abm.AbmConfig(p_o=0.05, p_m=0.1, gamma=0.7, initial_infected=2,
+                            steps=40, repetitions=4)
+        res = self.assert_same(net, cfg, master_seed=5)
+        # every repetition is over well before the last day
+        assert np.all(res.per_rep["prev_I"][:, 20:] == 0)
+
+    def test_isolated_nodes_without_edges(self):
+        net = stacked_network([], [True, False, True, False], copies=10)
+        cfg = abm.AbmConfig(p_o=1.0, p_m=1.0, gamma=0.3, initial_infected=4,
+                            steps=15, repetitions=3)
+        res = self.assert_same(net, cfg, master_seed=2)
+        assert np.all(res.per_rep["cum"] == 4)
+
+    def test_all_misinformed(self):
+        rng = np.random.default_rng(3)
+        net = stacked_network(_random_graph(rng, 50, 0.1), [True] * 50, copies=2)
+        cfg = abm.AbmConfig(p_o=0.0, p_m=0.4, gamma=0.2, initial_infected=5,
+                            steps=25, repetitions=3)
+        res = self.assert_same(net, cfg, master_seed=9)
+        assert np.all(res.per_rep["cum_ord"] == 0)
+
+    def test_zero_p_o(self):
+        rng = np.random.default_rng(4)
+        net = stacked_network(_random_graph(rng, 80, 0.08), list(rng.random(80) < 0.5), copies=1)
+        cfg = abm.AbmConfig(p_o=0.0, p_m=0.8, gamma=0.2, initial_infected=4,
+                            steps=25, repetitions=3)
+        res = self.assert_same(net, cfg, master_seed=13)
+        assert np.all(res.per_rep["cum_ord"] == 0)
+
+    def test_certain_recovery(self):
+        rng = np.random.default_rng(6)
+        net = stacked_network(_random_graph(rng, 80, 0.1), list(rng.random(80) < 0.5), copies=1)
+        cfg = abm.AbmConfig(p_o=0.5, p_m=1.0, gamma=1.0, initial_infected=4,
+                            steps=20, repetitions=3)
+        res = self.assert_same(net, cfg, master_seed=17)
+        assert np.all(res.per_rep["prev_I"][:, 1:] == res.per_rep["new_inf"][:, 1:])

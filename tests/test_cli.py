@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestPipelineCommand:
         assert summary["n_nodes"] > 1000
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
+
+    def test_stages_report_their_time_on_stderr(self, tmp_path, capsys):
+        assert run_cli(*PIPELINE_BASE, "--out", str(tmp_path / "p")) == 0
+        err = capsys.readouterr().err
+        started = re.findall(r"^stage (\S+)$", err, re.M)
+        done = re.findall(r"^stage (\S+) done in \d+\.\d{3}s$", err, re.M)
+        assert started == done
+        assert {"generate_scenario", "build_contact_network", "abm"} <= set(done)
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -294,6 +303,7 @@ def _write_bad_inputs(d):
         "reps_fraction": {"reps": 2.5},
         "seed_bool": {"seed": True},
         "regen_number": {"regen_network": 1},
+        "k_bar_nan": {"counties": 3, "k_bar": float("nan")},  # dumped as NaN
     }.items():
         (d / f"{name}.json").write_text(
             json.dumps({"subcommand": "pipeline", "parameters": params})
@@ -377,6 +387,18 @@ BAD_INPUTS = {
         ["pipeline", "--scenario-dir", "{d}/empty_mobility"], "mobility.csv"),
     "empty infonet edges file": (
         ["pipeline", "--scenario-dir", "{d}/empty_infonet_edges"], "infonet_edges.csv"),
+    "pipeline --k-bar nan": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "nan"], "stage expected_edges"),
+    "pipeline --k-bar inf": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "inf"], "stage expected_edges"),
+    "sweep --values nan for k-bar": (
+        ["sweep", "--synthetic", "--counties", "3", "--vary", "k-bar", "--values", "nan"],
+        "stage expected_edges"),
+    "manifest k_bar NaN": (
+        ["pipeline", "--from-manifest", "{d}/k_bar_nan.json"], "stage expected_edges"),
+    # two ranges of 1001 values each: rejected before any cell is integrated
+    "meanfield --grid 10^6 cells": (
+        ["meanfield", "--sweep", "alpha=0:1:0.001", "--grid", "beta-o=0:1:0.001"], "cells"),
 }
 
 

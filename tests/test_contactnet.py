@@ -51,6 +51,12 @@ class TestExpectedEdges:
             cn.expected_edges(np.zeros((2, 2)), 25.0, 10)
 
 
+    @pytest.mark.parametrize("k_bar", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_k_bar_not_finite_positive(self, k_bar):
+        with pytest.raises(ValidationError, match="k_bar"):
+            cn.expected_edges(np.ones((2, 2)), k_bar, 10)
+
+
 class TestSamplePopulation:
     def make_inputs(self, voters, shares, users_per_party=5):
         n = len(voters)
@@ -196,6 +202,41 @@ class TestBuildNetwork:
         net = cn.build_contact_network(nodes, e, 4.0, rng_seed=5)
         assert net.n_edges == 200
         assert np.all(net.county_index[net.edges] == 0)
+
+
+class TestAdjacency:
+    def neighbor_sets(self, net):
+        out = [set() for _ in range(net.n_nodes)]
+        for ptr, nbr in net.adjacency:
+            for v in range(net.n_nodes):
+                row = nbr[ptr[v]:ptr[v + 1]].tolist()
+                assert not out[v] & set(row), "an edge listed twice"
+                out[v] |= set(row)
+        return out
+
+    def test_rows_are_the_undirected_neighbors(self):
+        nodes = sampled([1, 2, 3], [40, 25, 35])
+        e = cn.expected_edges(np.ones((3, 3)), k_bar=6.0, n_nodes=nodes.n)
+        net = cn.build_contact_network(nodes, e, k_bar=6.0, rng_seed=4)
+        want = [set() for _ in range(net.n_nodes)]
+        for u, v in net.edges.tolist():
+            want[u].add(v)
+            want[v].add(u)
+        assert self.neighbor_sets(net) == want
+        assert sum(len(nbr) for _, nbr in net.adjacency) == 2 * net.n_edges
+
+    def test_no_edges_gives_empty_rows(self):
+        net = cn.build_contact_network(
+            sampled([1], [5]), np.array([[1.0]]), k_bar=0.1, rng_seed=0
+        )
+        assert net.n_edges == 0
+        for ptr, nbr in net.adjacency:
+            assert len(nbr) == 0 and ptr.tolist() == [0] * 6
+
+    def test_built_once_per_network(self):
+        nodes = sampled([1], [30])
+        net = cn.build_contact_network(nodes, np.array([[1.0]]), k_bar=4.0, rng_seed=2)
+        assert net.adjacency is net.adjacency
 
 
 class TestSyntheticMobility:
