@@ -42,7 +42,7 @@ from .errors import (
 )
 from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork, MisinfoLabeling
 from .scenario import MobilityMatrix, Scenario
-from .tables import write_csv
+from .tables import lookup, write_csv
 
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
@@ -103,12 +103,8 @@ def sample_population(
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     party = net.party
 
-    # Vectorized county-id -> scenario-position lookup.
-    sorter = np.argsort(scenario.county_ids)
-    pos = np.searchsorted(scenario.county_ids[sorter], net.county)
-    pos = np.clip(pos, 0, scenario.n_counties - 1)
-    county_of_net = sorter[pos]
-    if not np.all(scenario.county_ids[county_of_net] == net.county):
+    county_of_net = lookup(scenario.county_ids, net.county)
+    if np.any(county_of_net < 0):
         raise ValidationError("information network references counties outside the scenario")
 
     # Group persona indices by (county, party) once; pools slice the order.
@@ -156,6 +152,11 @@ def sample_population(
     )
 
 
+def _check_k_bar(k_bar: float) -> None:
+    if not (np.isfinite(k_bar) and k_bar > 0):
+        raise ValidationError(f"k_bar must be finite and > 0, got {k_bar}")
+
+
 def expected_edges(mobility: MobilityMatrix | np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
     """Expected edge counts per unordered county pair, incl. the diagonal.
 
@@ -165,8 +166,7 @@ def expected_edges(mobility: MobilityMatrix | np.ndarray, k_bar: float, n_nodes:
     leaves E unchanged.
     """
     values = mobility.values if isinstance(mobility, MobilityMatrix) else np.asarray(mobility)
-    if not (np.isfinite(k_bar) and k_bar > 0):
-        raise ValidationError(f"k_bar must be finite and > 0, got {k_bar}")
+    _check_k_bar(k_bar)
     if n_nodes < 2:
         raise ValidationError(f"need at least 2 nodes, got {n_nodes}")
     upper = np.triu(values)
@@ -325,6 +325,7 @@ def build_contact_network(
             node pairs exist.
         RetryBudgetError: rejection sampling exceeded 100x a block's count.
     """
+    _check_k_bar(k_bar)
     n = nodes.n
     n_counties = len(nodes.county_ids)
     if e_matrix.shape != (n_counties, n_counties):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NoScoredNodesError, ParseError, ValidationError
-from .tables import read_csv, write_csv
+from .tables import FLOAT_OR_NAN, has_duplicates, read_columns, row_at, write_csv
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -65,7 +65,7 @@ class InfoNetwork:
         n = len(self.ids)
         if n < 1:
             raise ValidationError("information network needs at least one node")
-        if len(np.unique(self.ids)) != n:
+        if has_duplicates(self.ids):
             raise ValidationError("node ids are not unique")
         for name in ("county", "alignment", "seed"):
             if len(getattr(self, name)) != n:
@@ -83,7 +83,7 @@ class InfoNetwork:
             if self.edge_weight.min() < 1:
                 raise ValidationError("edge weights must be >= 1")
             key = self.edge_src.astype(np.uint64) * np.uint64(n) + self.edge_dst.astype(np.uint64)
-            if len(np.unique(key)) != m:
+            if has_duplicates(key):
                 raise ValidationError("duplicate directed edges are not allowed")
 
     @property
@@ -337,32 +337,20 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     Node rows: id, county_fips, alignment (may be empty), misinformed_seed.
     Edge rows: src, dst, weight, referring to node ids.
     """
-    ids, county, alignment, seed = [], [], [], []
-    for line_no, row in read_csv(nodes_path, 4):
-        try:
-            ids.append(row[0])
-            county.append(int(row[1]))
-            alignment.append(float(row[2]) if row[2] != "" else np.nan)
-            seed.append(bool(int(row[3])))
-        except ValueError as e:
-            raise ParseError(nodes_path, line_no, str(e)) from e
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    src, dst, weight = [], [], []
-    for line_no, row in read_csv(edges_path, 3):
-        try:
-            src.append(index[row[0]])
-            dst.append(index[row[1]])
-            weight.append(int(row[2]))
-        except KeyError as e:
-            raise ParseError(edges_path, line_no, f"unknown node id {e}") from e
-        except ValueError as e:
-            raise ParseError(edges_path, line_no, str(e)) from e
+    (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
+    (edge_src, edge_dst, weight), lines = read_columns(edges_path, (ids, ids, int))
+    unknown = (edge_src < 0) | (edge_dst < 0)
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        src, dst, _ = row_at(edges_path, int(lines[row]))
+        name = src if edge_src[row] < 0 else dst
+        raise ParseError(edges_path, int(lines[row]), f"unknown node id {name!r}")
     return InfoNetwork(
-        ids=np.asarray(ids),
-        county=np.asarray(county, dtype=np.int64),
-        alignment=np.asarray(alignment, dtype=float),
-        seed=np.asarray(seed, dtype=bool),
-        edge_src=np.asarray(src, dtype=np.int64),
-        edge_dst=np.asarray(dst, dtype=np.int64),
-        edge_weight=np.asarray(weight, dtype=np.int64),
+        ids=ids,
+        county=county,
+        alignment=alignment,
+        seed=seed != 0,
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        edge_weight=weight,
     )

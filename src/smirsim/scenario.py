@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .infonet import InfoGenConfig, InfoNetwork
-from .tables import read_csv, write_csv
+from .tables import has_duplicates, lookup, read_columns, write_csv
 
 # Stream indices for hierarchical seed derivation from the master seed.
 _STREAM_COUNTIES = 0
@@ -78,7 +78,7 @@ class Scenario:
         n = len(self.county_ids)
         if n < 1:
             raise ValidationError("scenario needs at least one county")
-        if len(np.unique(self.county_ids)) != n:
+        if has_duplicates(self.county_ids):
             raise ValidationError("county ids are not unique")
         for name in ("voters", "republican_share", "twitter_users"):
             if len(getattr(self, name)) != n:
@@ -98,9 +98,6 @@ class Scenario:
     def n_counties(self) -> int:
         return len(self.county_ids)
 
-    def county_index(self) -> dict[int, int]:
-        return {int(c): i for i, c in enumerate(self.county_ids)}
-
 
 def load_scenario(counties_path, mobility_path) -> Scenario:
     """Load and validate a scenario from its two CSV files.
@@ -110,40 +107,35 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
     for (x, y) and (y, x) are averaged. The matrix is symmetrized as
     (L + L^T) / 2, with a warning when the relative asymmetry exceeds 1%.
     """
-    fips, voters, share, users = [], [], [], []
-    for line_no, row in read_csv(counties_path, 4):
-        try:
-            fips.append(int(row[0]))
-            voters.append(int(row[1]))
-            share.append(float(row[2]))
-            users.append(int(row[3]))
-        except ValueError as e:
-            raise ParseError(counties_path, line_no, str(e)) from e
-        if voters[-1] < 0:
-            raise ValidationError(
-                f"{counties_path}:{line_no}: negative voter population {voters[-1]}"
-            )
-        if not (0 <= share[-1] <= 1):
-            raise ValidationError(
-                f"{counties_path}:{line_no}: republican_share {share[-1]} outside [0, 1]"
-            )
+    (fips, voters, share, users), lines = read_columns(counties_path, (int, int, float, int))
+    if not len(fips):
+        raise ValidationError(f"{counties_path}: scenario needs at least one county")
+    bad = (voters < 0) | ~((share >= 0) & (share <= 1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        where = f"{counties_path}:{lines[row]}"
+        if voters[row] < 0:
+            raise ValidationError(f"{where}: negative voter population {int(voters[row])}")
+        raise ValidationError(f"{where}: republican_share {float(share[row])} outside [0, 1]")
 
-    index = {c: i for i, c in enumerate(fips)}
+    (x, y, v), lines = read_columns(mobility_path, (int, int, float))
+    i, j = lookup(fips, x), lookup(fips, y)
+    bad = (i < 0) | (j < 0) | (v < 0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if i[row] < 0 or j[row] < 0:
+            raise ParseError(
+                mobility_path, int(lines[row]), f"unknown county in pair ({x[row]}, {y[row]})"
+            )
+        raise ValidationError(f"{mobility_path}:{lines[row]}: negative mobility {float(v[row])}")
     n = len(fips)
+    # A repeated (x, y) pair keeps the value of its last row.
+    _, last = np.unique((i * n + j)[::-1], return_index=True)
+    last = len(v) - 1 - last
     raw = np.zeros((n, n))
+    raw[i[last], j[last]] = v[last]
     filled = np.zeros((n, n), dtype=bool)
-    for line_no, row in read_csv(mobility_path, 3):
-        try:
-            x, y, v = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as e:
-            raise ParseError(mobility_path, line_no, str(e)) from e
-        if x not in index or y not in index:
-            raise ParseError(mobility_path, line_no, f"unknown county in pair ({x}, {y})")
-        if v < 0:
-            raise ValidationError(f"{mobility_path}:{line_no}: negative mobility {v}")
-        i, j = index[x], index[y]
-        raw[i, j] = v
-        filled[i, j] = True
+    filled[i, j] = True
 
     # Where only one direction was given, mirror it; where both, average.
     both = filled & filled.T
@@ -155,15 +147,12 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
             f"mobility asymmetry of {asym.max() / scale:.1%} symmetrized by averaging",
             stacklevel=2,
         )
-    mobility = MobilityMatrix(
-        county_ids=np.asarray(fips, dtype=np.int64), values=l_matrix
-    )
     return Scenario(
-        county_ids=np.asarray(fips, dtype=np.int64),
-        voters=np.asarray(voters, dtype=np.int64),
-        republican_share=np.asarray(share, dtype=float),
-        twitter_users=np.asarray(users, dtype=np.int64),
-        mobility=mobility,
+        county_ids=fips,
+        voters=voters,
+        republican_share=share,
+        twitter_users=users,
+        mobility=MobilityMatrix(county_ids=fips, values=l_matrix),
     )
 
 

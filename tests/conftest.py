@@ -1,8 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from smirsim.infonet import InfoNetwork
 from smirsim.scenario import MobilityMatrix, Scenario
+
+# Reproducible property tests that keep no example database, and whose
+# caches (source constants, unicode tables) stay out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "smirsim-hypothesis")
+settings.register_profile(
+    "smirsim", derandomize=True, deadline=None, database=None, max_examples=300
+)
+settings.load_profile("smirsim")
 
 
 def build_infonet(n, edges, county=None, alignment=None, seeds=()):

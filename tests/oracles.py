@@ -9,6 +9,7 @@ contract both sides implement.
 
 from __future__ import annotations
 
+import csv
 from itertools import product
 
 import numpy as np
@@ -268,3 +269,64 @@ def brute_force_misinformed(
         if exposure >= phi:
             out.add(j)
     return out
+
+
+def _reference_rows(path, n_columns):
+    """(line number, cells) per data row, read as the row-by-row loader did."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        assert next(reader, None) is not None
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                assert len(row) == n_columns, f"{path}:{line_no}"
+                yield line_no, row
+
+
+def reference_load_infonet(nodes_path, edges_path) -> dict[str, np.ndarray]:
+    """The arrays the row-by-row infonet loader built, by name."""
+    ids, county, alignment, seed = [], [], [], []
+    for _, row in _reference_rows(nodes_path, 4):
+        ids.append(row[0])
+        county.append(int(row[1]))
+        alignment.append(float(row[2]) if row[2] != "" else np.nan)
+        seed.append(bool(int(row[3])))
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    src, dst, weight = [], [], []
+    for _, row in _reference_rows(edges_path, 3):
+        src.append(index[row[0]])
+        dst.append(index[row[1]])
+        weight.append(int(row[2]))
+    return {
+        "ids": np.asarray(ids),
+        "county": np.asarray(county, dtype=np.int64),
+        "alignment": np.asarray(alignment, dtype=float),
+        "seed": np.asarray(seed, dtype=bool),
+        "edge_src": np.asarray(src, dtype=np.int64),
+        "edge_dst": np.asarray(dst, dtype=np.int64),
+        "edge_weight": np.asarray(weight, dtype=np.int64),
+    }
+
+
+def reference_load_scenario(counties_path, mobility_path) -> dict[str, np.ndarray]:
+    """The arrays the row-by-row scenario loader built, by name."""
+    fips, voters, share, users = [], [], [], []
+    for _, row in _reference_rows(counties_path, 4):
+        fips.append(int(row[0]))
+        voters.append(int(row[1]))
+        share.append(float(row[2]))
+        users.append(int(row[3]))
+    index = {c: i for i, c in enumerate(fips)}
+    raw = np.zeros((len(fips), len(fips)))
+    filled = np.zeros((len(fips), len(fips)), dtype=bool)
+    for _, row in _reference_rows(mobility_path, 3):
+        i, j = index[int(row[0])], index[int(row[1])]
+        raw[i, j] = float(row[2])
+        filled[i, j] = True
+    both = filled & filled.T
+    return {
+        "county_ids": np.asarray(fips, dtype=np.int64),
+        "voters": np.asarray(voters, dtype=np.int64),
+        "republican_share": np.asarray(share, dtype=float),
+        "twitter_users": np.asarray(users, dtype=np.int64),
+        "mobility": np.where(both, (raw + raw.T) / 2.0, raw + raw.T * ~filled),
+    }

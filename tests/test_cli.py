@@ -308,8 +308,20 @@ def _write_bad_inputs(d):
         (d / f"{name}.json").write_text(
             json.dumps({"subcommand": "pipeline", "parameters": params})
         )
-    for empty in ("mobility.csv", "infonet_edges.csv"):
-        scen = d / f"empty_{empty[:-4]}"
+    big = "99999999999999999999"  # beyond int64
+    for dir_name, bad_name, bad_text in (
+        ("empty_mobility", "mobility.csv", b""),
+        ("empty_infonet_edges", "infonet_edges.csv", b""),
+        ("no_counties", "counties.csv", b"fips,voters,republican_share,twitter_users\n"),
+        ("weight_overflow", "infonet_edges.csv", f"src,dst,weight\n0,0,{big}\n".encode()),
+        ("fips_overflow", "infonet_nodes.csv",
+         f"id,county_fips,alignment,misinformed_seed\n0,{big},,1\n".encode()),
+        ("voters_overflow", "counties.csv",
+         f"fips,voters,republican_share,twitter_users\n1000,{big},0.5,5\n".encode()),
+        ("nodes_latin1", "infonet_nodes.csv",
+         b"id,county_fips,alignment,misinformed_seed\n0,1000,,1\n\xe9,1000,,0\n"),
+    ):
+        scen = d / dir_name
         scen.mkdir()
         for name, text in (
             ("counties.csv", "fips,voters,republican_share,twitter_users\n1000,50,0.5,5\n"),
@@ -318,7 +330,7 @@ def _write_bad_inputs(d):
             ("infonet_edges.csv", "src,dst,weight\n"),
         ):
             (scen / name).write_text(text)
-        (scen / empty).write_text("")
+        (scen / bad_name).write_bytes(bad_text)
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
     net = ContactNetwork(
         county_ids=np.array([1000]),
@@ -387,6 +399,16 @@ BAD_INPUTS = {
         ["pipeline", "--scenario-dir", "{d}/empty_mobility"], "mobility.csv"),
     "empty infonet edges file": (
         ["pipeline", "--scenario-dir", "{d}/empty_infonet_edges"], "infonet_edges.csv"),
+    "counties file without rows": (
+        ["pipeline", "--scenario-dir", "{d}/no_counties"], "counties.csv"),
+    "edge weight beyond int64": (
+        ["pipeline", "--scenario-dir", "{d}/weight_overflow"], "infonet_edges.csv:2"),
+    "node county_fips beyond int64": (
+        ["pipeline", "--scenario-dir", "{d}/fips_overflow"], "infonet_nodes.csv:2"),
+    "county voters beyond int64": (
+        ["pipeline", "--scenario-dir", "{d}/voters_overflow"], "counties.csv:2"),
+    "infonet nodes not UTF-8": (
+        ["pipeline", "--scenario-dir", "{d}/nodes_latin1"], "infonet_nodes.csv:3"),
     "pipeline --k-bar nan": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "nan"], "stage expected_edges"),
     "pipeline --k-bar inf": (

@@ -140,6 +140,11 @@ def sampled(counties, sizes, misinformed=None):
 
 
 class TestBuildNetwork:
+    @pytest.mark.parametrize("k_bar", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_k_bar_not_finite_positive(self, k_bar):
+        with pytest.raises(ValidationError, match="k_bar"):
+            cn.build_contact_network(sampled([1000], [10]), np.array([[1.0]]), k_bar, rng_seed=0)
+
     def test_two_nodes_force_the_single_edge(self):
         nodes = sampled([1000], [2])
         e = np.array([[1.0]])
