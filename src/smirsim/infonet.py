@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NoScoredNodesError, ParseError, ValidationError
-from .tables import FLOAT_OR_NAN, has_duplicates, read_columns, row_at, write_csv
+from .tables import FLOAT_OR_NAN, has_duplicates, lookup, read_columns, write_csv
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -338,12 +338,12 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     Edge rows: src, dst, weight, referring to node ids.
     """
     (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
-    (edge_src, edge_dst, weight), lines = read_columns(edges_path, (ids, ids, int))
+    (src, dst, weight), lines = read_columns(edges_path, (str, str, int))
+    edge_src, edge_dst = lookup(ids, src), lookup(ids, dst)
     unknown = (edge_src < 0) | (edge_dst < 0)
     if unknown.any():
         row = int(np.argmax(unknown))
-        src, dst, _ = row_at(edges_path, int(lines[row]))
-        name = src if edge_src[row] < 0 else dst
+        name = str(src[row] if edge_src[row] < 0 else dst[row])
         raise ParseError(edges_path, int(lines[row]), f"unknown node id {name!r}")
     return InfoNetwork(
         ids=ids,

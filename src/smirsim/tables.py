@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import warnings
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -62,9 +61,7 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
 
     `kinds` gives each column's kind: ``str`` (the cell text, a ``<U``
     array as wide as its longest cell), ``int`` (int64), ``float`` or
-    ``FLOAT_OR_NAN`` (float64), or a ``<U`` array of keys (int64: the
-    cell's index among the keys, as ``lookup`` gives it, -1 where absent;
-    a long cell costs no more memory than a key). The line numbers let
+    ``FLOAT_OR_NAN`` (float64). The line numbers let
     callers name the line of a row that fails a later check. The header
     row is required and skipped; blank rows are skipped; a row with other
     than ``len(kinds)`` cells, a cell that does not convert and text that
@@ -105,8 +102,8 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, int] | None:
 
 def _read_bulk(path, kinds: Sequence, line_numbers: np.ndarray, width: int):
     """np.loadtxt of a file `_scan_lines` admits; no cell is longer than `width`."""
-    dtype = [(f"c{k}", f"S{width}" if _is_keys(kind) or kind in (str, FLOAT_OR_NAN)
-              else _DTYPE[kind]) for k, kind in enumerate(kinds)]
+    dtype = [(f"c{k}", f"S{width}" if kind in (str, FLOAT_OR_NAN) else _DTYPE[kind])
+             for k, kind in enumerate(kinds)]
     table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
                        skiprows=1, ndmin=1, encoding="utf-8")
     if len(table) != len(line_numbers):
@@ -115,17 +112,11 @@ def _read_bulk(path, kinds: Sequence, line_numbers: np.ndarray, width: int):
     columns = []
     for k, kind in enumerate(kinds):
         column = table[f"c{k}"]
-        if _is_keys(kind) or kind is str:  # ASCII bytes to code points
+        if kind is str:  # ASCII bytes to code points
             start = table.dtype.fields[f"c{k}"][1]
             codes = rows[:, start : start + width]
-            if kind is str:
-                cells = int(np.flatnonzero(codes.any(axis=0)).max(initial=0)) + 1
-            else:
-                cells = min(width, kind.itemsize // 4)
+            cells = int(np.flatnonzero(codes.any(axis=0)).max(initial=0)) + 1
             column = codes[:, :cells].astype(np.uint32).view(f"<U{cells}").ravel()
-            if _is_keys(kind):  # a cell longer than every key (cells hold no NUL) matches none
-                too_long = codes[:, cells] != 0 if cells < width else False
-                column = np.where(too_long, -1, lookup(kind, column))
         elif kind == FLOAT_OR_NAN:
             known, column = column != b"", np.full(len(table), np.nan)
             column[known] = table[f"c{k}"][known].astype(np.float64)
@@ -142,7 +133,7 @@ def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
         line_no = data.count(b"\n", 0, e.start) + 1
         raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
     reader = csv.reader(io.StringIO(text, newline=""))
-    converters = [_index_in(kind) if _is_keys(kind) else _CONVERT[kind] for kind in kinds]
+    converters = [_CONVERT[kind] for kind in kinds]
     cells, line_numbers = [[] for _ in kinds], []
     try:
         if next(reader, None) is None:
@@ -165,24 +156,8 @@ def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
         if 4 * len(c[row]) * len(c) > max(16 * len(data), 2**28):  # bytes as a <U array
             raise ParseError(path, line_numbers[row], f"a {len(c[row])}-character cell makes "
                              f"its column of {len(c)} rows too large to hold")
-    columns = [np.asarray(c, dtype=np.int64 if _is_keys(kind) else _DTYPE[kind])
-               for c, kind in zip(cells, kinds)]
+    columns = [np.asarray(c, dtype=_DTYPE[kind]) for c, kind in zip(cells, kinds)]
     return columns, np.asarray(line_numbers, dtype=np.int64)
-
-
-def _is_keys(kind) -> bool:
-    return isinstance(kind, np.ndarray)
-
-
-def _index_in(keys: np.ndarray):
-    index = {key: i for i, key in enumerate(keys.tolist())}
-    return lambda cell: index.get(cell, -1)
-
-
-def row_at(path, line_no: int) -> list[str]:
-    """The cells of the row at `line_no` of a table ``read_columns`` has read."""
-    with open(path, newline="", encoding="utf-8") as f:
-        return next(itertools.islice(csv.reader(f), line_no - 1, None))
 
 
 def has_duplicates(values: np.ndarray) -> bool:
@@ -193,6 +168,10 @@ def has_duplicates(values: np.ndarray) -> bool:
 
 def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index in `keys` of each entry of `values` (any one, if it repeats), -1 if absent."""
+    if keys.dtype.kind == values.dtype.kind == "U" and values.itemsize > keys.itemsize:
+        # A value longer than every key matches none; searchsorted would widen the keys to it.
+        too_long = np.char.str_len(values) > keys.itemsize // 4
+        return np.where(too_long, -1, lookup(keys, values.astype(keys.dtype)))
     keys, values = _packed(keys, values)
     by_key = np.argsort(keys, kind="stable")
     by_value = np.argsort(values)  # sorted queries walk the keys with few cache misses

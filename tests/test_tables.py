@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,17 +59,6 @@ def test_bulk_and_row_paths_agree_on_any_cell(tmp_path_factory, kind, cell):
     path = tmp_path_factory.getbasetemp() / "cell.csv"
     write_table(path, [["7", "1"], [cell, "2"]])
     kinds = (kind, int)
-    assert outcome(lambda: read_columns(path, kinds)) == outcome(lambda: row_path(path, kinds))
-
-
-@given(
-    keys=st.lists(st.text(alphabet="0789ab ", min_size=1, max_size=3), min_size=1, unique=True),
-    cell=st.one_of(wild_cells, st.text(alphabet="0789ab ", max_size=4)),
-)
-def test_bulk_and_row_paths_agree_on_key_cells(tmp_path_factory, keys, cell):
-    path = tmp_path_factory.getbasetemp() / "keys.csv"
-    write_table(path, [[keys[0], "1"], [cell, "2"]])
-    kinds = (np.asarray(keys), int)
     assert outcome(lambda: read_columns(path, kinds)) == outcome(lambda: row_path(path, kinds))
 
 
@@ -209,6 +199,18 @@ class TestLookup:
         got = tables.lookup(np.asarray(ids), np.asarray(names))
         assert got.tolist() == [index.get(v, -1) for v in names]
 
+    def test_value_longer_than_every_key(self):
+        keys = np.array([str(i) for i in range(100_000)])
+        values = np.array(["7", "7" * 5000, "99999"])
+        tracemalloc.start()
+        try:
+            got = tables.lookup(keys, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [7, -1, 99999]
+        assert peak < 50 * 2**20  # keys widened to 5000 characters would take 2 GB
+
     def test_no_keys(self):
         assert tables.lookup(np.array([], dtype=np.int64), np.array([3])).tolist() == [-1]
 
@@ -245,6 +247,12 @@ class TestLoaders:
         with pytest.raises(ParseError, match=f"unknown node id '{long_id}'") as e:
             infonet.load_infonet(*paths)
         assert e.value.line_no == rows + 2
+
+    def test_parse_error_is_reported_before_an_unknown_id(self, tmp_path):
+        paths = write_infonet(tmp_path, ["7,1000,,1", "8,1000,0.5,0"], ["7,9,1", "7,8,x"])
+        with pytest.raises(ParseError, match="'x'") as e:
+            infonet.load_infonet(*paths)
+        assert e.value.line_no == 3
 
     def test_non_integer_ids(self, tmp_path):
         nodes = ["a,1000,-0.5,1", "b-c,1000,,0", '"x,1",1000,0.5,0']
