@@ -15,6 +15,7 @@ mobility -> infonet), so each stage is reproducible in isolation.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .infonet import InfoGenConfig, InfoNetwork
-from .tables import has_duplicates, lookup, read_columns, write_csv
+from .tables import has_duplicates, lookup, read_columns, utf8_text, write_csv
 
 # Stream indices for hierarchical seed derivation from the master seed.
 _STREAM_COUNTIES = 0
@@ -240,7 +241,9 @@ def parse_scenario_config(path) -> ScenarioConfig:
     """
     values: dict = {}
     info_values: dict = {}
-    with open(path) as f:
+    with open(path, "rb") as f:
+        text = utf8_text(path, f.read())
+    with io.StringIO(text, newline=None) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

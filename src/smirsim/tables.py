@@ -56,6 +56,16 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         out.writerows(rows)
 
 
+def utf8_text(path, data: bytes) -> str:
+    """`data`, the bytes of the file at `path`, decoded as UTF-8; a ParseError
+    names the line of the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
+
+
 def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
     """Read the table at `path` as one array per column, and each row's line.
 
@@ -127,11 +137,7 @@ def _read_bulk(path, kinds: Sequence, line_numbers: np.ndarray, width: int):
 def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
     """The row path: ``csv.reader`` rows, each cell converted on its own."""
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
-        raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
+    text = utf8_text(path, data)
     reader = csv.reader(io.StringIO(text, newline=""))
     converters = [_CONVERT[kind] for kind in kinds]
     cells, line_numbers = [[] for _ in kinds], []

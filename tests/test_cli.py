@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from smirsim import meanfield
+from smirsim import contactnet, meanfield
 from smirsim.cli import main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
 
@@ -199,6 +199,34 @@ class TestPipelineCommand:
         assert rc == 2
         assert "scenario source" in capsys.readouterr().err
 
+    def test_retry_budget_exit_3_names_the_county_pair(self, tmp_path, capsys, monkeypatch):
+        # Two sampled nodes, one edge, one draw: a self-loop exhausts the budget.
+        monkeypatch.setattr(contactnet, "RETRY_FACTOR", 1)
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        for name, text in (
+            ("counties.csv", "fips,voters,republican_share,twitter_users\n1000,100,0.5,2\n"),
+            ("mobility.csv", "x_fips,y_fips,value\n1000,1000,1.0\n"),
+            ("infonet_nodes.csv",
+             "id,county_fips,alignment,misinformed_seed\n0,1000,1.0,1\n1,1000,-1.0,1\n"),
+            ("infonet_edges.csv", "src,dst,weight\n"),
+        ):
+            (scen / name).write_text(text)
+        codes = []
+        for seed in range(32):
+            codes.append(run_cli(
+                "pipeline", "--scenario-dir", str(scen), "--sample", "0.02", "--k-bar", "1",
+                "--steps", "1", "--reps", "1", "--initial-infected", "1",
+                "--seed", str(seed), "--out", str(tmp_path / f"o{seed}"),
+            ))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if codes[-1] == 3:
+                last = err.splitlines()[-1]
+                assert "stage build_contact_network" in last
+                assert "county pair (1000, 1000)" in last
+        assert 3 in codes and set(codes) <= {0, 3}
+
 
 class TestSweepCommand:
     def test_phi_sweep_misinformed_non_increasing(self, tmp_path):
@@ -332,6 +360,7 @@ def _write_bad_inputs(d):
             (scen / name).write_text(text)
         (scen / bad_name).write_bytes(bad_text)
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
+    (d / "config_latin1.txt").write_bytes(b"county_count = 5 # caf\xe9\n")
     net = ContactNetwork(
         county_ids=np.array([1000]),
         county_index=np.zeros(3, dtype=np.int32),
@@ -350,6 +379,8 @@ def _write_bad_inputs(d):
 # case -> (argv, with {d} for the input directory; text the error must contain)
 BAD_INPUTS = {
     "gen-scenario --counties 0": (["gen-scenario", "--counties", "0"], "county_count"),
+    "scenario config not UTF-8": (
+        ["gen-scenario", "--scenario-config", "{d}/config_latin1.txt"], "config_latin1.txt:1"),
     "pipeline --counties 0": (["pipeline", "--synthetic", "--counties", "0"], "county_count"),
     "manifest not JSON": (["pipeline", "--from-manifest", "{d}/malformed.json"], "malformed.json"),
     "manifest without parameters": (

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from smirsim import contactnet as cn
 from smirsim import infonet as inet
 from smirsim.errors import (
     MissingPartyPoolError,
+    RetryBudgetError,
     SaturationError,
     ValidationError,
     ZeroMobilityError,
@@ -148,9 +152,53 @@ class TestBuildNetwork:
     def test_two_nodes_force_the_single_edge(self):
         nodes = sampled([1000], [2])
         e = np.array([[1.0]])
-        net = cn.build_contact_network(nodes, e, k_bar=1.0, rng_seed=0)
-        assert net.edges.tolist() == [[0, 1]]
-        assert net.mean_degree == pytest.approx(1.0)
+        # About half of these seeds draw a first round of nothing but a
+        # self-loop, which must leave an empty round, not an error.
+        for seed in range(32):
+            net = cn.build_contact_network(nodes, e, k_bar=1.0, rng_seed=seed)
+            assert net.edges.tolist() == [[0, 1]]
+            assert net.mean_degree == pytest.approx(1.0)
+
+    def test_retry_budget_names_the_county_pair(self, monkeypatch):
+        # One draw for the one edge of two nodes: a self-loop exhausts it.
+        monkeypatch.setattr(cn, "RETRY_FACTOR", 1)
+        nodes = sampled([1000], [2])
+        messages = []
+        for seed in range(32):
+            try:
+                cn.build_contact_network(nodes, np.array([[1.0]]), 1.0, rng_seed=seed)
+            except RetryBudgetError as e:
+                messages.append(str(e))
+        assert messages
+        assert all("county pair (1000, 1000)" in m for m in messages)
+
+    # Upper-tail chi-square critical values at alpha = 1e-4 for 14 and 119
+    # degrees of freedom, from the regularized incomplete gamma function.
+    CHI2_CRITICAL = {14: 42.579, 119: 185.086}
+
+    @pytest.mark.parametrize(
+        "sizes, e_matrix, k_bar, pairs, n_edges",
+        [
+            # diagonal block: 3 of the 10 pairs of 5 nodes, C(10, 3) = 120 sets
+            ([5], [[1.0]], 1.2, list(itertools.combinations(range(5), 2)), 3),
+            # cross block: 2 of the 2 x 3 pairs, C(6, 2) = 15 sets
+            ([2, 3], [[0.0, 1.0], [0.0, 0.0]], 0.8,
+             list(itertools.product(range(2), range(2, 5))), 2),
+        ],
+        ids=["diagonal-5-nodes-3-edges", "cross-2x3-2-edges"],
+    )
+    def test_block_edge_set_is_uniform(self, sizes, e_matrix, k_bar, pairs, n_edges):
+        sets = list(itertools.combinations(pairs, n_edges))
+        draws = 40 * len(sets)
+        nodes = sampled(range(len(sizes)), sizes)
+        seen = Counter()
+        for seed in range(draws):
+            net = cn.build_contact_network(nodes, np.array(e_matrix), k_bar, rng_seed=seed)
+            seen[tuple(map(tuple, net.edges.tolist()))] += 1
+        assert set(seen) <= set(sets)
+        expected = draws / len(sets)
+        chi2 = sum((seen[s] - expected) ** 2 / expected for s in sets)
+        assert chi2 < self.CHI2_CRITICAL[len(sets) - 1]
 
     def test_zero_pair_allocation_gets_no_cross_edges(self):
         nodes = sampled([1, 2], [50, 50])

@@ -78,11 +78,11 @@ GOLDEN = {
         ["pipeline", *PIPELINE, "--svg"],
         {
             "contactnet.bin":
-                "7a07dc4ae9bb53966ed202cd69d8774e3c8fe5e03ee6a3c58bfcb37476a1e527",
+                "56e5e941d4492409f52fbf305fa97823e856a197e7deafa37a2a416d00facf9a",
             "counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "epidemic.svg":
-                "aedb7226b2979c3d39dba887a505f83dd7ad3b7d574fd278508b5970c1694825",
+                "f32831a351373b7824545c0808a15b44a4b58f94acc8952ac78f09198196a922",
             "infonet_edges.csv":
                 "e052e31483d32eb8f3f575ca4a3a2cbb6d0181872b61da774be0cd374443224e",
             "infonet_nodes.csv":
@@ -90,16 +90,16 @@ GOLDEN = {
             "mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "result.csv":
-                "cc3fc89459eb32ff1413893fd0dfc3ed9bf67c36d09d77639b4102ee12b4a871",
+                "eeaf3eddc64f91bb00d2debd2fa7fb19fb0d192dfb714923b79c74e49a388da5",
             "summary.json":
-                "360323f8d4b42a24d5d264c536f20f32d4d0e887a6ff7ad078c973da134e41e2",
+                "a67e5f87bbbe11fa0da0d36a32bbefbef60ff7dc3177758f3431a13efd1c45f8",
         },
     ),
     "phi sweep": (
         ["sweep", *PIPELINE, "--vary", "phi", "--values", "1,3", "--svg"],
         {
             "rows/phi_1/contactnet.bin":
-                "7a07dc4ae9bb53966ed202cd69d8774e3c8fe5e03ee6a3c58bfcb37476a1e527",
+                "56e5e941d4492409f52fbf305fa97823e856a197e7deafa37a2a416d00facf9a",
             "rows/phi_1/counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "rows/phi_1/infonet_edges.csv":
@@ -109,9 +109,9 @@ GOLDEN = {
             "rows/phi_1/mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/result.csv":
-                "cc3fc89459eb32ff1413893fd0dfc3ed9bf67c36d09d77639b4102ee12b4a871",
+                "eeaf3eddc64f91bb00d2debd2fa7fb19fb0d192dfb714923b79c74e49a388da5",
             "rows/phi_3/contactnet.bin":
-                "7c46caaa7d07a81a5c6d87041baed08044b46160f9350b2d33d7b03749b5aaa3",
+                "401be98eac81ab9d520c238db60eac83582fb7e2e3eec8492717536fcd96585d",
             "rows/phi_3/counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "rows/phi_3/infonet_edges.csv":
@@ -121,11 +121,11 @@ GOLDEN = {
             "rows/phi_3/mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_3/result.csv":
-                "28de0123ad8c88e9c58a22c369d0c95f8ccf51dc682088bd055a026047c29c93",
+                "726ee4b4ede46513cb5a69537b856469215cbf2deff7c85cde4df1d7968e0afb",
             "sweep_cumulative.svg":
-                "a7a6457076b031ca1a7aa629b2c3263c0b231138d6b2e2d7488779c8e8b94970",
+                "235a967585fee2a903008d9ab4fd87f362ce0e951a0a9503cad1e39b36147b98",
             "sweep_summary.csv":
-                "50bd94b867bc0d70932c58f84aac6600b02c319853bed758beea1c1ca5d69205",
+                "705498ff2fa626d59c88a516fa06c46e6e3cae1c4f196036ed5563e7bf081fe6",
         },
     ),
 }
