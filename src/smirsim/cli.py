@@ -8,10 +8,13 @@ stats).
 
 Conventions: all data goes to files under --out (default from $SMIRSIM_OUT,
 else ./smirsim-out); standard output carries only the summary table; progress
-goes to standard error. Every run writes a manifest.json with the resolved
-parameters, input hashes, and seed; re-running with the same parameters
-reproduces every CSV and binary artifact byte for byte. Exit codes: 0 on
-success, 2 for argument/input errors, 3 for numeric failures.
+goes to standard error. Every successful run writes a manifest.json with the
+resolved parameters, input hashes, seed, outputs and ``stages``: each
+pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
+the process that ran it (a high-water mark, never falling within a process;
+sweep rows name theirs ``phi_1/abm``, ...). Re-running with the same
+parameters reproduces every CSV and binary artifact byte for byte. Exit
+codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -54,25 +59,67 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get("SMIRSIM_OUT") or "smirsim-out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Run(AbstractContextManager):
+    """The record of one command run: out dir, parameters, seed, inputs,
+    outputs and stages.
 
+    ``out`` is --out, else $SMIRSIM_OUT, else ./smirsim-out; it is created
+    when the first output is named. Leaving ``with _Run(...)`` without an
+    error writes manifest.json; a failed run writes none. A sweep row uses a
+    bare ``_Run`` for its own directory, so it writes none either.
+    """
 
-def _write_manifest(out: Path, subcommand: str, params: dict, inputs: list, seed, started: float, outputs: list) -> None:
-    manifest = {
-        "engine_version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
-        "master_seed": seed,
-        "duration_seconds": round(time.monotonic() - started, 3),
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    def __init__(self, out, subcommand: str = "", params: dict | None = None, seed=None):
+        self.out = Path(out or os.environ.get("SMIRSIM_OUT") or "smirsim-out")
+        self.subcommand = subcommand
+        self.params = params
+        self.seed = seed
+        self.inputs: list = []
+        self.outputs: list[Path] = []
+        self.stages: list[dict] = []
+        self.started = time.monotonic()
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            return
+        manifest = {
+            "engine_version": __version__,
+            "subcommand": self.subcommand,
+            "parameters": self.params,
+            "input_hashes": {str(p): _sha256(p) for p in self.inputs},
+            "master_seed": self.seed,
+            "duration_seconds": round(time.monotonic() - self.started, 3),
+            "outputs": sorted(str(o) for o in self.outputs),
+            "stages": self.stages,
+        }
+        (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    def output(self, name: str) -> Path:
+        """``out / name``, recorded as an output; its directory is created."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(path)
+        return path
+
+    @contextmanager
+    def stage(self, name: str):
+        """Reports a pipeline stage's wall time on stderr and records it with
+        ``max_rss_mb`` when it succeeds; annotates errors with the stage that
+        raised them."""
+        _progress(f"stage {name}")
+        started = time.monotonic()
+        try:
+            yield
+        except NumericError as e:
+            raise NumericError(f"stage {name}: {e}") from e
+        except (InputError, OSError) as e:
+            raise InputError(f"stage {name}: {e}") from e
+        wall = time.monotonic() - started
+        _progress(f"stage {name} done in {wall:.3f}s")
+        # ru_maxrss: the process's peak RSS so far (KiB on Linux, bytes on macOS)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        self.stages.append({"name": name, "wall_s": round(wall, 3), "max_rss_mb": round(peak_mb, 1)})
 
 
 # Most values one --sweep or --grid range, or one grid's cells, may expand to.
@@ -149,158 +196,97 @@ def _print_summary_table(rows: list[tuple[str, float, meanfield.TrajectorySummar
 
 
 def cmd_meanfield(args) -> int:
-    out = _out_dir(args)
-    started = time.monotonic()
     params = meanfield.MeanFieldParams(
-        beta_o=args.beta_o,
-        gamma=args.gamma,
-        lam=args.lam,
-        mu=args.mu,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
+        **{f.name: getattr(args, f.name) for f in fields(meanfield.MeanFieldParams)}
     )
-    outputs = []
+    recorded = {
+        "beta_o": args.beta_o, "gamma": args.gamma, "lambda": args.lam,
+        "mu": args.mu, "alpha": args.alpha, "epsilon": args.epsilon,
+        "horizon": args.horizon, "dt": args.dt, "method": args.method,
+        "sweep": args.sweep, "grid": args.grid,
+    }
     if args.grid and not args.sweep:
         raise InputError("--grid requires --sweep (the inner axis)")
-    if args.grid:
-        sweep_name, sweep_values = _parse_range(args.sweep, "--sweep")
-        grid_name, grid_values = _parse_range(args.grid, "--grid")
-        if {sweep_name, grid_name} != {"alpha", "beta_o"}:
-            raise InputError("grid mode sweeps alpha against beta-o")
-        alphas = sweep_values if sweep_name == "alpha" else grid_values
-        beta_os = grid_values if sweep_name == "alpha" else sweep_values
-        cells = len(alphas) * len(beta_os)
-        if cells > _MAX_RANGE_VALUES:
-            raise InputError(f"--sweep x --grid has {cells} cells, more than {_MAX_RANGE_VALUES}")
-        _progress(f"integrating {cells} grid cells")
-        grid = meanfield.sweep_grid(
-            params, alphas, beta_os, horizon=args.horizon, dt=args.dt, method=args.method
-        )
-        grid_path = out / "grid.csv"
-        b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
-        write_csv(
-            grid_path,
-            ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
-            zip(*(m.ravel().tolist() for m in (
-                b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall))),
-        )
-        argmax_path = out / "grid_argmax.csv"
-        write_csv(
-            argmax_path,
-            ["beta_o", "argmax_alpha", "max_overall"],
-            zip(*(v.tolist() for v in (
-                grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)))),
-        )
-        outputs += [grid_path, argmax_path]
-        if args.svg:
-            for name, matrix in (
-                ("ordinary", grid.ordinary),
-                ("misinformed", grid.misinformed),
-                ("overall", grid.overall),
-            ):
-                p = out / f"grid_{name}.svg"
-                marks = (
-                    [(a, b) for a, b in zip(grid.argmax_alpha, grid.beta_os)]
-                    if name == "overall"
-                    else []
-                )
-                svgplot.heatmap(
-                    matrix.tolist(),
-                    x_ticks=list(grid.alphas),
-                    y_ticks=list(grid.beta_os),
-                    path=p,
-                    title=f"Total infected ({name})",
-                    xlabel="alpha",
-                    ylabel="beta_o",
-                    marks=marks,
-                )
-                outputs.append(p)
-        print(f"grid: {len(grid.beta_os)} x {len(grid.alphas)} cells -> {grid_path}")
-    elif args.sweep:
-        name, values = _parse_range(args.sweep, "--sweep")
-        _check_output_names(values, "--sweep")
-        _progress(f"sweeping {name} over {len(values)} values")
-        trajs = meanfield.integrate_many(
-            [meanfield.apply_param(params, name, v) for v in values],
-            args.horizon, args.dt, args.method,
-        )
-        traj_dir = out / "trajectories"
-        traj_dir.mkdir(exist_ok=True)
-        series = []
-        for v, traj in zip(values, trajs):
-            tp = traj_dir / f"traj_{name}_{v:g}.csv"
-            write_trajectory_csv(traj, tp)
-            outputs.append(tp)
-            series.append((f"{name}={v:g}", list(traj.days), list(traj.infected)))
-        summary_path = out / "sweep_summary.csv"
-        table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
-        _write_summary_csv(table, summary_path)
-        outputs.append(summary_path)
-        if args.svg:
-            p = out / "sweep_infected.svg"
-            svgplot.line_chart(
-                series, p, title="Infected fraction per day", xlabel="day", ylabel="I",
+    with _Run(args.out, "meanfield", recorded) as run:
+        if args.grid:
+            sweep_name, sweep_values = _parse_range(args.sweep, "--sweep")
+            grid_name, grid_values = _parse_range(args.grid, "--grid")
+            if {sweep_name, grid_name} != {"alpha", "beta_o"}:
+                raise InputError("grid mode sweeps alpha against beta-o")
+            alphas = sweep_values if sweep_name == "alpha" else grid_values
+            beta_os = grid_values if sweep_name == "alpha" else sweep_values
+            cells = len(alphas) * len(beta_os)
+            if cells > _MAX_RANGE_VALUES:
+                raise InputError(f"--sweep x --grid has {cells} cells, more than {_MAX_RANGE_VALUES}")
+            _progress(f"integrating {cells} grid cells")
+            grid = meanfield.sweep_grid(
+                params, alphas, beta_os, horizon=args.horizon, dt=args.dt, method=args.method
             )
-            outputs.append(p)
-        _print_summary_table(table)
-    else:
-        traj = meanfield.integrate(params, args.horizon, args.dt, args.method)
-        tp = out / "trajectory.csv"
-        write_trajectory_csv(traj, tp)
-        outputs.append(tp)
-        if args.svg:
-            p = out / "trajectory.svg"
-            days = list(traj.days)
-            svgplot.line_chart(
-                [
-                    (name, days, list(traj.states[:, i]))
-                    for i, name in enumerate(meanfield.COMPARTMENTS)
-                ],
-                p,
-                title="Compartment fractions",
-                xlabel="day",
-                ylabel="fraction",
+            grid_path = run.output("grid.csv")
+            b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
+            write_csv(
+                grid_path,
+                ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
+                zip(*(m.ravel().tolist() for m in (
+                    b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall))),
             )
-            outputs.append(p)
-        _print_summary_table([("-", 0.0, meanfield.summarize(traj))])
-    _write_manifest(
-        out,
-        "meanfield",
-        {
-            "beta_o": args.beta_o, "gamma": args.gamma, "lambda": args.lam,
-            "mu": args.mu, "alpha": args.alpha, "epsilon": args.epsilon,
-            "horizon": args.horizon, "dt": args.dt, "method": args.method,
-            "sweep": args.sweep, "grid": args.grid,
-        },
-        [],
-        None,
-        started,
-        outputs,
-    )
+            write_csv(
+                run.output("grid_argmax.csv"),
+                ["beta_o", "argmax_alpha", "max_overall"],
+                zip(*(v.tolist() for v in (
+                    grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)))),
+            )
+            if args.svg:
+                for name in ("ordinary", "misinformed", "overall"):
+                    marks = list(zip(grid.argmax_alpha, grid.beta_os)) if name == "overall" else []
+                    svgplot.heatmap(
+                        getattr(grid, name).tolist(),
+                        x_ticks=list(grid.alphas),
+                        y_ticks=list(grid.beta_os),
+                        path=run.output(f"grid_{name}.svg"),
+                        title=f"Total infected ({name})",
+                        xlabel="alpha",
+                        ylabel="beta_o",
+                        marks=marks,
+                    )
+            print(f"grid: {len(grid.beta_os)} x {len(grid.alphas)} cells -> {grid_path}")
+        elif args.sweep:
+            name, values = _parse_range(args.sweep, "--sweep")
+            _check_output_names(values, "--sweep")
+            _progress(f"sweeping {name} over {len(values)} values")
+            trajs = meanfield.integrate_many(
+                [meanfield.apply_param(params, name, v) for v in values],
+                args.horizon, args.dt, args.method,
+            )
+            series = []
+            for v, traj in zip(values, trajs):
+                write_trajectory_csv(traj, run.output(f"trajectories/traj_{name}_{v:g}.csv"))
+                series.append((f"{name}={v:g}", list(traj.days), list(traj.infected)))
+            table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
+            _write_summary_csv(table, run.output("sweep_summary.csv"))
+            if args.svg:
+                svgplot.line_chart(
+                    series, run.output("sweep_infected.svg"),
+                    title="Infected fraction per day", xlabel="day", ylabel="I",
+                )
+            _print_summary_table(table)
+        else:
+            traj = meanfield.integrate(params, args.horizon, args.dt, args.method)
+            write_trajectory_csv(traj, run.output("trajectory.csv"))
+            if args.svg:
+                days = list(traj.days)
+                svgplot.line_chart(
+                    [
+                        (name, days, list(traj.states[:, i]))
+                        for i, name in enumerate(meanfield.COMPARTMENTS)
+                    ],
+                    run.output("trajectory.svg"),
+                    title="Compartment fractions",
+                    xlabel="day",
+                    ylabel="fraction",
+                )
+            _print_summary_table([("-", 0.0, meanfield.summarize(traj))])
     return 0
-
-
-class _Stage:
-    """Reports a pipeline stage's wall time on stderr when it succeeds, and
-    annotates errors with the stage that raised them."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        _progress(f"stage {self.name}")
-        self.started = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is None:
-            _progress(f"stage {self.name} done in {time.monotonic() - self.started:.3f}s")
-            return False
-        if isinstance(exc, NumericError):
-            raise NumericError(f"stage {self.name}: {exc}") from exc
-        if isinstance(exc, (InputError, OSError)):
-            raise InputError(f"stage {self.name}: {exc}") from exc
-        return False
 
 
 @dataclass(frozen=True)
@@ -376,48 +362,47 @@ def _pipeline_config(args) -> PipelineConfig:
 _SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
 
 
-def _generate_scenario(scenario_config, counties, seed, out: Path):
-    """Generate a synthetic scenario and save it under `out`.
-
-    Returns (scenario, infonet, the four files written).
+def _generate_scenario(scenario_config, counties, seed, run: _Run):
+    """Generate a synthetic scenario, save its four files as outputs of
+    `run`, and record the config file as an input. Returns (scenario, infonet).
     """
-    cfg = (
-        scenario.parse_scenario_config(scenario_config)
-        if scenario_config
-        else scenario.ScenarioConfig()
-    )
+    if scenario_config:
+        cfg = scenario.parse_scenario_config(scenario_config)
+        run.inputs.append(scenario_config)
+    else:
+        cfg = scenario.ScenarioConfig()
     cfg = replace(cfg, seed=seed)
     if counties is not None:
         cfg = replace(cfg, county_count=counties)
     sc, net = scenario.generate_scenario(cfg)
-    paths = [out / name for name in _SCENARIO_FILES]
+    paths = [run.output(name) for name in _SCENARIO_FILES]
     scenario.save_scenario(sc, paths[0], paths[1])
     infonet.save_infonet(net, paths[2], paths[3])
-    return sc, net, paths
+    return sc, net
 
 
-def _pipeline_scenario(cfg: PipelineConfig, out: Path):
-    """Load or generate the scenario. Returns (scenario, infonet, inputs, outputs)."""
+def _run_pipeline(cfg: PipelineConfig, run: _Run):
+    """Load or generate the scenario, then spread -> sample -> build ->
+    simulate, and save contactnet.bin and result.csv as outputs of `run`.
+
+    Returns (contact_net, result).
+    """
     if cfg.scenario_dir:
         paths = [Path(cfg.scenario_dir) / name for name in _SCENARIO_FILES]
-        with _Stage("load_scenario"):
+        run.inputs += paths
+        with run.stage("load_scenario"):
             sc = scenario.load_scenario(paths[0], paths[1])
             net = infonet.load_infonet(paths[2], paths[3])
-        return sc, net, paths, []
-    with _Stage("generate_scenario"):
-        sc, net, outputs = _generate_scenario(cfg.scenario_config, cfg.counties, cfg.seed, out)
-    return sc, net, [cfg.scenario_config] if cfg.scenario_config else [], outputs
-
-
-def _run_pipeline_core(sc, net, cfg: PipelineConfig):
-    """Spread -> sample -> build -> simulate. Returns (contact_net, result)."""
-    with _Stage("spread_misinformation"):
+    else:
+        with run.stage("generate_scenario"):
+            sc, net = _generate_scenario(cfg.scenario_config, cfg.counties, cfg.seed, run)
+    with run.stage("spread_misinformation"):
         labeling = infonet.spread_misinformation(net, cfg.phi, cfg.mode)
-    with _Stage("sample_population"):
+    with run.stage("sample_population"):
         nodes = contactnet.sample_population(
             sc, net, labeling, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
         )
-    with _Stage("expected_edges"):
+    with run.stage("expected_edges"):
         e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, nodes.n)
     abm_cfg = abm.AbmConfig(
         p_o=cfg.p_o,
@@ -438,27 +423,16 @@ def _run_pipeline_core(sc, net, cfg: PipelineConfig):
         builds = [("", _STREAM_NET, _STREAM_ABM, abm_cfg)]
     parts = []
     for suffix, net_stream, abm_stream, run_cfg in builds:
-        with _Stage(f"build_contact_network{suffix}"):
+        with run.stage(f"build_contact_network{suffix}"):
             cnet = contactnet.build_contact_network(
                 nodes, e_matrix, cfg.k_bar, scenario.derive_seed(cfg.seed, net_stream)
             )
-        with _Stage(f"abm{suffix}"):
+        with run.stage(f"abm{suffix}"):
             parts.append(abm.run(cnet, run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
-    return cnet, abm.merge_results(parts)
-
-
-def _run_pipeline(cfg: PipelineConfig, out: Path):
-    """One full run that saves contactnet.bin and result.csv under `out`.
-
-    Returns (contact_net, result, inputs, outputs).
-    """
-    sc, net, inputs, outputs = _pipeline_scenario(cfg, out)
-    cnet, result = _run_pipeline_core(sc, net, cfg)
-    net_path = out / "contactnet.bin"
-    contactnet.save_contact_network(cnet, net_path)
-    result_path = out / "result.csv"
-    abm.write_result_csv(result, result_path)
-    return cnet, result, inputs, outputs + [net_path, result_path]
+    result = abm.merge_results(parts)
+    contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
+    abm.write_result_csv(result, run.output("result.csv"))
+    return cnet, result
 
 
 def _result_summary(cnet, result) -> dict:
@@ -476,32 +450,24 @@ def _result_summary(cnet, result) -> dict:
 
 
 def cmd_pipeline(args) -> int:
-    out = _out_dir(args)
-    started = time.monotonic()
     cfg = _pipeline_config(args)
-    cnet, result, inputs, outputs = _run_pipeline(cfg, out)
-    summary = _result_summary(cnet, result)
-    summary_path = out / "summary.json"
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    outputs.append(summary_path)
-    if args.svg:
-        p = out / "epidemic.svg"
-        days = list(result.days)
-        svgplot.line_chart(
-            [
-                ("mean prevalent I", days, list(result.mean("prev_I"))),
-                ("mean cumulative", days, list(result.mean("cum"))),
-            ],
-            p,
-            title="Epidemic course",
-            xlabel="day",
-            ylabel="individuals",
-        )
-        outputs.append(p)
-    _write_manifest(out, "pipeline", asdict(cfg), inputs, cfg.seed, started, outputs)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
+        cnet, result = _run_pipeline(cfg, run)
+        summary = json.dumps(_result_summary(cnet, result), indent=2, sort_keys=True)
+        run.output("summary.json").write_text(summary + "\n")
+        if args.svg:
+            days = list(result.days)
+            svgplot.line_chart(
+                [
+                    ("mean prevalent I", days, list(result.mean("prev_I"))),
+                    ("mean cumulative", days, list(result.mean("cum"))),
+                ],
+                run.output("epidemic.svg"),
+                title="Epidemic course",
+                xlabel="day",
+                ylabel="individuals",
+            )
+    print(summary)
     return 0
 
 
@@ -515,62 +481,60 @@ def _parse_values(text: str, vary: str) -> list:
 
 
 def _sweep_row(cfg: PipelineConfig, vary: str, out: Path, value):
-    """One pipeline run with the varying parameter replaced; used by --jobs workers."""
+    """One pipeline run with the varying parameter replaced; used by --jobs
+    workers. Returns (summary, stages), each stage named under the row's
+    directory."""
     field = vary.replace("-", "_")
-    row_out = out / "rows" / f"{field}_{value:g}"
-    row_out.mkdir(parents=True, exist_ok=True)
-    cnet, result, _, _ = _run_pipeline(replace(cfg, **{field: value}), row_out)
-    return _result_summary(cnet, result)
+    row = _Run(out / "rows" / f"{field}_{value:g}")
+    cnet, result = _run_pipeline(replace(cfg, **{field: value}), row)
+    stages = [{**s, "name": f"{row.out.name}/{s['name']}"} for s in row.stages]
+    return _result_summary(cnet, result), stages
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    started = time.monotonic()
     cfg = _pipeline_config(args)
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
-    row = partial(_sweep_row, cfg, args.vary, out)
+    params = {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}
+    with _Run(args.out, "sweep", params, cfg.seed) as run:
+        row = partial(_sweep_row, cfg, args.vary, run.out)
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(row, values))
+        else:
+            rows = [row(v) for v in values]
+        summaries = [summary for summary, _ in rows]
+        run.stages = [s for _, stages in rows for s in stages]
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(row, values))
-    else:
-        summaries = [row(v) for v in values]
+        # Largest phi (the most-resilient scenario) anchors relative increases;
+        # for other axes the last value is the baseline.
+        base_idx = int(np.argmax(values)) if args.vary == "phi" else len(values) - 1
+        base = summaries[base_idx]["cumulative_final_mean"]
 
-    # Largest phi (the most-resilient scenario) anchors relative increases;
-    # for other axes the last value is the baseline.
-    base_idx = int(np.argmax(values)) if args.vary == "phi" else len(values) - 1
-    base = summaries[base_idx]["cumulative_final_mean"]
-
-    summary_path = out / "sweep_summary.csv"
-    columns = [
-        "n_nodes", "misinformed_nodes", "misinformed_fraction", "peak_day_mean",
-        "peak_height_mean", "cumulative_final_mean", "cumulative_final_std",
-    ]
-    write_csv(
-        summary_path,
-        ["vary", "value", *columns, "relative_increase_vs_baseline"],
-        (
-            [args.vary, float(v), *(s[c] for c in columns),
-             (s["cumulative_final_mean"] - base) / base if base > 0 else 0.0]
-            for v, s in zip(values, summaries)
-        ),
-    )
-    outputs = [summary_path]
-    if args.svg:
-        p = out / "sweep_cumulative.svg"
-        svgplot.line_chart(
-            [("mean cumulative infections", [float(v) for v in values],
-              [s["cumulative_final_mean"] for s in summaries])],
-            p,
-            title=f"Cumulative infections vs {args.vary}",
-            xlabel=args.vary,
-            ylabel="individuals",
+        columns = [
+            "n_nodes", "misinformed_nodes", "misinformed_fraction", "peak_day_mean",
+            "peak_height_mean", "cumulative_final_mean", "cumulative_final_std",
+        ]
+        write_csv(
+            run.output("sweep_summary.csv"),
+            ["vary", "value", *columns, "relative_increase_vs_baseline"],
+            (
+                [args.vary, float(v), *(s[c] for c in columns),
+                 (s["cumulative_final_mean"] - base) / base if base > 0 else 0.0]
+                for v, s in zip(values, summaries)
+            ),
         )
-        outputs.append(p)
-    _write_manifest(out, "sweep", {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}, [], cfg.seed, started, outputs)
+        if args.svg:
+            svgplot.line_chart(
+                [("mean cumulative infections", [float(v) for v in values],
+                  [s["cumulative_final_mean"] for s in summaries])],
+                run.output("sweep_cumulative.svg"),
+                title=f"Cumulative infections vs {args.vary}",
+                xlabel=args.vary,
+                ylabel="individuals",
+            )
     print(f"{'value':>10}{'misinformed':>14}{'peak_day':>10}{'cum_mean':>14}")
     for v, s in zip(values, summaries):
         print(
@@ -581,19 +545,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    out = _out_dir(args)
-    started = time.monotonic()
-    sc, net, outputs = _generate_scenario(args.scenario_config, args.counties, args.seed, out)
-    _write_manifest(
-        out, "gen-scenario",
-        {"counties": sc.n_counties, "seed": args.seed,
-         "scenario_config": args.scenario_config},
-        [args.scenario_config] if args.scenario_config else [],
-        args.seed, started, outputs,
-    )
+    with _Run(args.out, "gen-scenario", seed=args.seed) as run:
+        sc, net = _generate_scenario(args.scenario_config, args.counties, args.seed, run)
+        run.params = {"counties": sc.n_counties, "seed": args.seed,
+                      "scenario_config": args.scenario_config}
     print(
         f"scenario: {sc.n_counties} counties, {int(sc.voters.sum())} voters, "
-        f"{net.n_nodes} accounts, {net.n_edges} retweet edges -> {out}"
+        f"{net.n_nodes} accounts, {net.n_edges} retweet edges -> {run.out}"
     )
     return 0
 
@@ -726,14 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

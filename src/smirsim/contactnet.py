@@ -21,10 +21,9 @@ in ascending order, over all blocks (x, y >= x) at once. Every key of such a
 pass has its lo end in x's node range, so the passes emit the canonical edge
 list (each edge as (lo, hi), rows sorted) in order, without a global sort.
 Arrays use 32-bit indices: the edge list costs 8 bytes per edge plus ~5
-bytes per node, and building it peaks at ~25 bytes per edge (2M nodes and
-25M edges: 755 MB, of which 151 MB is the loaded scenario). The
-``adjacency`` index, built on first use, costs ~4 more bytes per edge plus
-16 per node.
+bytes per node, and building it raises the process's peak RSS by ~9 bytes
+per edge (2M nodes and 25M edges: 197 -> 411 MB). The ``adjacency`` index,
+built on first use, costs ~4 more bytes per edge plus 16 per node.
 """
 
 from __future__ import annotations
@@ -199,16 +198,24 @@ class ContactNetwork:
         n = self.n_nodes
         if len(self.misinformed) != n:
             raise ValidationError("misinformed length does not match node count")
+        ci = self.county_index
+        if n and (ci.min() < 0 or ci.max() >= len(self.county_ids)):
+            raise ValidationError(f"county index out of range for {len(self.county_ids)} counties")
         e = self.edges
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValidationError("edges must have shape (m, 2)")
         if len(e):
             if e.max() >= n:
                 raise ValidationError("edge endpoint out of range")
-            if np.any(e[:, 0] >= e[:, 1]):
+            lo, hi = e[:, 0], e[:, 1]
+            if np.any(lo >= hi):
                 raise ValidationError("edges must be canonical (lo < hi), no self-loops")
-            key = e[:, 0].astype(np.uint64) * np.uint64(n) + e[:, 1].astype(np.uint64)
-            if np.any(key[1:] <= key[:-1]):
+            # Sorted and duplicate-free, compared in place (no key array, at
+            # most two bool temporaries): lo never decreases, and where lo
+            # repeats, hi strictly increases.
+            same_lo = lo[1:] == lo[:-1]
+            same_lo &= hi[1:] <= hi[:-1]
+            if np.any(lo[1:] < lo[:-1]) or np.any(same_lo):
                 raise ValidationError("edges must be sorted and duplicate-free")
 
     @property
@@ -466,14 +473,17 @@ def load_contact_network(path) -> ContactNetwork:
         bits = np.frombuffer(f.read(n_label_bytes), dtype=np.uint8)
         misinformed = np.unpackbits(bits, count=n).astype(bool)
         edges = np.frombuffer(f.read(8 * m), dtype="<u4").reshape(m, 2)
-    return ContactNetwork(
-        county_ids=county_ids.astype(np.int64),
-        county_index=county_index,
-        misinformed=misinformed,
-        edges=edges.astype(np.uint32),
-        k_bar=float(k_bar),
-        seed=int(seed),
-    )
+    try:
+        return ContactNetwork(
+            county_ids=county_ids.astype(np.int64),
+            county_index=county_index,
+            misinformed=misinformed,
+            edges=edges.astype(np.uint32),
+            k_bar=float(k_bar),
+            seed=int(seed),
+        )
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
 
 
 def save_contact_network_csv(net: ContactNetwork, nodes_path, edges_path) -> None:

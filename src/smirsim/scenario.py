@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -212,25 +212,11 @@ class ScenarioConfig:
             raise ValidationError("twitter_users_min must be >= 1")
 
 
-# Keys accepted by parse_scenario_config, with their coercions.
-_CONFIG_FIELDS = {
-    "county_count": int,
-    "pop_median": float,
-    "pop_sigma": float,
-    "share_alpha": float,
-    "share_beta": float,
-    "twitter_user_rate": float,
-    "twitter_users_min": int,
-    "gravity_exponent": float,
-    "seed": int,
-}
-_INFO_FIELDS = {
-    "edges_per_node": int,
-    "homophily": float,
-    "seed_rate_republican": float,
-    "seed_rate_democrat": float,
-    "retweet_weight_p": float,
-}
+# Keys accepted by parse_scenario_config, with their coercions: the int and
+# float fields of ScenarioConfig and of InfoGenConfig (annotations are strings).
+_COERCIONS = {"int": int, "float": float}
+_CONFIG_FIELDS = {f.name: _COERCIONS[f.type] for f in fields(ScenarioConfig) if f.type in _COERCIONS}
+_INFO_FIELDS = {f.name: _COERCIONS[f.type] for f in fields(InfoGenConfig) if f.type in _COERCIONS}
 
 
 def parse_scenario_config(path) -> ScenarioConfig:

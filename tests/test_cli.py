@@ -291,6 +291,68 @@ class TestSweepCommand:
         )
 
 
+MANIFEST_KEYS = {
+    "engine_version", "subcommand", "parameters", "input_hashes", "master_seed",
+    "duration_seconds", "outputs", "stages",
+}
+
+
+class TestRunRecord:
+    """manifest.json records each stage that stderr reports as done."""
+
+    @pytest.mark.parametrize("extra", [[], ["--regen-network"]])
+    def test_manifest_stages_match_stderr(self, tmp_path, capsys, extra):
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, *extra, "--out", str(out)) == 0
+        done = re.findall(r"^stage (\S+) done in \d+\.\d{3}s$", capsys.readouterr().err, re.M)
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [s["name"] for s in stages] == done
+        assert ("build_contact_network[rep=1]" in done) == bool(extra)
+        rss = [s["max_rss_mb"] for s in stages]
+        assert rss == sorted(rss) and rss[0] > 0  # a high-water mark never falls
+        assert all(s.keys() == {"name", "wall_s", "max_rss_mb"} for s in stages)
+        assert all(s["wall_s"] >= 0 for s in stages)
+
+    def test_parallel_sweep_lists_every_row_stage(self, tmp_path):
+        out = tmp_path / "s"
+        assert run_cli(
+            "sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3",
+            "--jobs", "2", "--out", str(out),
+        ) == 0
+        names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
+        row = ["generate_scenario", "spread_misinformation", "sample_population",
+               "expected_edges", "build_contact_network", "abm"]
+        assert names == [f"phi_1/{n}" for n in row] + [f"phi_3/{n}" for n in row]
+        assert not list((out / "rows").rglob("manifest.json"))
+
+    def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--k-bar", "nan", "--out", str(out)) == 2
+        assert "stage expected_edges" in capsys.readouterr().err
+        assert (out / "counties.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_bad_flag_creates_no_out_dir(self, tmp_path):
+        out = tmp_path / "x"
+        assert run_cli("meanfield", "--sweep", "lambda=banana", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["meanfield", "--horizon", "10"],
+        ["meanfield", "--horizon", "10", "--sweep", "lambda=1:2:1"],
+        ["gen-scenario", "--counties", "2", "--seed", "1"],
+        [*PIPELINE_BASE, "--reps", "1"],
+        ["sweep", *PIPELINE_BASE[1:], "--reps", "1", "--vary", "phi", "--values", "1"],
+    ])
+    def test_manifest_keys(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.keys() == MANIFEST_KEYS
+        assert manifest["subcommand"] == argv[0]
+        assert (manifest["stages"] == []) == (argv[0] in ("meanfield", "gen-scenario"))
+
+
 class TestOtherCommands:
     def test_gen_scenario_and_inspect(self, tmp_path, capsys):
         out = tmp_path / "g"
@@ -374,6 +436,11 @@ def _write_bad_inputs(d):
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
     (d / "header_only.bin").write_bytes(data[:20])
+    index_at = len(contactnet.MAGIC) + contactnet._HEADER.size + 8  # node 0's county index
+    for name, word in (("county_index_max", 0xFFFFFFFF), ("county_index_big", 10**6)):
+        bad = bytearray(data)
+        bad[index_at:index_at + 4] = word.to_bytes(4, "little")
+        (d / f"{name}.bin").write_bytes(bytes(bad))
 
 
 # case -> (argv, with {d} for the input directory; text the error must contain)
@@ -406,6 +473,10 @@ BAD_INPUTS = {
     "inspect truncated contactnet": (["inspect", "{d}/truncated.bin"], "truncated.bin"),
     "inspect contactnet with trailing bytes": (["inspect", "{d}/trailing.bin"], "trailing.bin"),
     "inspect contactnet header only": (["inspect", "{d}/header_only.bin"], "header_only.bin"),
+    "inspect contactnet county index 0xFFFFFFFF": (
+        ["inspect", "{d}/county_index_max.bin"], "county_index_max.bin"),
+    "inspect contactnet county index past the county table": (
+        ["inspect", "{d}/county_index_big.bin"], "county_index_big.bin"),
     "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
     "manifest phi text": (["pipeline", "--from-manifest", "{d}/phi_text.json"], "phi"),
     "manifest counties text": (

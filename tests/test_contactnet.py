@@ -319,6 +319,49 @@ class TestSyntheticMobility:
         assert e.sum() == pytest.approx(125000.0, rel=1e-12)
 
 
+class TestValidation:
+    """ContactNetwork rejects edge lists and county indices that break its invariants."""
+
+    def network(self, edges, county_index=(0, 0, 1, 1)):
+        return cn.ContactNetwork(
+            county_ids=np.array([1000, 1001]),
+            county_index=np.array(county_index, dtype=np.int32),
+            misinformed=np.zeros(len(county_index), dtype=bool),
+            edges=np.array(edges, dtype=np.uint32).reshape(-1, 2),
+            k_bar=2.0,
+            seed=0,
+        )
+
+    def test_accepts_a_canonical_edge_list(self):
+        net = self.network([[0, 1], [0, 3], [1, 2], [2, 3]])
+        assert net.n_edges == 4
+        assert self.network([]).n_edges == 0
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 3], [0, 1]],  # hi decreases under one lo
+        [[1, 2], [0, 3]],  # lo decreases
+        [[0, 1], [2, 3], [1, 2]],
+    ])
+    def test_unsorted_edges_raise(self, edges):
+        with pytest.raises(ValidationError, match="sorted"):
+            self.network(edges)
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [0, 1]], [[0, 1], [1, 2], [1, 2], [2, 3]]])
+    def test_duplicate_row_raises(self, edges):
+        with pytest.raises(ValidationError, match="duplicate-free"):
+            self.network(edges)
+
+    @pytest.mark.parametrize("edges", [[[1, 1]], [[0, 1], [2, 1]]])
+    def test_row_with_lo_not_below_hi_raises(self, edges):
+        with pytest.raises(ValidationError, match="lo < hi"):
+            self.network(edges)
+
+    @pytest.mark.parametrize("county_index", [(0, 0, 2, 1), (0, -1, 1, 1)])
+    def test_county_index_out_of_range_raises(self, county_index):
+        with pytest.raises(ValidationError, match="county index"):
+            self.network([[0, 1]], county_index)
+
+
 class TestPersistence:
     def build(self):
         nodes = sampled([1, 2], [30, 20],
