@@ -14,7 +14,6 @@ from .contactnet import (
     SampledNodes,
     build_contact_network,
     expected_edges,
-    generate_synthetic_mobility,
     load_contact_network,
     sample_population,
     save_contact_network,
@@ -48,6 +47,7 @@ from .scenario import (
     Scenario,
     ScenarioConfig,
     generate_scenario,
+    generate_synthetic_mobility,
     load_scenario,
     save_scenario,
 )
@@ -56,13 +56,12 @@ __all__ = [
     "__version__",
     "AbmConfig", "AbmState", "EpidemicResult", "run", "seed_infection", "step",
     "ContactNetwork", "SampledNodes", "build_contact_network", "expected_edges",
-    "generate_synthetic_mobility", "load_contact_network", "sample_population",
-    "save_contact_network",
+    "load_contact_network", "sample_population", "save_contact_network",
     "InfoGenConfig", "InfoNetwork", "MisinfoLabeling", "generate_synthetic_infonet",
     "load_infonet", "propagate_alignment", "save_infonet", "spread_misinformation",
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",
     "sweep", "sweep_grid",
     "MobilityMatrix", "Scenario", "ScenarioConfig", "generate_scenario",
-    "load_scenario", "save_scenario",
+    "generate_synthetic_mobility", "load_scenario", "save_scenario",
 ]

@@ -25,12 +25,13 @@ configuration within workstation memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contactnet import ContactNetwork
 from .errors import InsufficientMisinformedError, ValidationError
+from .scenario import derive_seed
 from .tables import write_csv
 
 S, I, R = 0, 1, 2
@@ -83,13 +84,6 @@ class AbmState:
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.compartment, minlength=3)
         return int(c[S]), int(c[I]), int(c[R])
-
-
-def repetition_key(master_seed: int, repetition: int) -> int:
-    """64-bit Philox key root for one repetition."""
-    return int(
-        np.random.SeedSequence([master_seed, repetition]).generate_state(1, np.uint64)[0]
-    )
 
 
 def _stream(rep_key: int, stream_id: int) -> np.random.Generator:
@@ -184,14 +178,20 @@ class EpidemicResult:
     master_seed: int
     days: np.ndarray
     per_rep: dict[str, np.ndarray]
-    peak_day: np.ndarray = field(repr=False, default=None)
-    peak_height: np.ndarray = field(repr=False, default=None)
 
     def mean(self, measure: str) -> np.ndarray:
         return self.per_rep[measure].mean(axis=0)
 
     def std(self, measure: str) -> np.ndarray:
         return self.per_rep[measure].std(axis=0)
+
+    @property
+    def peak_day(self) -> np.ndarray:
+        return self.per_rep["prev_I"].argmax(axis=1)
+
+    @property
+    def peak_height(self) -> np.ndarray:
+        return self.per_rep["prev_I"].max(axis=1)
 
     @property
     def peak_day_mean(self) -> float:
@@ -221,11 +221,9 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     mis = net.misinformed
     t = cfg.steps + 1
     per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in MEASURES}
-    peak_day = np.zeros(cfg.repetitions, dtype=np.int64)
-    peak_height = np.zeros(cfg.repetitions, dtype=np.int64)
 
     for rep in range(cfg.repetitions):
-        rep_key = repetition_key(master_seed, rep)
+        rep_key = derive_seed(master_seed, rep)
         state = seed_infection(net, cfg, _stream(rep_key, _STREAM_SEEDING))
         _record(per_rep, rep, 0, state.compartment, mis)
         for day in range(1, t):
@@ -237,9 +235,6 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
                 break
             state = step(state, net, cfg, day_stream(rep_key, day - 1))
             _record(per_rep, rep, day, state.compartment, mis)
-        prev_series = per_rep["prev_I"][rep]
-        peak_day[rep] = int(np.argmax(prev_series))
-        peak_height[rep] = int(prev_series.max())
 
     return EpidemicResult(
         n_nodes=n,
@@ -248,8 +243,6 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
         master_seed=int(master_seed),
         days=np.arange(t),
         per_rep=per_rep,
-        peak_day=peak_day,
-        peak_height=peak_height,
     )
 
 
@@ -296,8 +289,6 @@ def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
         master_seed=first.master_seed,
         days=first.days,
         per_rep=per_rep,
-        peak_day=np.concatenate([p.peak_day for p in parts]),
-        peak_height=np.concatenate([p.peak_height for p in parts]),
     )
 
 

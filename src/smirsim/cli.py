@@ -48,7 +48,9 @@ _STREAM_ABM_REP = 2000
 
 
 def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)
+    # One write per line, so lines from parallel sweep rows do not interleave.
+    sys.stderr.write(msg + "\n")
+    sys.stderr.flush()
 
 
 def _sha256(path) -> str:

@@ -7,9 +7,9 @@ undirected simple graph of sampled individuals:
    replacement, from the information network, matching each county's
    republican/democrat vote split; each draw copies the persona's
    ordinary/misinformed label onto a fresh contact node.
-2. ``expected_edges`` converts the mobility matrix into real-valued expected
-   edge counts per unordered county pair, normalized so they sum to the edge
-   budget k_bar * N / 2.
+2. ``expected_edges`` converts the scenario's mobility matrix into
+   real-valued expected edge counts per unordered county pair, normalized
+   so they sum to the edge budget k_bar * N / 2.
 3. ``build_contact_network`` integerizes those expectations with a single
    multinomial draw and places each block's edges between uniformly random
    node pairs, rejecting self-loops and duplicates, like a stochastic block
@@ -21,9 +21,10 @@ in ascending order, over all blocks (x, y >= x) at once. Every key of such a
 pass has its lo end in x's node range, so the passes emit the canonical edge
 list (each edge as (lo, hi), rows sorted) in order, without a global sort.
 Arrays use 32-bit indices: the edge list costs 8 bytes per edge plus ~5
-bytes per node, and building it raises the process's peak RSS by ~9 bytes
-per edge (2M nodes and 25M edges: 197 -> 411 MB). The ``adjacency`` index,
-built on first use, costs ~4 more bytes per edge plus 16 per node.
+bytes per node, and building it raises the process's peak RSS by ~11 bytes
+per edge (2M nodes and 25M edges: 151 -> 411 MB). The ``adjacency`` index,
+built on first use, keeps ~4 more bytes per edge plus 16 per node; building
+it peaks at ~13 bytes per edge, its uint64 sort keys included (411 -> 683 MB).
 """
 
 from __future__ import annotations
@@ -247,6 +248,10 @@ class ContactNetwork:
         """
         n = self.n_nodes
         lo, hi = self.edges[:, 0], self.edges[:, 1]
+        # Row pointers come from binary searches over rows that are already
+        # sorted, with queries of the searched dtype: a bincount would cast
+        # a whole uint32 column to an int64 temporary (8 bytes per edge).
+        lo_ptr = np.searchsorted(lo, np.arange(n + 1, dtype=np.uint32))
         # Edges sorted by (hi, lo): the low 32 bits of the sorted keys are
         # the lo ends in hi order (edges are unique, so no stable sort is
         # needed, and sorting keys is ~10x faster than argsort).
@@ -254,12 +259,8 @@ class ContactNetwork:
         keys <<= np.uint64(32)
         keys |= lo
         keys.sort()
-        halves = []
-        for row, nbr in ((lo, hi), (hi, keys.astype(np.uint32))):
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-            halves.append((ptr, nbr))
-        return tuple(halves)
+        hi_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.uint64) << np.uint64(32))
+        return (lo_ptr, hi), (hi_ptr, keys.astype(np.uint32))
 
 
 def _place_county_edges(
@@ -389,45 +390,6 @@ def build_contact_network(
     )
 
 
-# Reference within-county travel distance on the unit square; sets how much
-# the gravity model's diagonal dominates at positive exponents.
-LOCAL_DISTANCE = 0.05
-
-
-def generate_synthetic_mobility(
-    scenario: Scenario,
-    gravity_exponent: float = 2.0,
-    rng_seed: int = 0,
-    coordinates: np.ndarray | None = None,
-) -> MobilityMatrix:
-    """Gravity-model mobility on synthetic county coordinates.
-
-    L[x, y] = pop_x * pop_y / dist(x, y)^exponent for distinct counties and
-    pop_x^2 / LOCAL_DISTANCE^exponent on the diagonal. Coordinates are drawn
-    uniformly on the unit square from ``rng_seed`` unless supplied.
-    """
-    if np.any(scenario.voters <= 0):
-        raise ValidationError("gravity model needs positive county populations")
-    n = scenario.n_counties
-    if coordinates is None:
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-        coordinates = rng.uniform(0.0, 1.0, size=(n, 2))
-    coordinates = np.asarray(coordinates, dtype=float)
-    if coordinates.shape != (n, 2):
-        raise ValidationError(f"coordinates must have shape ({n}, 2)")
-    delta = coordinates[:, None, :] - coordinates[None, :, :]
-    dist = np.sqrt((delta**2).sum(axis=2))
-    # Counties are spatially extended: centroid distances below the
-    # within-county travel scale would concentrate unbounded mobility mass
-    # on one pair, so they are floored at that scale.
-    np.fill_diagonal(dist, LOCAL_DISTANCE)
-    dist = np.maximum(dist, LOCAL_DISTANCE)
-    pop = scenario.voters.astype(float)
-    values = np.outer(pop, pop) / dist**gravity_exponent
-    values = (values + values.T) / 2.0
-    return MobilityMatrix(county_ids=scenario.county_ids, values=values)
-
-
 def save_contact_network(net: ContactNetwork, path) -> None:
     """Persist to the compact binary format.
 
@@ -449,7 +411,8 @@ def save_contact_network(net: ContactNetwork, path) -> None:
         f.write(net.county_ids.astype("<i8").tobytes())
         f.write(net.county_index.astype("<u4").tobytes())
         f.write(np.packbits(net.misinformed.astype(np.uint8)).tobytes())
-        f.write(net.edges.astype("<u4").tobytes())
+        # Written from the array itself: a uint32 edge list is not copied.
+        f.write(np.ascontiguousarray(net.edges, dtype="<u4"))
 
 
 def load_contact_network(path) -> ContactNetwork:

@@ -18,7 +18,7 @@ objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,15 +175,7 @@ def propagate_alignment(net: InfoNetwork, max_rounds: int = 100) -> InfoNetwork:
             break
         score[gained] = num[gained] / den[gained]
         scored |= gained
-    return InfoNetwork(
-        ids=net.ids,
-        county=net.county,
-        alignment=score,
-        seed=net.seed,
-        edge_src=net.edge_src,
-        edge_dst=net.edge_dst,
-        edge_weight=net.edge_weight,
-    )
+    return replace(net, alignment=score)
 
 
 @dataclass(frozen=True)
@@ -198,8 +190,6 @@ class InfoGenConfig:
         seed_rate_republican / seed_rate_democrat: per-party probability that
             an account is an empirical misinformation seed.
         retweet_weight_p: geometric-distribution parameter of edge weights.
-        users_per_county: optional override of per-county account counts;
-            defaults to each county's twitter_users from the scenario.
     """
 
     edges_per_node: int = 5
@@ -207,7 +197,6 @@ class InfoGenConfig:
     seed_rate_republican: float = 0.08
     seed_rate_democrat: float = 0.02
     retweet_weight_p: float = 0.5
-    users_per_county: dict[int, int] | None = None
 
     def __post_init__(self):
         if self.edges_per_node < 1:
@@ -218,10 +207,6 @@ class InfoGenConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
         if not (0.0 < self.retweet_weight_p <= 1.0):
             raise ValidationError("retweet_weight_p must be in (0, 1]")
-        if self.users_per_county is not None:
-            for c, u in self.users_per_county.items():
-                if u < 1:
-                    raise ValidationError(f"users_per_county[{c}] must be positive")
 
 
 def generate_synthetic_infonet(
@@ -229,35 +214,24 @@ def generate_synthetic_infonet(
 ) -> InfoNetwork:
     """Generate a synthetic county-attributed retweet network.
 
-    Accounts are created per county (counts from the scenario or from
-    ``cfg.users_per_county``), assigned a party matching the county's
-    republican share, and arrive in random order. Each arrival attracts
-    ``edges_per_node`` retweeters chosen proportionally to (in-degree + 1):
-    with probability ``homophily`` from the arriving account's party, else
-    from the opposite party. A draw is skipped while the needed party pool is
-    still empty. Misinformation seeds are Bernoulli per party. Output is
-    fully determined by ``rng_seed``.
+    Accounts are created per county (counts from the scenario's
+    ``twitter_users``); the first floor(share * count + 0.5) of a county are
+    republican, the rest democrat. They arrive in random order. Each arrival
+    attracts ``edges_per_node`` retweeters chosen proportionally to
+    (in-degree + 1): with probability ``homophily`` from the arriving
+    account's party, else from the opposite party. A draw is skipped while
+    the needed party pool is still empty. Misinformation seeds are Bernoulli
+    per party. Output is fully determined by ``rng_seed``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    counts = {}
-    for idx, fips in enumerate(scenario.county_ids):
-        fips = int(fips)
-        if cfg.users_per_county is not None:
-            counts[fips] = int(cfg.users_per_county[fips])
-        else:
-            counts[fips] = int(scenario.twitter_users[idx])
-    n = sum(counts.values())
-    county = np.empty(n, dtype=np.int64)
-    party = np.empty(n, dtype=np.int8)
-    pos = 0
-    for idx, fips in enumerate(scenario.county_ids):
-        fips = int(fips)
-        c = counts[fips]
-        n_rep = int(np.floor(float(scenario.republican_share[idx]) * c + 0.5))
-        county[pos : pos + c] = fips
-        party[pos : pos + c] = DEMOCRAT
-        party[pos : pos + n_rep] = REPUBLICAN
-        pos += c
+    users = scenario.twitter_users
+    county = np.repeat(scenario.county_ids.astype(np.int64), users)
+    n = len(county)
+    # Each account's rank within its county; ranks below the county's
+    # rounded republican count are republican.
+    rank = np.arange(n) - np.repeat(np.cumsum(users) - users, users)
+    n_rep = np.floor(scenario.republican_share * users + 0.5)
+    party = np.where(rank < np.repeat(n_rep, users), REPUBLICAN, DEMOCRAT).astype(np.int8)
 
     # Alignment magnitude carries no meaning beyond its sign here.
     alignment = party * rng.uniform(0.05, 1.0, size=n)

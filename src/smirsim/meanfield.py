@@ -104,14 +104,6 @@ class MeanFieldState(NamedTuple):
     i_m: float
     r_m: float
 
-    @property
-    def infected(self) -> float:
-        return self.i_o + self.i_m
-
-    @property
-    def ever_infected(self) -> float:
-        return self.i_o + self.r_o + self.i_m + self.r_m
-
 
 def r0(params: MeanFieldParams) -> float:
     """Basic reproduction number beta_o / gamma of the ordinary group."""

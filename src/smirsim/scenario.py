@@ -8,7 +8,8 @@ counties x and y (the diagonal is within-county movement).
 CSV is the only ingestion format. ``load_scenario`` validates everything and
 reports parse errors with line numbers; ``save_scenario`` writes a canonical
 form whose load/save round-trip is byte-identical. ``generate_scenario``
-synthesizes a realistic scenario plus a matching information network, all
+synthesizes a realistic scenario, with gravity-model mobility from
+``generate_synthetic_mobility``, plus a matching information network, all
 randomness flowing from one master seed split hierarchically (counties ->
 mobility -> infonet), so each stage is reproducible in isolation.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .infonet import InfoGenConfig, InfoNetwork
+from .infonet import InfoGenConfig, InfoNetwork, generate_synthetic_infonet
 from .tables import has_duplicates, lookup, read_columns, utf8_text, write_csv
 
 # Stream indices for hierarchical seed derivation from the master seed.
@@ -63,17 +64,13 @@ class MobilityMatrix:
 
 @dataclass(frozen=True)
 class Scenario:
-    """County table plus mobility. Column arrays are index-aligned.
-
-    ``mobility`` may be None transiently while a scenario is being generated;
-    every loaded scenario and every pipeline input has it set.
-    """
+    """County table plus mobility. Column arrays are index-aligned."""
 
     county_ids: np.ndarray
     voters: np.ndarray
     republican_share: np.ndarray
     twitter_users: np.ndarray
-    mobility: MobilityMatrix | None = None
+    mobility: MobilityMatrix
 
     def __post_init__(self):
         n = len(self.county_ids)
@@ -90,9 +87,7 @@ class Scenario:
             raise ValidationError("republican_share must be in [0, 1]")
         if np.any(self.twitter_users < 0):
             raise ValidationError("twitter user counts must be nonnegative")
-        if self.mobility is not None and not np.array_equal(
-            self.mobility.county_ids, self.county_ids
-        ):
+        if not np.array_equal(self.mobility.county_ids, self.county_ids):
             raise ValidationError("mobility county ids do not match scenario counties")
 
     @property
@@ -166,8 +161,6 @@ def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
         ["fips", "voters", "republican_share", "twitter_users"],
         zip(*(c.tolist() for c in columns)),
     )
-    if scenario.mobility is None:
-        raise ValidationError("cannot save a scenario without a mobility matrix")
     values = scenario.mobility.values
     i, j = np.triu_indices(scenario.n_counties)  # row-major: (0, 0), (0, 1), ...
     keep = values[i, j] > 0
@@ -253,10 +246,48 @@ def parse_scenario_config(path) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+# Reference within-county travel distance on the unit square; sets how much
+# the gravity model's diagonal dominates at positive exponents.
+LOCAL_DISTANCE = 0.05
+
+
+def generate_synthetic_mobility(
+    county_ids: np.ndarray,
+    voters: np.ndarray,
+    gravity_exponent: float = 2.0,
+    rng_seed: int = 0,
+    coordinates: np.ndarray | None = None,
+) -> MobilityMatrix:
+    """Gravity-model mobility on synthetic county coordinates.
+
+    L[x, y] = voters_x * voters_y / dist(x, y)^exponent for distinct counties
+    and voters_x^2 / LOCAL_DISTANCE^exponent on the diagonal. Coordinates are
+    drawn uniformly on the unit square from ``rng_seed`` unless supplied.
+    """
+    if np.any(voters <= 0):
+        raise ValidationError("gravity model needs positive county populations")
+    n = len(county_ids)
+    if coordinates is None:
+        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+        coordinates = rng.uniform(0.0, 1.0, size=(n, 2))
+    coordinates = np.asarray(coordinates, dtype=float)
+    if coordinates.shape != (n, 2):
+        raise ValidationError(f"coordinates must have shape ({n}, 2)")
+    delta = coordinates[:, None, :] - coordinates[None, :, :]
+    dist = np.sqrt((delta**2).sum(axis=2))
+    # Counties are spatially extended: centroid distances below the
+    # within-county travel scale would concentrate unbounded mobility mass
+    # on one pair, so they are floored at that scale.
+    np.fill_diagonal(dist, LOCAL_DISTANCE)
+    dist = np.maximum(dist, LOCAL_DISTANCE)
+    pop = voters.astype(float)
+    values = np.outer(pop, pop) / dist**gravity_exponent
+    values = (values + values.T) / 2.0
+    return MobilityMatrix(county_ids=county_ids, values=values)
+
+
 def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
     """Synthesize a scenario and its information network from one master seed."""
-    from . import contactnet  # deferred: contactnet imports this module's types
-
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _STREAM_COUNTIES])
     )
@@ -270,14 +301,8 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
         cfg.twitter_users_min, np.floor(voters * cfg.twitter_user_rate + 0.5)
     ).astype(np.int64)
 
-    bare = Scenario(
-        county_ids=county_ids,
-        voters=voters,
-        republican_share=share,
-        twitter_users=users,
-    )
-    mobility = contactnet.generate_synthetic_mobility(
-        bare, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)
+    mobility = generate_synthetic_mobility(
+        county_ids, voters, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)
     )
     scenario = Scenario(
         county_ids=county_ids,
@@ -286,8 +311,6 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
         twitter_users=users,
         mobility=mobility,
     )
-    from .infonet import generate_synthetic_infonet
-
     net = generate_synthetic_infonet(
         scenario, cfg.info, derive_seed(cfg.seed, _STREAM_INFONET)
     )

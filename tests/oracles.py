@@ -14,8 +14,9 @@ from itertools import product
 
 import numpy as np
 
-from smirsim import abm
+from smirsim import abm, infonet
 from smirsim.contactnet import ContactNetwork
+from smirsim.scenario import Scenario, derive_seed
 
 
 def exact_outcome_distribution(
@@ -166,7 +167,7 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
     t = cfg.steps + 1
     per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in abm.MEASURES}
     for rep in range(cfg.repetitions):
-        rep_key = abm.repetition_key(master_seed, rep)
+        rep_key = derive_seed(master_seed, rep)
         # Stream 0, the one day -1 would own, seeds the infection.
         state = abm.seed_infection(net, cfg, abm.day_stream(rep_key, -1))
         ever = np.zeros(net.n_nodes, dtype=bool)
@@ -182,7 +183,6 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
                 per_rep["new_inf" + suffix][rep, day] = (newly & keep).sum()
                 per_rep["prev_I" + suffix][rep, day] = ((comp == abm.I) & keep).sum()
                 per_rep["cum" + suffix][rep, day] = (ever & keep).sum()
-    prevalence = per_rep["prev_I"]
     return abm.EpidemicResult(
         n_nodes=net.n_nodes,
         misinformed_nodes=net.misinformed_count,
@@ -190,9 +190,26 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
         master_seed=int(master_seed),
         days=np.arange(t),
         per_rep=per_rep,
-        peak_day=prevalence.argmax(axis=1),
-        peak_height=prevalence.max(axis=1),
     )
+
+
+def reference_account_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """(county, party) per synthetic account, laid out county by county.
+
+    Each county gets its ``twitter_users`` accounts in turn, the first
+    floor(share * count + 0.5) of them republican, the rest democrat.
+    """
+    county, party = [], []
+    for fips, share, count in zip(
+        scenario.county_ids.tolist(),
+        scenario.republican_share.tolist(),
+        scenario.twitter_users.tolist(),
+    ):
+        n_rep = int(np.floor(share * count + 0.5))
+        for i in range(count):
+            county.append(fips)
+            party.append(infonet.REPUBLICAN if i < n_rep else infonet.DEMOCRAT)
+    return np.array(county, dtype=np.int64), np.array(party, dtype=np.int8)
 
 
 def encode_state(state: tuple[int, ...]) -> int:

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ class TestPipelineCommand:
         done = re.findall(r"^stage (\S+) done in \d+\.\d{3}s$", err, re.M)
         assert started == done
         assert {"generate_scenario", "build_contact_network", "abm"} <= set(done)
+
+    def test_each_stderr_line_is_one_write(self, tmp_path, monkeypatch):
+        # Parallel sweep rows share stderr: a line written in two calls can
+        # have another process's output land between its text and newline.
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        assert run_cli(*PIPELINE_BASE, "--out", str(tmp_path / "p")) == 0
+        assert writes
+        assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes), writes
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

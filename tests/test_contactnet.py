@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from smirsim.errors import (
     ValidationError,
     ZeroMobilityError,
 )
-from smirsim.scenario import MobilityMatrix
+from smirsim.scenario import MobilityMatrix, generate_synthetic_mobility
 
 from conftest import build_infonet, build_scenario
 
@@ -141,6 +143,24 @@ def sampled(counties, sizes, misinformed=None):
         misinformed=np.zeros(n, dtype=bool) if misinformed is None else misinformed,
         source=np.zeros(n, dtype=np.int64),
     )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_net():
+    """200k nodes and 2.5M edges in one county: big enough that per-edge
+    costs dwarf the per-node ones."""
+    nodes = sampled([1], [200_000])
+    return cn.build_contact_network(nodes, np.array([[1.0]]), k_bar=25.0, rng_seed=3)
 
 
 class TestBuildNetwork:
@@ -286,6 +306,13 @@ class TestAdjacency:
         for ptr, nbr in net.adjacency:
             assert len(nbr) == 0 and ptr.tolist() == [0] * 6
 
+    def test_memory_peak_per_edge(self, large_net):
+        # Two uint32 neighbor halves (one a view of edges) plus the uint64
+        # sort keys, with no int64 copy of a whole column on the side.
+        net = replace(large_net)  # a fresh index, whatever ran before
+        peak = traced_peak(lambda: net.adjacency)
+        assert peak <= 16 * net.n_edges
+
     def test_built_once_per_network(self):
         nodes = sampled([1], [30])
         net = cn.build_contact_network(nodes, np.array([[1.0]]), k_bar=4.0, rng_seed=2)
@@ -296,25 +323,27 @@ class TestSyntheticMobility:
     def test_equal_populations_equidistant_symmetric(self):
         scenario = build_scenario([500, 500, 800])
         coords = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
-        m = cn.generate_synthetic_mobility(scenario, 2.0, 0, coordinates=coords)
+        m = generate_synthetic_mobility(
+            scenario.county_ids, scenario.voters, 2.0, 0, coordinates=coords
+        )
         assert m.values[0, 2] == pytest.approx(m.values[1, 2])
         assert m.values[0, 0] == pytest.approx(m.values[1, 1])
 
     def test_exponent_zero_ignores_distance(self):
         scenario = build_scenario([100, 200, 400])
-        m = cn.generate_synthetic_mobility(scenario, 0.0, 3)
+        m = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 0.0, 3)
         pop = scenario.voters.astype(float)
         assert m.values == pytest.approx(np.outer(pop, pop))
 
     def test_deterministic_under_seed(self):
         scenario = build_scenario([100, 200, 400])
-        a = cn.generate_synthetic_mobility(scenario, 2.0, 9)
-        b = cn.generate_synthetic_mobility(scenario, 2.0, 9)
+        a = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 2.0, 9)
+        b = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 2.0, 9)
         assert np.array_equal(a.values, b.values)
 
     def test_feeds_expected_edges(self):
         scenario = build_scenario([1000, 2000])
-        m = cn.generate_synthetic_mobility(scenario, 1.5, 2)
+        m = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 1.5, 2)
         e = cn.expected_edges(m, 25.0, 10000)
         assert e.sum() == pytest.approx(125000.0, rel=1e-12)
 
@@ -386,6 +415,10 @@ class TestPersistence:
         cn.save_contact_network(net, tmp_path / "a.bin")
         cn.save_contact_network(net, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_save_does_not_copy_the_edges(self, tmp_path, large_net):
+        peak = traced_peak(lambda: cn.save_contact_network(large_net, tmp_path / "net.bin"))
+        assert peak <= 2 * large_net.n_edges
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.bin"

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from smirsim import infonet as inet
 from smirsim.errors import NoScoredNodesError, ParseError, ValidationError
 
 from conftest import build_infonet, build_scenario
-from oracles import brute_force_misinformed
+from oracles import brute_force_misinformed, reference_account_layout
+
+# Shares that put share * count exactly on k + 0.5 for some small counts
+# (0.5 * 3, 0.25 * 6, 0.375 * 4, ...), where rounding half up matters.
+HALF_SHARES = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0)
 
 
 class TestNetworkValidation:
@@ -191,6 +197,23 @@ class TestGenerator:
         rep = (net.party[net.county == 1000] == inet.REPUBLICAN).mean()
         assert rep == pytest.approx(0.7, abs=0.01)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.sampled_from(HALF_SHARES) | st.floats(0, 1)),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda counties: any(users for users, _ in counties))
+    )
+    @example([(0, 0.5), (3, 0.5), (0, 0.25), (6, 0.25)])
+    def test_account_layout_matches_reference(self, counties):
+        users, shares = zip(*counties)
+        scenario = build_scenario([100] * len(users), shares=shares, users=users)
+        cfg = inet.InfoGenConfig(edges_per_node=1)
+        net = inet.generate_synthetic_infonet(scenario, cfg, rng_seed=0)
+        county, party = reference_account_layout(scenario)
+        assert np.array_equal(net.county, county) and net.county.dtype == np.int64
+        assert np.array_equal(net.party, party)
+
     def test_heavy_tailed_in_degree(self):
         net = inet.generate_synthetic_infonet(self.scenario(), inet.InfoGenConfig(), 3)
         in_deg = np.bincount(net.edge_dst, minlength=net.n_nodes)
@@ -227,8 +250,6 @@ class TestGenerator:
             inet.InfoGenConfig(homophily=1.5)
         with pytest.raises(ValidationError):
             inet.InfoGenConfig(edges_per_node=0)
-        with pytest.raises(ValidationError):
-            inet.InfoGenConfig(users_per_county={1000: 0})
 
 
 class TestRoundTrip:

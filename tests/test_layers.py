@@ -1,0 +1,71 @@
+"""The package's modules import each other in one direction only.
+
+Each module may import, at module level, only modules before it in
+``LAYERS``, so the layers form no cycle and an import never has to be
+deferred into a function body. Imports under ``if TYPE_CHECKING:`` run only
+for type checkers and are exempt, as is ``__init__.py``, which re-exports
+every layer.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import smirsim
+
+LAYERS = (
+    "errors", "tables", "infonet", "scenario", "contactnet", "abm", "meanfield", "svgplot", "cli",
+)
+PACKAGE = Path(smirsim.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def is_type_checking(node):
+    return isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+
+
+def module_level(body):
+    """Statements run on import: the module body and its ifs and trys,
+    but not function or class bodies and not ``if TYPE_CHECKING:``."""
+    for node in body:
+        if is_type_checking(node):
+            continue
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from module_level(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from module_level(handler.body)
+
+
+def imported_modules(node):
+    """Package modules a relative import names; ``__version__`` is no module."""
+    if node.module is not None:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names if alias.name != "__version__"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_relative_import_inside_a_function(module):
+    for func in ast.walk(tree(module)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = [n for n in ast.walk(func) if isinstance(n, ast.ImportFrom) and n.level]
+            assert not nested, f"{module}.py:{nested[0].lineno} imports inside {func.name}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_earlier_layers(module):
+    allowed = set(LAYERS[: LAYERS.index(module)])
+    for node in module_level(tree(module).body):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in imported_modules(node):
+                assert name in allowed, f"{module}.py:{node.lineno} imports {name}, a later layer"
