@@ -7,20 +7,25 @@ infected node recovers with probability gamma. Updates are synchronous: both
 decisions read only the previous day's state, so a node cannot infect anyone
 and recover within the same day.
 
-Randomness is counter-based: each (repetition, day) owns a Philox stream
-keyed by (repetition key, day), and the d-th value of that stream belongs to
-node d. Outcomes are therefore independent of evaluation order and thread
-count, and any single day of any repetition can be replayed in isolation.
+Randomness is counter-based. The infection is seeded from the Philox
+stream ``[repetition key, 0]``; every later decision reads one value of a
+keyed hash, `uniform`, at (day key, node, purpose), where the day key folds
+the repetition key and the day (`day_key`). A value depends on nothing else,
+so outcomes are independent of evaluation order and thread count, any (day,
+node) of any repetition can be replayed in isolation, and a day evaluates the
+hash only where a decision is made: at its candidates and its infected nodes.
 
-A day costs in proportion to its infected nodes and their neighbors, not to
-the edge count: the infected nodes scatter infection pressure through the
+A day costs in proportion to its changes, not to the node or edge count.
+The state carries the infected nodes and each node's count of infected
+neighbors (8 bytes per node); a day adds the neighbors of its new infections
+to that count and subtracts those of its recoveries, gathered through the
 network's ``adjacency`` index, built once per network (~4 bytes per edge plus
 16 bytes per node), and ``1 - (1 - p)^m`` is evaluated only at the
-susceptibles they touch. Only the day's two uniform draws and a few flat
-array passes touch every node. Once no node is infected the state is
-absorbing and the remaining days are copied, not stepped. State is one byte
-per node with (current, next) double buffers, which keeps the 20M-node
-configuration within workstation memory.
+susceptibles with m >= 1. The daily measures come from the same changes.
+What still touches every node is a few flat passes: finding the candidates,
+copying the compartment bytes and adding the count updates. Once no node is
+infected the state is absorbing and the remaining days are copied, not
+stepped.
 """
 
 from __future__ import annotations
@@ -36,9 +41,15 @@ from .tables import write_csv
 
 S, I, R = 0, 1, 2
 
-# Philox stream ids within one repetition: 0 seeds the infection, 1 + day
-# drives that day's transition draws.
-_STREAM_SEEDING = 0
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its Weyl increment and the
+# two multipliers of its output finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+
+#: `uniform` purposes: a susceptible's infection and an infected node's recovery.
+INFECT, RECOVER = 0, 1
 
 
 @dataclass(frozen=True)
@@ -76,23 +87,68 @@ class AbmConfig:
 
 @dataclass(frozen=True)
 class AbmState:
-    """Compartment byte per node (S=0, I=1, R=2) at the given day."""
+    """Compartment byte per node (S=0, I=1, R=2) at the given day, plus what
+    the next day needs carried.
+
+    ``infected`` lists the infected nodes, the ``fresh`` ones infected on this
+    day last; ``pressure`` counts each node's infected neighbors (int64). A
+    state built from a compartment alone gets both when it is first stepped.
+    """
 
     compartment: np.ndarray
     day: int
+    infected: np.ndarray | None = None
+    pressure: np.ndarray | None = None
+    fresh: int = 0
 
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.compartment, minlength=3)
         return int(c[S]), int(c[I]), int(c[R])
 
+    @property
+    def newly_infected(self) -> np.ndarray:
+        return self.infected[len(self.infected) - self.fresh:]
 
-def _stream(rep_key: int, stream_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[rep_key, stream_id]))
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 finalizer on one Python int (kept to 64 bits by hand:
+    NumPy warns when a uint64 scalar operation wraps)."""
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK
+    return z ^ (z >> 31)
 
 
-def day_stream(rep_key: int, day: int) -> np.random.Generator:
-    """The Philox stream that owns day `day` of one repetition."""
-    return _stream(rep_key, 1 + day)
+def seeding_stream(rep_key: int) -> np.random.Generator:
+    """The Philox stream that seeds one repetition's infection."""
+    return np.random.Generator(np.random.Philox(key=[rep_key, 0]))
+
+
+def day_key(rep_key: int, day: int) -> int:
+    """The 64-bit key of day `day` of the repetition keyed `rep_key`; `run`
+    steps into day d with the key of day d."""
+    return _mix64((_mix64(rep_key & _MASK) + day * _GAMMA) & _MASK)
+
+
+def uniform(key: int, nodes: np.ndarray, purpose: int) -> np.ndarray:
+    """u(key, node, purpose) in [0, 1) for each node in `nodes`.
+
+    The purpose selects a SplitMix64 sequence, seeded by the finalizer of
+    ``key + purpose * GAMMA``; the value of node v is that sequence's output
+    number v + 1, the finalizer of ``seed + (v + 1) * GAMMA`` (mod 2^64).
+    Its top 53 bits, times 2^-53, give a double in [0, 1 - 2^-53].
+    """
+    seed = _mix64((key + purpose * _GAMMA) & _MASK)
+    x = np.asarray(nodes).astype(np.uint64)
+    x += np.uint64(1)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x * 2.0**-53
 
 
 def seed_infection(
@@ -118,31 +174,52 @@ def _neighbors(ptr: np.ndarray, nbr: np.ndarray, rows: np.ndarray) -> np.ndarray
     return nbr[np.repeat(shift, count) + np.arange(int(count.sum()))]
 
 
-def step(
-    state: AbmState, net: ContactNetwork, cfg: AbmConfig, rng: np.random.Generator
-) -> AbmState:
-    """Advance one day synchronously.
+def _pressure_from(net: ContactNetwork, nodes: np.ndarray) -> np.ndarray:
+    """Per-node count of neighbors in `nodes` (int64, one slot per node)."""
+    touched = [_neighbors(ptr, nbr, nodes) for ptr, nbr in net.adjacency]
+    return np.bincount(np.concatenate(touched), minlength=net.n_nodes)
 
-    Draws one uniform per node for infection and one per node for recovery
-    from ``rng``, in node order, so a counter-based generator keyed to the
-    day gives per-(day, node) reproducibility. Infection pressure flows only
-    from the day's infected nodes, through ``net.adjacency``.
+
+def _with_carried(state: AbmState, net: ContactNetwork) -> AbmState:
+    """`state` with its carried fields, derived from the compartment when the
+    state was built from one alone (every infected node then counts as fresh)."""
+    if state.pressure is not None:
+        return state
+    infected = np.flatnonzero(state.compartment == I)
+    return replace(
+        state, infected=infected, pressure=_pressure_from(net, infected), fresh=len(infected)
+    )
+
+
+def step(state: AbmState, net: ContactNetwork, cfg: AbmConfig, key: int) -> AbmState:
+    """Advance one day synchronously, reading the uniforms of day key `key`.
+
+    Candidates are the susceptibles with infected neighbors; each reads its
+    `INFECT` uniform and each infected node its `RECOVER` uniform. The
+    infected-neighbor counts are carried and updated only around the day's
+    new infections and recoveries.
     """
-    comp = state.compartment
-    n = len(comp)
-    inf = np.flatnonzero(comp == I)
-    exposed = np.concatenate([_neighbors(ptr, nbr, inf) for ptr, nbr in net.adjacency])
-    # m[j] = infected neighbors of susceptible j; candidates are those with m >= 1.
-    m = np.bincount(exposed[comp[exposed] == S], minlength=n)
-    cand = np.flatnonzero(m)
-    u_inf = rng.random(n)
-    u_rec = rng.random(n)
+    state = _with_carried(state, net)
+    comp, inf, m = state.compartment, state.infected, state.pressure
+    cand = np.flatnonzero((m > 0) & (comp == S))
     p = np.where(net.misinformed[cand], cfg.p_m, cfg.p_o)
     p_infect = 1.0 - np.power(1.0 - p, m[cand])
+    new = cand[uniform(key, cand, INFECT) < p_infect]
+    recovers = uniform(key, inf, RECOVER) < cfg.gamma
+    gone = inf[recovers]
     nxt = comp.copy()
-    nxt[cand[u_inf[cand] < p_infect]] = I
-    nxt[inf[u_rec[inf] < cfg.gamma]] = R
-    return AbmState(compartment=nxt, day=state.day + 1)
+    nxt[new] = I
+    nxt[gone] = R
+    pressure = _pressure_from(net, new)
+    pressure += m
+    pressure -= _pressure_from(net, gone)
+    return AbmState(
+        compartment=nxt,
+        day=state.day + 1,
+        infected=np.concatenate([inf[~recovers], new]),
+        pressure=pressure,
+        fresh=len(new),
+    )
 
 
 #: Measure names in CSV column order; *_ord / *_mis restrict to one label.
@@ -224,17 +301,17 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
 
     for rep in range(cfg.repetitions):
         rep_key = derive_seed(master_seed, rep)
-        state = seed_infection(net, cfg, _stream(rep_key, _STREAM_SEEDING))
-        _record(per_rep, rep, 0, state.compartment, mis)
+        state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
+        _record(per_rep, rep, 0, state, mis)
         for day in range(1, t):
-            if per_rep["prev_I"][rep, day - 1] == 0:
+            if not len(state.infected):
                 # Absorbing: no one can be infected or recover again. Each day
-                # owns its own stream, so skipping draws changes nothing later.
+                # has its own key, so skipping days changes nothing later.
                 for name in _CARRIED:
                     per_rep[name][rep, day:] = per_rep[name][rep, day - 1]
                 break
-            state = step(state, net, cfg, day_stream(rep_key, day - 1))
-            _record(per_rep, rep, day, state.compartment, mis)
+            state = step(state, net, cfg, day_key(rep_key, day))
+            _record(per_rep, rep, day, state, mis)
 
     return EpidemicResult(
         n_nodes=n,
@@ -246,24 +323,20 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     )
 
 
-def _record(per_rep, rep, day, comp, mis):
-    """Fill one day's measures from four counts over the compartment bytes.
-
-    A node leaves S only by infection, so the ever-infected nodes are the
-    non-S ones and a day's new infections are the growth of their count.
-    """
-    infected = comp == I
-    ever = comp != S
-    prev, cum = np.count_nonzero(infected), np.count_nonzero(ever)
-    prev_mis, cum_mis = np.count_nonzero(infected & mis), np.count_nonzero(ever & mis)
-    for suffix, prev_k, cum_k in (
-        ("", prev, cum),
-        ("_ord", prev - prev_mis, cum - cum_mis),
-        ("_mis", prev_mis, cum_mis),
+def _record(per_rep, rep, day, state, mis):
+    """Fill one day's measures from the day's changes: the infected nodes and
+    the fresh ones among them, each split by label."""
+    infected, fresh = state.infected, state.newly_infected
+    prev, prev_mis = len(infected), np.count_nonzero(mis[infected])
+    new, new_mis = len(fresh), np.count_nonzero(mis[fresh])
+    for suffix, prev_k, new_k in (
+        ("", prev, new),
+        ("_ord", prev - prev_mis, new - new_mis),
+        ("_mis", prev_mis, new_mis),
     ):
         per_rep["prev_I" + suffix][rep, day] = prev_k
-        per_rep["cum" + suffix][rep, day] = cum_k
-        per_rep["new_inf" + suffix][rep, day] = cum_k - (
+        per_rep["new_inf" + suffix][rep, day] = new_k
+        per_rep["cum" + suffix][rep, day] = new_k + (
             per_rep["cum" + suffix][rep, day - 1] if day else 0
         )
 

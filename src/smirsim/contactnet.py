@@ -53,6 +53,8 @@ RETRY_FACTOR = 100
 MAGIC = b"SMIRCNET2\n"
 # Node count, edge count, k_bar, seed, county count.
 _HEADER = struct.Struct("<QQdQI")
+# Edge rows per block of the network's sortedness check.
+_CHECK_ROWS = 1 << 16
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -197,23 +199,27 @@ class ContactNetwork:
 
     def __post_init__(self):
         n = self.n_nodes
+        if n == 0:
+            raise ValidationError("a contact network needs at least one node")
         if len(self.misinformed) != n:
             raise ValidationError("misinformed length does not match node count")
         ci = self.county_index
-        if n and (ci.min() < 0 or ci.max() >= len(self.county_ids)):
+        if ci.min() < 0 or ci.max() >= len(self.county_ids):
             raise ValidationError(f"county index out of range for {len(self.county_ids)} counties")
         e = self.edges
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValidationError("edges must have shape (m, 2)")
-        if len(e):
-            if e.max() >= n:
-                raise ValidationError("edge endpoint out of range")
-            lo, hi = e[:, 0], e[:, 1]
+        if len(e) and e.max() >= n:
+            raise ValidationError("edge endpoint out of range")
+        # Canonical, sorted and duplicate-free, checked in place one block of
+        # rows at a time, so the bool temporaries stay small (no key array):
+        # lo < hi, lo never decreases, and where lo repeats, hi strictly
+        # increases. Consecutive blocks share a row.
+        for start in range(0, len(e), _CHECK_ROWS):
+            block = e[start:start + _CHECK_ROWS + 1]
+            lo, hi = block[:, 0], block[:, 1]
             if np.any(lo >= hi):
                 raise ValidationError("edges must be canonical (lo < hi), no self-loops")
-            # Sorted and duplicate-free, compared in place (no key array, at
-            # most two bool temporaries): lo never decreases, and where lo
-            # repeats, hi strictly increases.
             same_lo = lo[1:] == lo[:-1]
             same_lo &= hi[1:] <= hi[:-1]
             if np.any(lo[1:] < lo[:-1]) or np.any(same_lo):
@@ -430,23 +436,31 @@ def load_contact_network(path) -> ContactNetwork:
         size = os.fstat(f.fileno()).st_size
         if size != declared:
             raise ValidationError(f"{path}: {size} bytes, but its header declares {declared}")
-        county_ids = np.frombuffer(f.read(8 * n_counties), dtype="<i8")
-        county_index = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int32)
-        n_label_bytes = (n + 7) // 8
-        bits = np.frombuffer(f.read(n_label_bytes), dtype=np.uint8)
-        misinformed = np.unpackbits(bits, count=n).astype(bool)
-        edges = np.frombuffer(f.read(8 * m), dtype="<u4").reshape(m, 2)
+        # Read straight into the arrays the network keeps. The county index
+        # is stored as uint32; a value past the int32 range reads negative
+        # and fails the network's range check.
+        county_ids = _read_array(f, "<i8", n_counties)
+        county_index = _read_array(f, "<i4", n)
+        bits = _read_array(f, np.uint8, (n + 7) // 8)
+        edges = _read_array(f, "<u4", (m, 2))
     try:
         return ContactNetwork(
-            county_ids=county_ids.astype(np.int64),
+            county_ids=county_ids,
             county_index=county_index,
-            misinformed=misinformed,
-            edges=edges.astype(np.uint32),
+            misinformed=np.unpackbits(bits, count=n).view(bool),
+            edges=edges,
             k_bar=float(k_bar),
             seed=int(seed),
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from e
+
+
+def _read_array(f, dtype, shape) -> np.ndarray:
+    out = np.empty(shape, dtype=dtype)
+    if f.readinto(out) != out.nbytes:
+        raise ValidationError(f"{f.name}: truncated")
+    return out
 
 
 def save_contact_network_csv(net: ContactNetwork, nodes_path, edges_path) -> None:

@@ -126,21 +126,22 @@ def empirical_outcome_counts(
     comp = np.tile(np.asarray(initial, dtype=np.uint8), copies)
     state = abm.AbmState(compartment=comp, day=0)
     cfg = abm.AbmConfig(initial_infected=1, **cfg_kwargs)
-    for day in range(steps):
-        state = abm.step(state, net, cfg, abm.day_stream(rep_key, day))
+    for day in range(1, steps + 1):
+        state = abm.step(state, net, cfg, abm.day_key(rep_key, day))
     codes = state.compartment.reshape(copies, k).astype(np.int64)
     powers = 3 ** np.arange(k - 1, -1, -1)
     return np.bincount(codes @ powers, minlength=3**k)
 
 
 def reference_step(
-    state: abm.AbmState, net: ContactNetwork, cfg: abm.AbmConfig, rng: np.random.Generator
+    state: abm.AbmState, net: ContactNetwork, cfg: abm.AbmConfig, key: int
 ) -> abm.AbmState:
     """One synchronous day by a full scan of the edge list.
 
     Counts every node's infected neighbors with two bincounts over all
-    edges, whatever the number of infected nodes; draws the same uniforms in
-    the same order as ``abm.step``, so both give identical states.
+    edges, whatever the number of infected nodes, and evaluates both
+    uniforms of day key `key` at every node; ``abm.step`` reads the same
+    values where it needs them, so both give identical states.
     """
     comp = state.compartment
     n = len(comp)
@@ -150,8 +151,9 @@ def reference_step(
     m = np.bincount(dst[infected[src]], minlength=n) + np.bincount(
         src[infected[dst]], minlength=n
     )
-    u_inf = rng.random(n)
-    u_rec = rng.random(n)
+    every = np.arange(n)
+    u_inf = abm.uniform(key, every, abm.INFECT)
+    u_rec = abm.uniform(key, every, abm.RECOVER)
     p = np.where(net.misinformed, cfg.p_m, cfg.p_o)
     p_infect = 1.0 - np.power(1.0 - p, m)
     nxt = comp.copy()
@@ -168,14 +170,13 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
     per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in abm.MEASURES}
     for rep in range(cfg.repetitions):
         rep_key = derive_seed(master_seed, rep)
-        # Stream 0, the one day -1 would own, seeds the infection.
-        state = abm.seed_infection(net, cfg, abm.day_stream(rep_key, -1))
+        state = abm.seed_infection(net, cfg, abm.seeding_stream(rep_key))
         ever = np.zeros(net.n_nodes, dtype=bool)
         prev = np.zeros(net.n_nodes, dtype=np.uint8)
         for day in range(t):
             if day:
                 prev = state.compartment
-                state = reference_step(state, net, cfg, abm.day_stream(rep_key, day - 1))
+                state = reference_step(state, net, cfg, abm.day_key(rep_key, day))
             comp = state.compartment
             newly = (comp == abm.I) & (prev == abm.S)
             ever |= newly
@@ -191,6 +192,44 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
         days=np.arange(t),
         per_rep=per_rep,
     )
+
+
+def complete_network(n: int) -> ContactNetwork:
+    """One county whose n nodes, all misinformed, all neighbor each other."""
+    lo, hi = np.triu_indices(n, k=1)  # row-major, so already sorted
+    return ContactNetwork(
+        county_ids=np.array([1000], dtype=np.int64),
+        county_index=np.zeros(n, dtype=np.int32),
+        misinformed=np.ones(n, dtype=bool),
+        edges=np.column_stack([lo, hi]).astype(np.uint32),
+        k_bar=float(n - 1),
+        seed=0,
+    )
+
+
+def mean_field_map(n, p, gamma, initial, days) -> tuple[np.ndarray, np.ndarray]:
+    """Prevalence on days 1..days of the discrete-time map of the ABM's law on
+    a complete graph, and the standard deviation of one run's prevalence.
+
+    The map moves the expected state: X = S (1 - (1 - p)^I) new infections
+    and Y = gamma I recoveries a day. The deviation comes from the linear
+    noise approximation: the covariance of (S, I) is carried through the
+    map's Jacobian, and each day adds the binomial variances of X ~ Bin(S, q)
+    and Y ~ Bin(I, gamma) (dS = -X, dI = X - Y).
+    """
+    s, i = float(n - initial), float(initial)
+    cov = np.zeros((2, 2))
+    prevalence, sd = [], []
+    for _ in range(days):
+        q = 1.0 - (1.0 - p) ** i
+        dq = -((1.0 - p) ** i) * np.log1p(-p)  # dq/dI
+        jac = np.array([[1.0 - q, -s * dq], [q, 1.0 - gamma + s * dq]])
+        vx, vy = s * q * (1.0 - q), i * gamma * (1.0 - gamma)
+        cov = jac @ cov @ jac.T + np.array([[vx, -vx], [-vx, vx + vy]])
+        s, i = s - s * q, i + s * q - gamma * i
+        prevalence.append(i)
+        sd.append(np.sqrt(cov[1, 1]))
+    return np.array(prevalence), np.array(sd)
 
 
 def reference_account_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from smirsim import abm
 from smirsim.errors import InsufficientMisinformedError, ValidationError
 
-from oracles import adjacency, compare_to_oracle, reference_run, stacked_network
+from oracles import (
+    adjacency,
+    compare_to_oracle,
+    complete_network,
+    mean_field_map,
+    reference_run,
+    stacked_network,
+)
 
 
 class TestConfig:
@@ -51,8 +60,8 @@ class TestSeedInfection:
     def test_fixed_rng_gives_identical_seed_sets(self):
         net = stacked_network([(0, 1)], [True, True], copies=500)
         cfg = abm.AbmConfig(initial_infected=100)
-        a = abm.seed_infection(net, cfg, abm.day_stream(123, -1))
-        b = abm.seed_infection(net, cfg, abm.day_stream(123, -1))
+        a = abm.seed_infection(net, cfg, abm.seeding_stream(123))
+        b = abm.seed_infection(net, cfg, abm.seeding_stream(123))
         assert np.array_equal(a.compartment, b.compartment)
         assert a.counts() == (900, 100, 0)
 
@@ -64,7 +73,7 @@ class TestStep:
         comp = np.zeros(net.n_nodes, dtype=np.uint8)
         comp[::2] = abm.I  # node 0 of each copy infected
         cfg = abm.AbmConfig(p_o=0.0, p_m=1.0, gamma=0.2)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, np.random.default_rng(7))
+        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(7, 1))
         assert np.all(out.compartment[1::2] == abm.I)
 
     def test_zero_p_o_never_infects_ordinary(self):
@@ -74,7 +83,7 @@ class TestStep:
         cfg = abm.AbmConfig(p_o=0.0, p_m=1.0, gamma=0.5)
         state = abm.AbmState(comp, 0)
         for day in range(5):
-            state = abm.step(state, net, cfg, abm.day_stream(99, day))
+            state = abm.step(state, net, cfg, abm.day_key(99, day))
         assert np.all(state.compartment[1::2] == abm.S)
 
     def test_three_node_path_first_day_probabilities(self):
@@ -85,7 +94,7 @@ class TestStep:
         net = stacked_network(edges, mis, copies)
         comp = np.tile(np.array([abm.I, abm.S, abm.S], dtype=np.uint8), copies)
         cfg = abm.AbmConfig(p_o=0.5, p_m=1.0, gamma=0.0)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_stream(2024, 0))
+        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(2024, 1))
         middle = out.compartment[1::3] == abm.I
         far = out.compartment[2::3] == abm.I
         sigma = np.sqrt(0.25 / copies)
@@ -98,7 +107,7 @@ class TestStep:
         comp = np.zeros(net.n_nodes, dtype=np.uint8)
         comp[::2] = abm.I
         cfg = abm.AbmConfig(p_o=1.0, p_m=1.0, gamma=1.0)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, np.random.default_rng(5))
+        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(5, 1))
         assert np.all(out.compartment[::2] == abm.R)
         assert np.all(out.compartment[1::2] == abm.I)
 
@@ -116,7 +125,7 @@ class TestStep:
             n = net.n_nodes
             for day in range(4):
                 prev = state.compartment
-                state = abm.step(state, net, cfg, abm.day_stream(trial, day))
+                state = abm.step(state, net, cfg, abm.day_key(trial, day))
                 cur = state.compartment
                 assert len(cur) == n and set(np.unique(cur)) <= {0, 1, 2}
                 # transitions only S->I->R
@@ -313,3 +322,98 @@ class TestFrontierMatchesFullScan:
                             steps=20, repetitions=3)
         res = self.assert_same(net, cfg, master_seed=17)
         assert np.all(res.per_rep["prev_I"][:, 1:] == res.per_rep["new_inf"][:, 1:])
+
+
+class TestUniform:
+    """The keyed uniforms, on N = 2^20 consecutive nodes per sample.
+
+    Critical values are fixed from the sample size alone: a chi-square over
+    1024 equal bins (1023 degrees of freedom) is held to its upper 5-sigma
+    point by the Wilson-Hilferty approximation, and the Pearson correlation
+    of two independent N-samples, whose standard deviation is 1/sqrt(N), to
+    5/sqrt(N).
+    """
+
+    N = 2**20
+    BINS = 1024
+    Z = 5.0
+    KEY = abm.day_key(20240817, 3)
+
+    def sample(self, key=KEY, purpose=abm.INFECT, count=N):
+        return abm.uniform(key, np.arange(count), purpose)
+
+    def assert_uncorrelated(self, a, b):
+        assert abs(np.corrcoef(a, b)[0, 1]) <= self.Z / math.sqrt(len(a))
+
+    @pytest.mark.parametrize("purpose", [abm.INFECT, abm.RECOVER])
+    def test_equal_bins(self, purpose):
+        u = self.sample(purpose=purpose)
+        counts = np.bincount((u * self.BINS).astype(np.int64), minlength=self.BINS)
+        expected = self.N / self.BINS
+        chi2 = float(((counts - expected) ** 2).sum() / expected)
+        df = self.BINS - 1
+        critical = df * (1 - 2 / (9 * df) + self.Z * math.sqrt(2 / (9 * df))) ** 3
+        assert chi2 <= critical
+
+    def test_independent_across_purpose(self):
+        self.assert_uncorrelated(self.sample(purpose=abm.INFECT), self.sample(purpose=abm.RECOVER))
+
+    def test_independent_across_adjacent_days(self):
+        day, next_day = abm.day_key(20240817, 3), abm.day_key(20240817, 4)
+        self.assert_uncorrelated(self.sample(key=day), self.sample(key=next_day))
+
+    def test_independent_across_adjacent_nodes(self):
+        u = self.sample(count=self.N + 1)
+        self.assert_uncorrelated(u[:-1], u[1:])
+
+    def test_replay_of_any_subset_in_any_order(self, rng):
+        full = self.sample()
+        subset = rng.permutation(self.N)[:5000]
+        assert np.array_equal(abm.uniform(self.KEY, subset, abm.INFECT), full[subset])
+        assert np.array_equal(abm.uniform(self.KEY, subset[:1], abm.INFECT), full[subset[:1]])
+
+    def test_largest_hash_maps_below_one(self):
+        # Invert SplitMix64 to find the node whose hash is 2^64 - 1: its value
+        # must be 1 - 2^-53, where a plain division by 2^64 would round to 1.0.
+        mod = 1 << 64
+
+        def unshift(y, s):  # inverse of y = x ^ (x >> s)
+            x = y
+            for _ in range(64 // s):
+                x = y ^ (x >> s)
+            return x
+
+        z = unshift(mod - 1, 31)
+        z = unshift(z * pow(abm._MIX2, -1, mod) % mod, 27)
+        z = unshift(z * pow(abm._MIX1, -1, mod) % mod, 30)
+        seed = abm._mix64((self.KEY + abm.INFECT * abm._GAMMA) % mod)
+        node = ((z - seed) * pow(abm._GAMMA, -1, mod) - 1) % mod
+        u = abm.uniform(self.KEY, np.array([node], dtype=np.uint64), abm.INFECT)
+        assert u[0] == 1.0 - 2.0**-53 and u[0] < 1.0
+
+
+class TestMeanFieldConsistency:
+    """The ABM against the discrete-time mean-field map of its own law.
+
+    On a complete single-county graph of N nodes with p = beta / N, every
+    susceptible sees all I infected nodes, so the ABM's S -> I probability is
+    1 - (1 - p)^I and the map S (1 - (1 - p)^I) follows the same law.
+    Fixed before the first run: N = 2000, beta = 0.5, gamma = 0.1, 20
+    seeds, the first 6 days, 400 repetitions. The rep-mean prevalence must
+    lie within 4 standard deviations of the map, the deviation of one run
+    taken from the binomial variances (`mean_field_map`) and divided by
+    sqrt(reps). The map's own bias against the mean of the chain it
+    approximates grows with the fluctuations; a separate simulation of the
+    aggregated (S, I) chain put it under a quarter of one such deviation on
+    each of these days.
+    """
+
+    def test_rep_mean_prevalence_follows_the_map(self):
+        n, beta, gamma, seeds, days, reps = 2000, 0.5, 0.1, 20, 6, 400
+        p = beta / n
+        cfg = abm.AbmConfig(p_o=p, p_m=p, gamma=gamma, initial_infected=seeds,
+                            steps=days, repetitions=reps)
+        res = abm.run(complete_network(n), cfg, master_seed=2718)
+        prevalence, sd = mean_field_map(n, p, gamma, seeds, days)
+        deviation = np.abs(res.mean("prev_I")[1:] - prevalence)
+        assert np.all(deviation <= 4 * sd / math.sqrt(reps)), (deviation, sd / math.sqrt(reps))

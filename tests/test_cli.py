@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smirsim import contactnet, meanfield
 from smirsim.cli import main, write_trajectory_csv
@@ -399,6 +403,20 @@ class TestOtherCommands:
         assert (tmp_path / "envout" / "counties.csv").exists()
 
 
+def _small_contactnet_bytes(path) -> bytes:
+    """A saved 3-node, 2-edge contact network, as written to `path`."""
+    net = ContactNetwork(
+        county_ids=np.array([1000]),
+        county_index=np.zeros(3, dtype=np.int32),
+        misinformed=np.array([True, False, False]),
+        edges=np.array([[0, 1], [1, 2]], dtype=np.uint32),
+        k_bar=2.0,
+        seed=0,
+    )
+    save_contact_network(net, path)
+    return path.read_bytes()
+
+
 def _write_bad_inputs(d):
     """Malformed files for the error-contract table below."""
     (d / "malformed.json").write_text("{not json")
@@ -442,19 +460,11 @@ def _write_bad_inputs(d):
         (scen / bad_name).write_bytes(bad_text)
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
     (d / "config_latin1.txt").write_bytes(b"county_count = 5 # caf\xe9\n")
-    net = ContactNetwork(
-        county_ids=np.array([1000]),
-        county_index=np.zeros(3, dtype=np.int32),
-        misinformed=np.array([True, False, False]),
-        edges=np.array([[0, 1], [1, 2]], dtype=np.uint32),
-        k_bar=2.0,
-        seed=0,
-    )
-    save_contact_network(net, d / "good.bin")
-    data = (d / "good.bin").read_bytes()
+    data = _small_contactnet_bytes(d / "good.bin")
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
     (d / "header_only.bin").write_bytes(data[:20])
+    (d / "zero_nodes.bin").write_bytes(contactnet.MAGIC + contactnet._HEADER.pack(0, 0, 2.0, 0, 0))
     index_at = len(contactnet.MAGIC) + contactnet._HEADER.size + 8  # node 0's county index
     for name, word in (("county_index_max", 0xFFFFFFFF), ("county_index_big", 10**6)):
         bad = bytearray(data)
@@ -496,6 +506,7 @@ BAD_INPUTS = {
         ["inspect", "{d}/county_index_max.bin"], "county_index_max.bin"),
     "inspect contactnet county index past the county table": (
         ["inspect", "{d}/county_index_big.bin"], "county_index_big.bin"),
+    "inspect contactnet with zero nodes": (["inspect", "{d}/zero_nodes.bin"], "zero_nodes.bin"),
     "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
     "manifest phi text": (["pipeline", "--from-manifest", "{d}/phi_text.json"], "phi"),
     "manifest counties text": (
@@ -555,3 +566,53 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert main(argv) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: ") and expected in last
+
+
+# Header fields of contactnet.bin, in _HEADER order: node count, edge count,
+# k_bar, seed, county count.
+_HEADER_FIELDS = (
+    st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.floats(),
+    st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def corrupted_contactnet(draw, data: bytes) -> bytes:
+    """`data` truncated, byte-flipped, with header fields edited, or with
+    small node, edge and county counts and a body cut or zero-padded to the
+    size they declare (so the file passes the size check)."""
+    start = len(contactnet.MAGIC)
+    end = start + contactnet._HEADER.size
+    fields = list(contactnet._HEADER.unpack(data[start:end]))
+    body = data[end:]
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "resize"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        out = bytearray(data)
+        for at, mask in draw(st.lists(
+                st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4)):
+            out[at] ^= mask
+        return bytes(out)
+    if kind == "header":
+        for i in draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=3)):
+            fields[i] = draw(_HEADER_FIELDS[i])
+    else:
+        n, m, n_counties = (draw(st.integers(0, 4)) for _ in range(3))
+        fields[0], fields[1], fields[4] = n, m, n_counties
+        size = 8 * n_counties + 4 * n + (n + 7) // 8 + 8 * m
+        body = body[:size].ljust(size, b"\0")
+    return data[:start] + contactnet._HEADER.pack(*fields) + body
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_inspect_corrupt_contactnet_never_tracebacks(tmp_path, data):
+    path = tmp_path / "net.bin"
+    path.write_bytes(data.draw(corrupted_contactnet(_small_contactnet_bytes(path))))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["inspect", str(path)])  # an escaping exception fails the test
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -420,6 +420,13 @@ class TestPersistence:
         peak = traced_peak(lambda: cn.save_contact_network(large_net, tmp_path / "net.bin"))
         assert peak <= 2 * large_net.n_edges
 
+    def test_load_reads_into_the_kept_arrays(self, tmp_path, large_net):
+        # The network keeps ~8.4 bytes per edge; loading may add the check's
+        # small temporaries, but no second copy of the edges.
+        cn.save_contact_network(large_net, tmp_path / "net.bin")
+        peak = traced_peak(lambda: cn.load_contact_network(tmp_path / "net.bin"))
+        assert peak <= 10 * large_net.n_edges
+
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.bin"
         p.write_bytes(b"something else entirely")

@@ -82,7 +82,7 @@ GOLDEN = {
             "counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "epidemic.svg":
-                "f32831a351373b7824545c0808a15b44a4b58f94acc8952ac78f09198196a922",
+                "d61e8869df45e485fcc843bc2db8dea70fa333e44e4281be082b33ec3a56552d",
             "infonet_edges.csv":
                 "e052e31483d32eb8f3f575ca4a3a2cbb6d0181872b61da774be0cd374443224e",
             "infonet_nodes.csv":
@@ -90,9 +90,9 @@ GOLDEN = {
             "mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "result.csv":
-                "eeaf3eddc64f91bb00d2debd2fa7fb19fb0d192dfb714923b79c74e49a388da5",
+                "d5cdf063df9095d355c31b77124382f8b18aa454002c3c17f6c01e6302568fbf",
             "summary.json":
-                "a67e5f87bbbe11fa0da0d36a32bbefbef60ff7dc3177758f3431a13efd1c45f8",
+                "2530ad3b4529b0da0ccdd97614637777ceda07f0155602f896b2c3a1aeb46a3a",
         },
     ),
     "phi sweep": (
@@ -109,7 +109,7 @@ GOLDEN = {
             "rows/phi_1/mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/result.csv":
-                "eeaf3eddc64f91bb00d2debd2fa7fb19fb0d192dfb714923b79c74e49a388da5",
+                "d5cdf063df9095d355c31b77124382f8b18aa454002c3c17f6c01e6302568fbf",
             "rows/phi_3/contactnet.bin":
                 "401be98eac81ab9d520c238db60eac83582fb7e2e3eec8492717536fcd96585d",
             "rows/phi_3/counties.csv":
@@ -121,11 +121,11 @@ GOLDEN = {
             "rows/phi_3/mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_3/result.csv":
-                "726ee4b4ede46513cb5a69537b856469215cbf2deff7c85cde4df1d7968e0afb",
+                "1debe6b10301235bfc428c60065d22dd333c14199ab64995e908350302189ca0",
             "sweep_cumulative.svg":
-                "235a967585fee2a903008d9ab4fd87f362ce0e951a0a9503cad1e39b36147b98",
+                "bb9bf711f44c75295aba669a233cd695cc31cadd7005ecb30e95b9e0db1adb9c",
             "sweep_summary.csv":
-                "705498ff2fa626d59c88a516fa06c46e6e3cae1c4f196036ed5563e7bf081fe6",
+                "af8b6658ba65cbbbfd647fad8f5429266b093139bb3ed83784906012dec5eede",
         },
     ),
 }
