@@ -12,9 +12,10 @@ goes to standard error. Every successful run writes a manifest.json with the
 resolved parameters, input hashes, seed, outputs and ``stages``: each
 pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
 the process that ran it (a high-water mark, never falling within a process;
-sweep rows name theirs ``phi_1/abm``, ...). Re-running with the same
-parameters reproduces every CSV and binary artifact byte for byte. Exit
-codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
+a sweep has one scenario, at its top level, and names its rows' stages
+``phi_1/abm``, ...). Re-running with the same parameters reproduces every CSV
+and binary artifact byte for byte. Exit codes: 0 on success, 2 for
+argument/input errors, 3 for numeric failures.
 """
 
 from __future__ import annotations
@@ -348,6 +349,8 @@ def _manifest_parameters(path) -> dict:
             raise InputError(
                 f"{path}: parameter {key} is {json.dumps(value)}, expected {known[key]}"
             )
+        if key == "seed" and value < 0:
+            raise InputError(f"{path}: parameter seed is {value}, expected a non-negative int")
     return values
 
 
@@ -364,40 +367,36 @@ def _pipeline_config(args) -> PipelineConfig:
 _SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
 
 
-def _generate_scenario(scenario_config, counties, seed, run: _Run):
-    """Generate a synthetic scenario, save its four files as outputs of
-    `run`, and record the config file as an input. Returns (scenario, infonet).
+def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
+    """The scenario of a run: loaded from the four files in `scenario_dir`,
+    recorded as inputs, or generated (with the config file recorded as an
+    input) and saved as outputs of `run`. Returns (scenario, infonet).
     """
-    if scenario_config:
-        cfg = scenario.parse_scenario_config(scenario_config)
-        run.inputs.append(scenario_config)
-    else:
+    if scenario_dir:
+        paths = [Path(scenario_dir) / name for name in _SCENARIO_FILES]
+        run.inputs += paths
+        with run.stage("load_scenario"):
+            return scenario.load_scenario(*paths[:2]), infonet.load_infonet(*paths[2:])
+    with run.stage("generate_scenario"):
         cfg = scenario.ScenarioConfig()
-    cfg = replace(cfg, seed=seed)
-    if counties is not None:
-        cfg = replace(cfg, county_count=counties)
-    sc, net = scenario.generate_scenario(cfg)
-    paths = [run.output(name) for name in _SCENARIO_FILES]
-    scenario.save_scenario(sc, paths[0], paths[1])
-    infonet.save_infonet(net, paths[2], paths[3])
+        if scenario_config:
+            run.inputs.append(scenario_config)
+            cfg = scenario.parse_scenario_config(scenario_config)
+        cfg = replace(cfg, seed=seed)
+        if counties is not None:
+            cfg = replace(cfg, county_count=counties)
+        sc, net = scenario.generate_scenario(cfg)
+    with run.stage("save_scenario"):
+        paths = [run.output(name) for name in _SCENARIO_FILES]
+        scenario.save_scenario(sc, *paths[:2])
+        infonet.save_infonet(net, *paths[2:])
     return sc, net
 
 
-def _run_pipeline(cfg: PipelineConfig, run: _Run):
-    """Load or generate the scenario, then spread -> sample -> build ->
-    simulate, and save contactnet.bin and result.csv as outputs of `run`.
-
-    Returns (contact_net, result).
-    """
-    if cfg.scenario_dir:
-        paths = [Path(cfg.scenario_dir) / name for name in _SCENARIO_FILES]
-        run.inputs += paths
-        with run.stage("load_scenario"):
-            sc = scenario.load_scenario(paths[0], paths[1])
-            net = infonet.load_infonet(paths[2], paths[3])
-    else:
-        with run.stage("generate_scenario"):
-            sc, net = _generate_scenario(cfg.scenario_config, cfg.counties, cfg.seed, run)
+def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run):
+    """Spread -> sample -> build -> simulate on the scenario `sc` and its
+    infonet `net`; saves contactnet.bin and result.csv as outputs of `run` and
+    returns (contact_net, result)."""
     with run.stage("spread_misinformation"):
         labeling = infonet.spread_misinformation(net, cfg.phi, cfg.mode)
     with run.stage("sample_population"):
@@ -432,8 +431,9 @@ def _run_pipeline(cfg: PipelineConfig, run: _Run):
         with run.stage(f"abm{suffix}"):
             parts.append(abm.run(cnet, run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
     result = abm.merge_results(parts)
-    contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
-    abm.write_result_csv(result, run.output("result.csv"))
+    with run.stage("write_outputs"):
+        contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
+        abm.write_result_csv(result, run.output("result.csv"))
     return cnet, result
 
 
@@ -454,7 +454,8 @@ def _result_summary(cnet, result) -> dict:
 def cmd_pipeline(args) -> int:
     cfg = _pipeline_config(args)
     with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
-        cnet, result = _run_pipeline(cfg, run)
+        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+        cnet, result = _run_pipeline(cfg, sc, net, run)
         summary = json.dumps(_result_summary(cnet, result), indent=2, sort_keys=True)
         run.output("summary.json").write_text(summary + "\n")
         if args.svg:
@@ -482,13 +483,13 @@ def _parse_values(text: str, vary: str) -> list:
         raise InputError(f"bad --values {text!r}: {e}") from e
 
 
-def _sweep_row(cfg: PipelineConfig, vary: str, out: Path, value):
-    """One pipeline run with the varying parameter replaced; used by --jobs
-    workers. Returns (summary, stages), each stage named under the row's
-    directory."""
+def _sweep_row(cfg: PipelineConfig, sc, net, vary: str, out: Path, value):
+    """One pipeline run on the sweep's scenario with the varying parameter
+    replaced; used by --jobs workers. Returns (summary, stages), each stage
+    named under the row's directory."""
     field = vary.replace("-", "_")
     row = _Run(out / "rows" / f"{field}_{value:g}")
-    cnet, result = _run_pipeline(replace(cfg, **{field: value}), row)
+    cnet, result = _run_pipeline(replace(cfg, **{field: value}), sc, net, row)
     stages = [{**s, "name": f"{row.out.name}/{s['name']}"} for s in row.stages]
     return _result_summary(cnet, result), stages
 
@@ -499,7 +500,9 @@ def cmd_sweep(args) -> int:
     _check_output_names(values, "--values")
     params = {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}
     with _Run(args.out, "sweep", params, cfg.seed) as run:
-        row = partial(_sweep_row, cfg, args.vary, run.out)
+        # No varied field (phi, k-bar, sample) changes the scenario.
+        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+        row = partial(_sweep_row, cfg, sc, net, args.vary, run.out)
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -508,7 +511,7 @@ def cmd_sweep(args) -> int:
         else:
             rows = [row(v) for v in values]
         summaries = [summary for summary, _ in rows]
-        run.stages = [s for _, stages in rows for s in stages]
+        run.stages += [s for _, stages in rows for s in stages]
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.
@@ -548,7 +551,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_scenario(args) -> int:
     with _Run(args.out, "gen-scenario", seed=args.seed) as run:
-        sc, net = _generate_scenario(args.scenario_config, args.counties, args.seed, run)
+        sc, net = _scenario(None, args.scenario_config, args.counties, args.seed, run)
         run.params = {"counties": sc.n_counties, "seed": args.seed,
                       "scenario_config": args.scenario_config}
     print(
@@ -688,6 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

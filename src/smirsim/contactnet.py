@@ -45,7 +45,7 @@ from .errors import (
 )
 from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork, MisinfoLabeling
 from .scenario import MobilityMatrix, Scenario
-from .tables import lookup, write_csv
+from .tables import lookup
 
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
@@ -337,8 +337,8 @@ def build_contact_network(
     edge list in order, with no global sort.
 
     Raises:
-        SaturationError: a block was allocated more edges than distinct
-            node pairs exist.
+        SaturationError: the edge budget, or a block's allocation, exceeds
+            the distinct node pairs there are.
         RetryBudgetError: rejection sampling exceeded 100x a block's count.
     """
     _check_k_bar(k_bar)
@@ -360,6 +360,8 @@ def build_contact_network(
         raise ZeroMobilityError("no county pair with positive expected edges has nodes")
 
     total_edges = int(round(k_bar * n / 2.0))
+    if total_edges > n * (n - 1) // 2:  # before the draw: multinomial overflows on a huge budget
+        raise SaturationError(f"k_bar {k_bar} asks for more edges than {n} nodes have pairs")
     alloc_rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0]))
     counts = alloc_rng.multinomial(total_edges, weights / weights.sum())
 
@@ -461,14 +463,3 @@ def _read_array(f, dtype, shape) -> np.ndarray:
     if f.readinto(out) != out.nbytes:
         raise ValidationError(f"{f.name}: truncated")
     return out
-
-
-def save_contact_network_csv(net: ContactNetwork, nodes_path, edges_path) -> None:
-    """Equivalent human-readable dump of the binary artifact."""
-    fips = net.county_ids[net.county_index]
-    write_csv(
-        nodes_path,
-        ["node", "county_fips", "misinformed"],
-        zip(range(net.n_nodes), fips.tolist(), net.misinformed.astype(np.int64).tolist()),
-    )
-    write_csv(edges_path, ["u", "v"], net.edges.tolist())

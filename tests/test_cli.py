@@ -24,6 +24,8 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
+SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
+
 PIPELINE_BASE = [
     "pipeline", "--synthetic", "--counties", "4", "--sample", "0.05",
     "--k-bar", "10", "--steps", "15", "--reps", "2",
@@ -308,10 +310,48 @@ class TestSweepCommand:
         ]
         assert run_cli(*argv, "--out", str(serial)) == 0
         assert run_cli(*argv, "--jobs", "2", "--out", str(par)) == 0
-        assert (
-            (serial / "sweep_summary.csv").read_bytes()
-            == (par / "sweep_summary.csv").read_bytes()
+        row_files = [f"{row}/{name}" for row in ("phi_1", "phi_4")
+                     for name in ("contactnet.bin", "result.csv")]
+        for out in (serial, par):
+            # The scenario is saved once, at the top; rows hold only their own runs.
+            assert sorted(
+                p.relative_to(out / "rows").as_posix()
+                for p in (out / "rows").rglob("*") if p.is_file()
+            ) == row_files
+            assert all((out / name).is_file() for name in SCENARIO_FILES)
+        for name in ["sweep_summary.csv", *(f"rows/{f}" for f in row_files)]:
+            assert (serial / name).read_bytes() == (par / name).read_bytes(), name
+
+    def test_scenario_dir_sweep_records_inputs(self, tmp_path):
+        gen = tmp_path / "scen"
+        assert run_cli("gen-scenario", "--counties", "4", "--seed", "5",
+                       "--out", str(gen)) == 0
+        out = tmp_path / "s"
+        rc = run_cli(
+            "sweep", "--scenario-dir", str(gen), "--sample", "0.05",
+            "--k-bar", "8", "--steps", "10", "--reps", "1",
+            "--initial-infected", "10", "--seed", "5",
+            "--vary", "phi", "--values", "1,3", "--out", str(out),
         )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["input_hashes"]) == sorted(str(gen / n) for n in SCENARIO_FILES)
+        names = [s["name"] for s in manifest["stages"]]
+        assert names[0] == "load_scenario" and names.count("load_scenario") == 1
+        assert not any((out / name).exists() for name in SCENARIO_FILES)
+
+    def test_scenario_config_sweep_records_the_config(self, tmp_path):
+        config = tmp_path / "scenario.txt"
+        config.write_text("county_count = 3\n")
+        out = tmp_path / "s"
+        rc = run_cli(
+            "sweep", "--synthetic", "--scenario-config", str(config), "--sample", "0.04",
+            "--k-bar", "6", "--steps", "5", "--reps", "1", "--initial-infected", "5",
+            "--vary", "k-bar", "--values", "4,6", "--out", str(out),
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["input_hashes"]) == [str(config)]
 
 
 MANIFEST_KEYS = {
@@ -343,9 +383,10 @@ class TestRunRecord:
             "--jobs", "2", "--out", str(out),
         ) == 0
         names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
-        row = ["generate_scenario", "spread_misinformation", "sample_population",
-               "expected_edges", "build_contact_network", "abm"]
-        assert names == [f"phi_1/{n}" for n in row] + [f"phi_3/{n}" for n in row]
+        row = ["spread_misinformation", "sample_population", "expected_edges",
+               "build_contact_network", "abm", "write_outputs"]
+        assert names == ["generate_scenario", "save_scenario",
+                         *(f"phi_1/{n}" for n in row), *(f"phi_3/{n}" for n in row)]
         assert not list((out / "rows").rglob("manifest.json"))
 
     def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
@@ -373,7 +414,7 @@ class TestRunRecord:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest.keys() == MANIFEST_KEYS
         assert manifest["subcommand"] == argv[0]
-        assert (manifest["stages"] == []) == (argv[0] in ("meanfield", "gen-scenario"))
+        assert (manifest["stages"] == []) == (argv[0] == "meanfield")
 
 
 class TestOtherCommands:
@@ -429,6 +470,7 @@ def _write_bad_inputs(d):
         "counties_text": {"counties": "4"},
         "reps_fraction": {"reps": 2.5},
         "seed_bool": {"seed": True},
+        "seed_negative": {"seed": -1},
         "regen_number": {"regen_network": 1},
         "k_bar_nan": {"counties": 3, "k_bar": float("nan")},  # dumped as NaN
     }.items():
@@ -472,7 +514,8 @@ def _write_bad_inputs(d):
         (d / f"{name}.bin").write_bytes(bytes(bad))
 
 
-# case -> (argv, with {d} for the input directory; text the error must contain)
+# case -> (argv, with {d} for the input directory; text the error must contain
+# [, exit code when it is 3, a numeric failure, not 2])
 BAD_INPUTS = {
     "gen-scenario --counties 0": (["gen-scenario", "--counties", "0"], "county_count"),
     "scenario config not UTF-8": (
@@ -514,6 +557,10 @@ BAD_INPUTS = {
     "manifest reps fraction": (
         ["pipeline", "--from-manifest", "{d}/reps_fraction.json"], "reps"),
     "manifest seed bool": (["pipeline", "--from-manifest", "{d}/seed_bool.json"], "seed"),
+    "manifest seed -1": (
+        ["pipeline", "--from-manifest", "{d}/seed_negative.json"], "parameter seed is -1"),
+    "gen-scenario --seed -3": (["gen-scenario", "--seed", "-3"], "--seed"),
+    "pipeline --seed -1": (["pipeline", "--synthetic", "--seed", "-1"], "--seed"),
     "manifest regen_network number": (
         ["pipeline", "--from-manifest", "{d}/regen_number.json"], "regen_network"),
     "meanfield --sweep nan start": (["meanfield", "--sweep", "lambda=nan:1:0.1"], "--sweep"),
@@ -550,6 +597,10 @@ BAD_INPUTS = {
         "stage expected_edges"),
     "manifest k_bar NaN": (
         ["pipeline", "--from-manifest", "{d}/k_bar_nan.json"], "stage expected_edges"),
+    # more edges than node pairs: rejected before the multinomial draw overflows
+    "pipeline --k-bar 1e300": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e300"],
+        "stage build_contact_network", 3),
     # two ranges of 1001 values each: rejected before any cell is integrated
     "meanfield --grid 10^6 cells": (
         ["meanfield", "--sweep", "alpha=0:1:0.001", "--grid", "beta-o=0:1:0.001"], "cells"),
@@ -558,14 +609,15 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
-    argv, expected = BAD_INPUTS[case]
+    argv, expected, *code = BAD_INPUTS[case]
+    code = code[0] if code else 2
     _write_bad_inputs(tmp_path)
     argv = [a.format(d=tmp_path) for a in argv]
     if argv[0] != "inspect":
         argv += ["--out", str(tmp_path / "out")]
-    assert main(argv) == 2
+    assert main(argv) == code
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: ") and expected in last
+    assert last.startswith("error: " if code == 2 else "numeric failure: ") and expected in last
 
 
 # Header fields of contactnet.bin, in _HEADER order: node count, edge count,

@@ -432,12 +432,3 @@ class TestPersistence:
         p.write_bytes(b"something else entirely")
         with pytest.raises(ValidationError):
             cn.load_contact_network(p)
-
-    def test_debug_csv(self, tmp_path):
-        net = self.build()
-        cn.save_contact_network_csv(net, tmp_path / "n.csv", tmp_path / "e.csv")
-        lines = (tmp_path / "n.csv").read_text().splitlines()
-        assert lines[0] == "node,county_fips,misinformed"
-        assert len(lines) == net.n_nodes + 1
-        elines = (tmp_path / "e.csv").read_text().splitlines()
-        assert len(elines) == net.n_edges + 1

@@ -98,28 +98,20 @@ GOLDEN = {
     "phi sweep": (
         ["sweep", *PIPELINE, "--vary", "phi", "--values", "1,3", "--svg"],
         {
+            "counties.csv":
+                "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
+            "infonet_edges.csv":
+                "e052e31483d32eb8f3f575ca4a3a2cbb6d0181872b61da774be0cd374443224e",
+            "infonet_nodes.csv":
+                "122fe0483f0690734ff2b0318d4a1b47d768d2e6a6b9b466612bb869f6747164",
+            "mobility.csv":
+                "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/contactnet.bin":
                 "56e5e941d4492409f52fbf305fa97823e856a197e7deafa37a2a416d00facf9a",
-            "rows/phi_1/counties.csv":
-                "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
-            "rows/phi_1/infonet_edges.csv":
-                "e052e31483d32eb8f3f575ca4a3a2cbb6d0181872b61da774be0cd374443224e",
-            "rows/phi_1/infonet_nodes.csv":
-                "122fe0483f0690734ff2b0318d4a1b47d768d2e6a6b9b466612bb869f6747164",
-            "rows/phi_1/mobility.csv":
-                "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/result.csv":
                 "d5cdf063df9095d355c31b77124382f8b18aa454002c3c17f6c01e6302568fbf",
             "rows/phi_3/contactnet.bin":
                 "401be98eac81ab9d520c238db60eac83582fb7e2e3eec8492717536fcd96585d",
-            "rows/phi_3/counties.csv":
-                "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
-            "rows/phi_3/infonet_edges.csv":
-                "e052e31483d32eb8f3f575ca4a3a2cbb6d0181872b61da774be0cd374443224e",
-            "rows/phi_3/infonet_nodes.csv":
-                "122fe0483f0690734ff2b0318d4a1b47d768d2e6a6b9b466612bb869f6747164",
-            "rows/phi_3/mobility.csv":
-                "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_3/result.csv":
                 "1debe6b10301235bfc428c60065d22dd333c14199ab64995e908350302189ca0",
             "sweep_cumulative.svg":
