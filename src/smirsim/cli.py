@@ -62,6 +62,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _out_of_memory(e: MemoryError) -> str:
+    return f"out of memory ({e})" if str(e) else "out of memory"
+
+
 class _Run(AbstractContextManager):
     """The record of one command run: out dir, parameters, seed, inputs,
     outputs and stages.
@@ -115,6 +119,8 @@ class _Run(AbstractContextManager):
             yield
         except NumericError as e:
             raise NumericError(f"stage {name}: {e}") from e
+        except MemoryError as e:
+            raise NumericError(f"stage {name}: {_out_of_memory(e)}") from e
         except (InputError, OSError) as e:
             raise InputError(f"stage {name}: {e}") from e
         wall = time.monotonic() - started
@@ -485,13 +491,13 @@ def _parse_values(text: str, vary: str) -> list:
 
 def _sweep_row(cfg: PipelineConfig, sc, net, vary: str, out: Path, value):
     """One pipeline run on the sweep's scenario with the varying parameter
-    replaced; used by --jobs workers. Returns (summary, stages), each stage
-    named under the row's directory."""
+    replaced; used by --jobs workers. Returns (summary, stages, outputs), each
+    stage named under the row's directory."""
     field = vary.replace("-", "_")
     row = _Run(out / "rows" / f"{field}_{value:g}")
     cnet, result = _run_pipeline(replace(cfg, **{field: value}), sc, net, row)
     stages = [{**s, "name": f"{row.out.name}/{s['name']}"} for s in row.stages]
-    return _result_summary(cnet, result), stages
+    return _result_summary(cnet, result), stages, row.outputs
 
 
 def cmd_sweep(args) -> int:
@@ -510,8 +516,9 @@ def cmd_sweep(args) -> int:
                 rows = list(pool.map(row, values))
         else:
             rows = [row(v) for v in values]
-        summaries = [summary for summary, _ in rows]
-        run.stages += [s for _, stages in rows for s in stages]
+        summaries = [summary for summary, _, _ in rows]
+        run.stages += [s for _, stages, _ in rows for s in stages]
+        run.outputs += [o for _, _, outputs in rows for o in outputs]
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.
@@ -699,6 +706,9 @@ def main(argv=None) -> int:
         return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # outside any stage, as in meanfield
+        print(f"numeric failure: {_out_of_memory(e)}", file=sys.stderr)
         return 3
 
 

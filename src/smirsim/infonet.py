@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NoScoredNodesError, ParseError, ValidationError
-from .tables import FLOAT_OR_NAN, has_duplicates, lookup, read_columns, write_csv
+from .tables import FLOAT_OR_NAN, has_duplicates, lookup, read_columns, write_columns
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -219,9 +219,19 @@ def generate_synthetic_infonet(
     republican, the rest democrat. They arrive in random order. Each arrival
     attracts ``edges_per_node`` retweeters chosen proportionally to
     (in-degree + 1): with probability ``homophily`` from the arriving
-    account's party, else from the opposite party. A draw is skipped while
-    the needed party pool is still empty. Misinformation seeds are Bernoulli
-    per party. Output is fully determined by ``rng_seed``.
+    account's party, else from the opposite party. Misinformation seeds are
+    Bernoulli per party. Output is fully determined by ``rng_seed``.
+
+    The choice is a copy model over one pool per party (an entry per account
+    and per in-edge), resolved in bulk. The events are, step by step, the
+    ``edges_per_node`` draws and then the arrival. A draw succeeds iff its
+    wanted party arrived at an earlier step (else it is skipped and takes no
+    weight); each surviving event adds one entry to its party's pool, so the
+    pool length before an event is its rank among its party's surviving
+    events. A draw copies the entry at min(floor(pick * length), length - 1),
+    an earlier event; pointer jumping (``ptr = ptr[ptr]`` until nothing
+    changes) follows the copies to the arrival that ends each chain, whose
+    account is the draw's target.
     """
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     users = scenario.twitter_users
@@ -247,29 +257,37 @@ def generate_synthetic_infonet(
     pick = rng.random((n, k))
     weights_flat = rng.geometric(cfg.retweet_weight_p, size=n * k)
 
-    # Preferential pools: one entry per node plus one per in-edge, so a
-    # uniform index draws targets proportionally to in-degree + 1.
-    pools = {REPUBLICAN: [], DEMOCRAT: []}
-    src_list, dst_list, w_list = [], [], []
-    w_pos = 0
-    for step, u in enumerate(order):
-        u_party = int(party[u])
-        for j in range(k):
-            want = u_party if same_party[step, j] else -u_party
-            pool = pools[want]
-            if not pool:
-                continue
-            target = pool[min(int(pick[step, j] * len(pool)), len(pool) - 1)]
-            src_list.append(u)
-            dst_list.append(target)
-            w_list.append(weights_flat[w_pos])
-            w_pos += 1
-            pool.append(target)
-        pools[u_party].append(u)
-
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    w = np.asarray(w_list, dtype=np.int64)
+    # The events as a (step, k draws + the arrival) grid, read row-major.
+    index = np.int32 if n * (k + 1) < 2**31 else np.int64
+    arrives_rep = party[order] == REPUBLICAN
+    wants_rep = np.column_stack([same_party == arrives_rep[:, None], arrives_rep])
+    # A draw succeeds iff its wanted party arrived at an earlier step.
+    step = np.arange(n)[:, None]
+    first_rep = np.argmax(arrives_rep) if arrives_rep.any() else n
+    first_dem = np.argmax(~arrives_rep) if not arrives_rep.all() else n
+    drawn = np.where(wants_rep[:, :k], step > first_rep, step > first_dem)
+    survives = np.column_stack([drawn, np.ones(n, dtype=bool)])
+    # From here on, events are the surviving ones: `at` numbers them, and
+    # `pools` lists them democrats first, so republican pool entry c is
+    # pools[n_dem + c].
+    at = np.cumsum(survives, dtype=index).reshape(n, k + 1) - 1
+    rep = wants_rep[survives]
+    n_dem = len(rep) - int(rep.sum())
+    pools = np.concatenate([np.flatnonzero(~rep), np.flatnonzero(rep)]).astype(index)
+    rep_before = np.cumsum(rep, dtype=index) - rep
+    draws = at[:, :k][drawn]
+    rep_draw = rep[draws]
+    length = np.where(rep_draw, rep_before[draws], draws - rep_before[draws])
+    chosen = np.minimum((pick[drawn] * length).astype(index), length - 1)
+    ptr = np.arange(len(rep), dtype=index)  # an arrival points at itself
+    ptr[draws] = pools[chosen + rep_draw * n_dem]
+    while not np.array_equal(jumped := ptr[ptr], ptr):
+        ptr = jumped
+    account = np.empty(len(rep), dtype=np.int64)
+    account[at[:, k]] = order
+    src = np.broadcast_to(order[:, None], (n, k))[drawn]
+    dst = account[ptr[draws]]
+    w = weights_flat[: len(dst)]
     if len(src):
         # Merge repeated (src, dst) draws into one edge with summed weight.
         key = src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
@@ -292,17 +310,18 @@ def generate_synthetic_infonet(
 
 
 def save_infonet(net: InfoNetwork, nodes_path, edges_path) -> None:
-    """Write the node and edge tables in the documented CSV contract."""
-    alignment = net.alignment.astype(object)
-    alignment[np.isnan(net.alignment)] = None  # an unknown score is an empty cell
-    nodes = [net.ids, net.county, alignment, net.seed.astype(np.int64)]
-    write_csv(
+    """Write the node and edge tables in the documented CSV contract; an
+    unknown alignment score is an empty cell."""
+    write_columns(
         nodes_path,
         ["id", "county_fips", "alignment", "misinformed_seed"],
-        zip(*(c.tolist() for c in nodes)),
+        [net.ids, net.county, net.alignment, net.seed.astype(np.int64)],
     )
-    edges = [net.ids[net.edge_src], net.ids[net.edge_dst], net.edge_weight]
-    write_csv(edges_path, ["src", "dst", "weight"], zip(*(c.tolist() for c in edges)))
+    write_columns(
+        edges_path,
+        ["src", "dst", "weight"],
+        [net.ids[net.edge_src], net.ids[net.edge_dst], net.edge_weight],
+    )
 
 
 def load_infonet(nodes_path, edges_path) -> InfoNetwork:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .infonet import InfoGenConfig, InfoNetwork, generate_synthetic_infonet
-from .tables import has_duplicates, lookup, read_columns, utf8_text, write_csv
+from .tables import has_duplicates, lookup, read_columns, utf8_text, write_columns
 
 # Stream indices for hierarchical seed derivation from the master seed.
 _STREAM_COUNTIES = 0
@@ -83,7 +83,7 @@ class Scenario:
                 raise ValidationError(f"{name} length does not match county count")
         if np.any(self.voters < 0):
             raise ValidationError("voter populations must be nonnegative")
-        if np.any((self.republican_share < 0) | (self.republican_share > 1)):
+        if not np.all((self.republican_share >= 0) & (self.republican_share <= 1)):
             raise ValidationError("republican_share must be in [0, 1]")
         if np.any(self.twitter_users < 0):
             raise ValidationError("twitter user counts must be nonnegative")
@@ -154,22 +154,19 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
 
 def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
     """Write the canonical CSV form (upper-triangular nonzero mobility rows)."""
-    share = scenario.republican_share.astype(float)
-    columns = [scenario.county_ids, scenario.voters, share, scenario.twitter_users]
-    write_csv(
+    write_columns(
         counties_path,
         ["fips", "voters", "republican_share", "twitter_users"],
-        zip(*(c.tolist() for c in columns)),
+        [scenario.county_ids, scenario.voters, scenario.republican_share.astype(float),
+         scenario.twitter_users],
     )
     values = scenario.mobility.values
     i, j = np.triu_indices(scenario.n_counties)  # row-major: (0, 0), (0, 1), ...
     keep = values[i, j] > 0
     i, j = i[keep], j[keep]
     ids = scenario.county_ids
-    write_csv(
-        mobility_path,
-        ["x_fips", "y_fips", "value"],
-        zip(ids[i].tolist(), ids[j].tolist(), values[i, j].astype(float).tolist()),
+    write_columns(
+        mobility_path, ["x_fips", "y_fips", "value"], [ids[i], ids[j], values[i, j].astype(float)]
     )
 
 

@@ -5,7 +5,8 @@ Cells are Python values: ``int`` and ``str`` as text, ``float`` as its
 ``repr`` (the shortest text that reads back to the same float), ``None`` as
 an empty cell (unknown). Convert NumPy scalars first (``.tolist()``,
 ``float(x)``): the ``csv`` module writes a ``numpy.float64`` as
-``np.float64(...)``.
+``np.float64(...)``. ``write_columns`` takes NumPy columns instead, a float
+NaN standing for None, and writes numeric tables without ``csv.writer``.
 
 ``read_columns`` reads a table into one NumPy array per column. The result
 is always the row path's: ``csv.reader`` rows, each cell converted by
@@ -45,6 +46,9 @@ def _int64(cell: str) -> int:
     return value
 
 
+# Rows per write of write_columns: about 1 MB of text in an edge table.
+_CHUNK_ROWS = 1 << 16
+
 _CONVERT = {str: str, int: _int64, float: float, FLOAT_OR_NAN: lambda c: float(c) if c else np.nan}
 
 
@@ -54,6 +58,35 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         out = csv.writer(f)
         out.writerow(header)
         out.writerows(rows)
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write `header` and then the table whose columns are `columns`, a float
+    NaN as an empty cell. Integer and float columns are ``%``-formatted in
+    chunks of rows to the bytes ``write_csv`` writes; any other column (str
+    ids may need quoting) sends the table to ``write_csv``."""
+    if any(c.dtype.kind not in "iuf" for c in columns):
+        write_csv(path, header, zip(*(_cells(c, None) for c in columns)))
+        return
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%s" for c in columns) + "\r\n"
+    unknown = '""' if len(columns) == 1 else ""  # as csv quotes a row of one empty cell
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerow(header)
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [_cells(c[start : start + _CHUNK_ROWS], unknown) for c in columns]
+            cells = [None] * (len(chunk) * len(chunk[0]))
+            for k, column in enumerate(chunk):
+                cells[k :: len(chunk)] = column
+            f.write(row * len(chunk[0]) % tuple(cells))
+
+
+def _cells(column: np.ndarray, unknown) -> list:
+    """The entries of `column` as Python values, a float NaN as `unknown`."""
+    if column.dtype.kind != "f" or not np.isnan(column).any():
+        return column.tolist()
+    cells = column.astype(object)
+    cells[np.isnan(column)] = unknown
+    return cells.tolist()
 
 
 def utf8_text(path, data: bytes) -> str:

@@ -251,6 +251,85 @@ def reference_account_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray
     return np.array(county, dtype=np.int64), np.array(party, dtype=np.int8)
 
 
+def reference_infonet(
+    scenario: Scenario, cfg: infonet.InfoGenConfig, rng_seed: int
+) -> infonet.InfoNetwork:
+    """``infonet.generate_synthetic_infonet`` as a loop over arrivals.
+
+    The same random draws, consumed the same way, but each arrival's
+    ``edges_per_node`` draws walk two growing Python lists, one preferential
+    pool per party: one entry per account plus one per in-edge, so a uniform
+    index picks a target proportionally to (in-degree + 1). A draw whose pool
+    is still empty is skipped and takes no weight.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+    users = scenario.twitter_users
+    county = np.repeat(scenario.county_ids.astype(np.int64), users)
+    n = len(county)
+    # Each account's rank within its county; ranks below the county's
+    # rounded republican count are republican.
+    rank = np.arange(n) - np.repeat(np.cumsum(users) - users, users)
+    n_rep = np.floor(scenario.republican_share * users + 0.5)
+    party = np.where(rank < np.repeat(n_rep, users), infonet.REPUBLICAN, infonet.DEMOCRAT).astype(np.int8)
+
+    # Alignment magnitude carries no meaning beyond its sign here.
+    alignment = party * rng.uniform(0.05, 1.0, size=n)
+
+    seed_rate = np.where(
+        party == infonet.REPUBLICAN, cfg.seed_rate_republican, cfg.seed_rate_democrat
+    )
+    seeds = rng.random(n) < seed_rate
+
+    order = rng.permutation(n)
+    k = cfg.edges_per_node
+    same_party = rng.random((n, k)) < cfg.homophily
+    pick = rng.random((n, k))
+    weights_flat = rng.geometric(cfg.retweet_weight_p, size=n * k)
+
+    # Preferential pools: one entry per node plus one per in-edge, so a
+    # uniform index draws targets proportionally to in-degree + 1.
+    pools = {infonet.REPUBLICAN: [], infonet.DEMOCRAT: []}
+    src_list, dst_list, w_list = [], [], []
+    w_pos = 0
+    for step, u in enumerate(order):
+        u_party = int(party[u])
+        for j in range(k):
+            want = u_party if same_party[step, j] else -u_party
+            pool = pools[want]
+            if not pool:
+                continue
+            target = pool[min(int(pick[step, j] * len(pool)), len(pool) - 1)]
+            src_list.append(u)
+            dst_list.append(target)
+            w_list.append(weights_flat[w_pos])
+            w_pos += 1
+            pool.append(target)
+        pools[u_party].append(u)
+
+    src = np.asarray(src_list, dtype=np.int64)
+    dst = np.asarray(dst_list, dtype=np.int64)
+    w = np.asarray(w_list, dtype=np.int64)
+    if len(src):
+        # Merge repeated (src, dst) draws into one edge with summed weight.
+        key = src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
+        uniq, inverse = np.unique(key, return_inverse=True)
+        w_agg = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(w_agg, inverse, w)
+        src = (uniq // np.uint64(n)).astype(np.int64)
+        dst = (uniq % np.uint64(n)).astype(np.int64)
+        w = w_agg
+
+    return infonet.InfoNetwork(
+        ids=np.arange(n, dtype=np.int64),
+        county=county,
+        alignment=alignment,
+        seed=seeds,
+        edge_src=src,
+        edge_dst=dst,
+        edge_weight=w,
+    )
+
+
 def encode_state(state: tuple[int, ...]) -> int:
     code = 0
     for c in state:

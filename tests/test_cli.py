@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smirsim import contactnet, meanfield
+from smirsim import contactnet, meanfield, scenario
 from smirsim.cli import main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
 
@@ -388,6 +388,36 @@ class TestRunRecord:
         assert names == ["generate_scenario", "save_scenario",
                          *(f"phi_1/{n}" for n in row), *(f"phi_3/{n}" for n in row)]
         assert not list((out / "rows").rglob("manifest.json"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_manifest_lists_row_outputs(self, tmp_path, jobs):
+        out = tmp_path / "s"
+        assert run_cli(
+            "sweep", *PIPELINE_BASE[1:], "--reps", "1", "--vary", "phi", "--values", "1,3",
+            "--jobs", jobs, "--out", str(out),
+        ) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = sorted(str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+        assert outputs == written
+        assert str(out / "rows" / "phi_3" / "contactnet.bin") in outputs
+
+    def test_out_of_memory_in_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(scenario, "generate_scenario", exhausted)
+        assert run_cli("gen-scenario", "--seed", "1", "--out", str(tmp_path / "g")) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("numeric failure: stage generate_scenario: "
+                            "out of memory (Unable to allocate 7.45 GiB)\n")
+
+    def test_out_of_memory_outside_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(meanfield, "integrate", exhausted)
+        assert run_cli("meanfield", "--out", str(tmp_path / "m")) == 3
+        assert capsys.readouterr().err == "numeric failure: out of memory\n"
 
     def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "p"

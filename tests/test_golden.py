@@ -74,6 +74,21 @@ GOLDEN = {
                 "0b4a357e1f6dc43dd9295fc9263a8677abb6ce07e60a40d50220e7ff46f507ae",
         },
     ),
+    # The scenario the benchmark's pipelines start from: 341 counties, 181,202
+    # accounts, 870,958 retweet edges.
+    "gen-scenario default": (
+        ["gen-scenario", "--seed", "1"],
+        {
+            "counties.csv":
+                "a2e2326f66782dbc5eca99aef066d2a233e7a9393834d37cdd5df0a5f129a243",
+            "infonet_edges.csv":
+                "f1f8dd3140e07be8c00ef3a55b266b23cf43231c69b5e302e842747f7feaec87",
+            "infonet_nodes.csv":
+                "e902709f4ccb4970c527434477d57688ebe72e89f35d86575d2aa12a92eec55a",
+            "mobility.csv":
+                "b8b82c65d8e3f8b90aeb6b56a9c20f746ce8562582207a3a3ccd215f4904ce3c",
+        },
+    ),
     "pipeline": (
         ["pipeline", *PIPELINE, "--svg"],
         {

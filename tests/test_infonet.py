@@ -4,10 +4,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smirsim import infonet as inet
+from smirsim import scenario as scen
 from smirsim.errors import NoScoredNodesError, ParseError, ValidationError
 
 from conftest import build_infonet, build_scenario
-from oracles import brute_force_misinformed, reference_account_layout
+from oracles import brute_force_misinformed, reference_account_layout, reference_infonet
+
+NETWORK_FIELDS = ("ids", "county", "alignment", "seed", "edge_src", "edge_dst", "edge_weight")
 
 # Shares that put share * count exactly on k + 0.5 for some small counts
 # (0.5 * 3, 0.25 * 6, 0.375 * 4, ...), where rounding half up matters.
@@ -236,8 +239,7 @@ class TestGenerator:
         cfg = inet.InfoGenConfig()
         a = inet.generate_synthetic_infonet(self.scenario(), cfg, 11)
         b = inet.generate_synthetic_infonet(self.scenario(), cfg, 11)
-        for name in ("ids", "county", "alignment", "seed", "edge_src", "edge_dst", "edge_weight"):
-            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        assert_same_network(a, b)
 
     def test_different_seed_differs(self):
         cfg = inet.InfoGenConfig()
@@ -250,6 +252,56 @@ class TestGenerator:
             inet.InfoGenConfig(homophily=1.5)
         with pytest.raises(ValidationError):
             inet.InfoGenConfig(edges_per_node=0)
+
+
+def assert_same_network(a, b):
+    for name in NETWORK_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+
+
+class TestGeneratorMatchesLoop:
+    """The bulk copy-model resolution against the arrival loop it replaces."""
+
+    @pytest.mark.parametrize("shares", [[0.0] * 4, [1.0] * 4, [0.9, 0.3, 0.5, 0.0]])
+    @pytest.mark.parametrize("homophily", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("edges_per_node", [1, 5, 20])
+    def test_grid(self, shares, homophily, edges_per_node):
+        sc = build_scenario([100] * 4, shares=shares, users=[40, 25, 0, 35])
+        cfg = inet.InfoGenConfig(edges_per_node=edges_per_node, homophily=homophily)
+        for seed in (0, 1, 2):
+            assert_same_network(
+                inet.generate_synthetic_infonet(sc, cfg, seed), reference_infonet(sc, cfg, seed)
+            )
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 15), st.floats(0, 1)), min_size=1, max_size=5)
+        .filter(lambda counties: any(users for users, _ in counties)),
+        st.integers(1, 8),
+        st.floats(0, 1),
+        st.integers(0, 2**32),
+    )
+    def test_random_scenarios(self, counties, edges_per_node, homophily, seed):
+        users, shares = zip(*counties)
+        sc = build_scenario([100] * len(users), shares=shares, users=users)
+        cfg = inet.InfoGenConfig(edges_per_node=edges_per_node, homophily=homophily)
+        assert_same_network(
+            inet.generate_synthetic_infonet(sc, cfg, seed), reference_infonet(sc, cfg, seed)
+        )
+
+    def test_single_account(self):
+        sc = build_scenario([100], shares=[1.0], users=[1])
+        cfg = inet.InfoGenConfig()
+        net = inet.generate_synthetic_infonet(sc, cfg, 4)
+        assert net.n_edges == 0
+        assert_same_network(net, reference_infonet(sc, cfg, 4))
+
+    def test_default_scenario(self):
+        cfg = scen.ScenarioConfig(seed=1)
+        sc, net = scen.generate_scenario(cfg)
+        assert net.n_nodes == 181_202 and net.n_edges == 870_958
+        expected = reference_infonet(sc, cfg.info, scen.derive_seed(1, scen._STREAM_INFONET))
+        assert_same_network(net, expected)
 
 
 class TestRoundTrip:

@@ -6,6 +6,8 @@ import pytest
 from smirsim import scenario as sc
 from smirsim.errors import ParseError, ValidationError
 
+from conftest import build_scenario
+
 
 def write_fixture(tmp_path, counties, mobility_rows):
     cpath = tmp_path / "counties.csv"
@@ -85,6 +87,11 @@ class TestLoad:
 
 
 class TestRoundTrip:
+    def test_nan_share_is_not_a_scenario(self):
+        # It would be saved as an empty cell, which no loader reads back.
+        with pytest.raises(ValidationError, match="republican_share"):
+            build_scenario([100], shares=[np.nan])
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         cfg = sc.ScenarioConfig(county_count=5, seed=3)
         generated, _ = sc.generate_scenario(cfg)

@@ -187,6 +187,52 @@ class TestReadColumns:
             read_columns(path, (int,))
 
 
+def csv_bytes(path, header, columns):
+    """The table as ``write_csv`` writes it, a NaN as None."""
+    rows = zip(*([None if isinstance(v, float) and v != v else v for v in c.tolist()]
+                 for c in columns))
+    tables.write_csv(path, header, rows)
+    return path.read_bytes()
+
+
+numeric_columns = st.integers(0, 9).flatmap(lambda n: st.lists(
+    st.one_of(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.float64)),
+    ),
+    min_size=1, max_size=4,
+))
+
+
+class TestWriteColumns:
+    @given(numeric_columns)
+    def test_numeric_table_matches_csv_writer(self, tmp_path_factory, columns):
+        d = tmp_path_factory.mktemp("w")
+        header = [f"c{k}" for k in range(len(columns))]
+        with mock.patch.object(tables, "_CHUNK_ROWS", 4):  # rows cross chunk boundaries
+            tables.write_columns(d / "fast.csv", header, columns)
+        assert (d / "fast.csv").read_bytes() == csv_bytes(d / "csv.csv", header, columns)
+
+    def test_nan_is_an_empty_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tables.write_columns(path, ["a", "b"], [np.array([1, 2]), np.array([0.1, np.nan])])
+        assert path.read_bytes() == b"a,b\r\n1,0.1\r\n2,\r\n"
+
+    def test_str_ids_keep_csv_quoting(self, tmp_path):
+        columns = [np.array(["a,b", 'q"x', "007"]), np.array([1.5, np.nan, -2.0])]
+        path = tmp_path / "t.csv"
+        tables.write_columns(path, ["id", "x"], columns)
+        assert path.read_bytes() == b'id,x\r\n"a,b",1.5\r\n"q""x",\r\n007,-2.0\r\n'
+        assert path.read_bytes() == csv_bytes(tmp_path / "csv.csv", ["id", "x"], columns)
+
+    def test_no_rows_is_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        tables.write_columns(path, ["src", "dst"], [np.array([], dtype=np.int64)] * 2)
+        assert path.read_bytes() == b"src,dst\r\n"
+
+
 class TestLookup:
     @pytest.mark.parametrize("ids", [
         ["7", "007", "70", "x.1", "b-c"],           # packed into uint64
