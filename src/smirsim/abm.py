@@ -21,11 +21,11 @@ neighbors (8 bytes per node); a day adds the neighbors of its new infections
 to that count and subtracts those of its recoveries, gathered through the
 network's ``adjacency`` index, built once per network (~4 bytes per edge plus
 16 bytes per node), and ``1 - (1 - p)^m`` is evaluated only at the
-susceptibles with m >= 1. The daily measures come from the same changes.
-What still touches every node is a few flat passes: finding the candidates,
-copying the compartment bytes and adding the count updates. Once no node is
-infected the state is absorbing and the remaining days are copied, not
-stepped.
+susceptibles with m >= 1. A day records four counts of the same changes,
+from which the nine daily measures are derived once per run. What still
+touches every node is a few flat passes: finding the candidates, copying
+the compartment bytes and adding the count updates. Once no node is infected
+the state is absorbing and the remaining days are not stepped.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .contactnet import ContactNetwork
 from .errors import InsufficientMisinformedError, ValidationError
 from .scenario import derive_seed
-from .tables import write_csv
+from .tables import write_columns
 
 S, I, R = 0, 1, 2
 
@@ -235,10 +235,6 @@ MEASURES = (
     "cum_mis",
 )
 
-# Measures that an absorbing state holds constant; new_inf* stay zero.
-_CARRIED = tuple(name for name in MEASURES if not name.startswith("new_inf"))
-
-
 @dataclass(frozen=True)
 class EpidemicResult:
     """Per-day counts aggregated over repetitions.
@@ -249,10 +245,6 @@ class EpidemicResult:
     peaks of overall prevalence (first day on ties), then aggregated.
     """
 
-    n_nodes: int
-    misinformed_nodes: int
-    config: AbmConfig
-    master_seed: int
     days: np.ndarray
     per_rep: dict[str, np.ndarray]
 
@@ -294,81 +286,51 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     its own derived key. Identical inputs give identical results, bit for
     bit.
     """
-    n = net.n_nodes
     mis = net.misinformed
     t = cfg.steps + 1
-    per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in MEASURES}
-
+    # counts[k, j, rep, day]: (infected, newly infected)[k] x (ordinary, misinformed)[j]
+    counts = np.zeros((2, 2, cfg.repetitions, t), dtype=np.int64)
     for rep in range(cfg.repetitions):
         rep_key = derive_seed(master_seed, rep)
         state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
-        _record(per_rep, rep, 0, state, mis)
-        for day in range(1, t):
+        for day in range(t):
+            if day:
+                state = step(state, net, cfg, day_key(rep_key, day))
+            for k, nodes in enumerate((state.infected, state.newly_infected)):
+                on_mis = np.count_nonzero(mis[nodes])
+                counts[k, :, rep, day] = len(nodes) - on_mis, on_mis
             if not len(state.infected):
                 # Absorbing: no one can be infected or recover again. Each day
                 # has its own key, so skipping days changes nothing later.
-                for name in _CARRIED:
-                    per_rep[name][rep, day:] = per_rep[name][rep, day - 1]
                 break
-            state = step(state, net, cfg, day_key(rep_key, day))
-            _record(per_rep, rep, day, state, mis)
 
-    return EpidemicResult(
-        n_nodes=n,
-        misinformed_nodes=net.misinformed_count,
-        config=cfg,
-        master_seed=int(master_seed),
-        days=np.arange(t),
-        per_rep=per_rep,
-    )
-
-
-def _record(per_rep, rep, day, state, mis):
-    """Fill one day's measures from the day's changes: the infected nodes and
-    the fresh ones among them, each split by label."""
-    infected, fresh = state.infected, state.newly_infected
-    prev, prev_mis = len(infected), np.count_nonzero(mis[infected])
-    new, new_mis = len(fresh), np.count_nonzero(mis[fresh])
-    for suffix, prev_k, new_k in (
-        ("", prev, new),
-        ("_ord", prev - prev_mis, new - new_mis),
-        ("_mis", prev_mis, new_mis),
-    ):
-        per_rep["prev_I" + suffix][rep, day] = prev_k
-        per_rep["new_inf" + suffix][rep, day] = new_k
-        per_rep["cum" + suffix][rep, day] = new_k + (
-            per_rep["cum" + suffix][rep, day - 1] if day else 0
-        )
+    per_rep = {}
+    by_label = {"": counts.sum(axis=1), "_ord": counts[:, 0], "_mis": counts[:, 1]}
+    for suffix, (prev, new) in by_label.items():
+        per_rep["new_inf" + suffix], per_rep["prev_I" + suffix] = new, prev
+        per_rep["cum" + suffix] = new.cumsum(axis=1)
+    return EpidemicResult(days=np.arange(t), per_rep=per_rep)
 
 
 def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
     """Stack single-network results into one multi-repetition result.
 
     Used when every repetition rebuilds its own contact network; the parts
-    must agree on node counts, measures, and day range.
+    must agree on their day range.
     """
-    first = parts[0]
-    for p in parts[1:]:
-        if p.n_nodes != first.n_nodes or len(p.days) != len(first.days):
-            raise ValidationError("cannot merge results with different shapes")
+    days = parts[0].days
+    if any(len(p.days) != len(days) for p in parts):
+        raise ValidationError("cannot merge results with different day ranges")
     per_rep = {
         name: np.concatenate([p.per_rep[name] for p in parts]) for name in MEASURES
     }
-    total_reps = sum(p.config.repetitions for p in parts)
-    return EpidemicResult(
-        n_nodes=first.n_nodes,
-        misinformed_nodes=first.misinformed_nodes,
-        config=replace(first.config, repetitions=total_reps),
-        master_seed=first.master_seed,
-        days=first.days,
-        per_rep=per_rep,
-    )
+    return EpidemicResult(days=days, per_rep=per_rep)
 
 
 def write_result_csv(result: EpidemicResult, path) -> None:
     """Write the per-day mean/std table: day, then mean_/std_ per measure."""
-    header, columns = ["day"], [result.days.tolist()]
+    header, columns = ["day"], [result.days]
     for name in MEASURES:
         header += [f"mean_{name}", f"std_{name}"]
-        columns += [result.mean(name).tolist(), result.std(name).tolist()]
-    write_csv(path, header, zip(*columns))
+        columns += [result.mean(name), result.std(name)]
+    write_columns(path, header, columns)

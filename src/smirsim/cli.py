@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, abm, contactnet, infonet, meanfield, scenario, svgplot
 from .errors import InputError, NumericError
-from .tables import write_csv
+from .tables import write_columns
 
 # Seed-derivation stream ids for pipeline stages (scenario generation itself
 # uses streams 0-2 of the same master seed).
@@ -166,20 +166,16 @@ def _parse_range(spec: str, flag: str) -> tuple[str, list[float]]:
 
 def write_trajectory_csv(traj: meanfield.Trajectory, path) -> None:
     """Per-day compartment fractions: day, S_O, I_O, R_O, S_M, I_M, R_M."""
-    write_csv(
-        path,
-        ["day", *meanfield.COMPARTMENTS],
-        ([d, *row] for d, row in enumerate(traj.states.tolist())),
-    )
+    columns = [np.arange(len(traj.states)), *traj.states.T]
+    write_columns(path, ["day", *meanfield.COMPARTMENTS], columns)
 
 
 def _write_summary_csv(rows: list[tuple[str, float, meanfield.TrajectorySummary]], path) -> None:
     names = [f.name for f in fields(meanfield.TrajectorySummary)]
-    write_csv(
-        path,
-        ["param", "value", *names],
-        ([name, float(value), *(float(getattr(s, n)) for n in names)] for name, value, s in rows),
-    )
+    param, value, summaries = zip(*rows)
+    columns = [np.array(param), np.array(value, dtype=float),
+               *(np.array([getattr(s, n) for s in summaries], dtype=float) for n in names)]
+    write_columns(path, ["param", "value", *names], columns)
 
 
 def _check_output_names(values, flag: str) -> None:
@@ -233,17 +229,16 @@ def cmd_meanfield(args) -> int:
             )
             grid_path = run.output("grid.csv")
             b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
-            write_csv(
+            write_columns(
                 grid_path,
                 ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
-                zip(*(m.ravel().tolist() for m in (
-                    b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall))),
+                [m.ravel() for m in (
+                    b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall)],
             )
-            write_csv(
+            write_columns(
                 run.output("grid_argmax.csv"),
                 ["beta_o", "argmax_alpha", "max_overall"],
-                zip(*(v.tolist() for v in (
-                    grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)))),
+                [grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)],
             )
             if args.svg:
                 for name in ("ordinary", "misinformed", "overall"):
@@ -357,6 +352,8 @@ def _manifest_parameters(path) -> dict:
             )
         if key == "seed" and value < 0:
             raise InputError(f"{path}: parameter seed is {value}, expected a non-negative int")
+        if kind == "str" and "\0" in value:  # no file name holds one; open() would raise ValueError
+            raise InputError(f"{path}: parameter {key} contains a NUL character")
     return values
 
 
@@ -522,21 +519,19 @@ def cmd_sweep(args) -> int:
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.
-        base_idx = int(np.argmax(values)) if args.vary == "phi" else len(values) - 1
-        base = summaries[base_idx]["cumulative_final_mean"]
+        cum = np.array([s["cumulative_final_mean"] for s in summaries])
+        base = cum[int(np.argmax(values)) if args.vary == "phi" else -1]
 
         columns = [
             "n_nodes", "misinformed_nodes", "misinformed_fraction", "peak_day_mean",
             "peak_height_mean", "cumulative_final_mean", "cumulative_final_std",
         ]
-        write_csv(
+        write_columns(
             run.output("sweep_summary.csv"),
             ["vary", "value", *columns, "relative_increase_vs_baseline"],
-            (
-                [args.vary, float(v), *(s[c] for c in columns),
-                 (s["cumulative_final_mean"] - base) / base if base > 0 else 0.0]
-                for v, s in zip(values, summaries)
-            ),
+            [np.array([args.vary] * len(values)), np.array(values, dtype=float),
+             *(np.array([s[c] for s in summaries]) for c in columns),
+             (cum - base) / base if base > 0 else np.zeros(len(values))],
         )
         if args.svg:
             svgplot.line_chart(

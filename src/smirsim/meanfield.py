@@ -200,6 +200,8 @@ def _resolve_step(dt: float | None, method: str) -> tuple[float, int]:
         dt = _DEFAULT_DT[method]
     if not (dt > 0):
         raise InvalidParamsError(f"dt must be > 0, got {dt}")
+    if dt < 1e-4:  # 100x finer than rk4's default; a smaller dt would run for hours
+        raise InvalidParamsError(f"dt={dt} is below 1e-4, more than 10000 steps per day")
     steps_per_day = round(1.0 / dt)
     if steps_per_day < 1 or abs(steps_per_day * dt - 1.0) > 1e-9:
         raise InvalidParamsError(f"dt={dt} does not divide one day evenly")

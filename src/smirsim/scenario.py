@@ -229,6 +229,8 @@ def parse_scenario_config(path) -> ScenarioConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key == "seed":  # a run parameter (--seed, in manifest.json), never a config key
+                raise ParseError(path, line_no, "seed is not a config key; give it with --seed")
             try:
                 if key in _CONFIG_FIELDS:
                     values[key] = _CONFIG_FIELDS[key](value)

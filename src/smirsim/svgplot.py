@@ -11,6 +11,7 @@ from typing import Sequence
 
 WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 36, 48
+PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -58,6 +59,33 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _write_frame(path, font_size, body, plot_w, title, xlabel, ylabel) -> None:
+    """Write the SVG at `path`: a white page in `font_size` type, the title,
+    the `body` elements, then the axis labels centered on the plot area."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'font-family="sans-serif" font-size="{font_size}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>'
+        )
+    parts += body
+    if xlabel:
+        parts.append(
+            f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle">{_esc(xlabel)}</text>'
+        )
+    if ylabel:
+        parts.append(
+            f'<text x="16" y="{MARGIN_T + PLOT_H / 2}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {MARGIN_T + PLOT_H / 2})">{_esc(ylabel)}</text>'
+        )
+    parts.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(parts) + "\n")
+
+
 def line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     path,
@@ -75,31 +103,22 @@ def line_chart(
     if y_hi == y_lo:
         y_hi = y_lo + 1
     plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>'
-        )
+    parts = []
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         parts.append(
-            f'<line x1="{x:.1f}" y1="{MARGIN_T}" x2="{x:.1f}" y2="{MARGIN_T + plot_h}" '
+            f'<line x1="{x:.1f}" y1="{MARGIN_T}" x2="{x:.1f}" y2="{MARGIN_T + PLOT_H}" '
             f'stroke="#ddd"/>'
         )
         parts.append(
-            f'<text x="{x:.1f}" y="{MARGIN_T + plot_h + 16}" text-anchor="middle">{_fmt(t)}</text>'
+            f'<text x="{x:.1f}" y="{MARGIN_T + PLOT_H + 16}" text-anchor="middle">{_fmt(t)}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         y = py(t)
@@ -111,7 +130,7 @@ def line_chart(
             f'<text x="{MARGIN_L - 6}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>'
         )
     parts.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{PLOT_H}" '
         f'fill="none" stroke="#333"/>'
     )
     for k, (label, xs, ys) in enumerate(series):
@@ -123,18 +142,7 @@ def line_chart(
             lx = MARGIN_L + plot_w - 150
             parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{lx + 28}" y="{ly}">{_esc(label)}</text>')
-    if xlabel:
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle">{_esc(xlabel)}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2})">{_esc(ylabel)}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    _write_frame(path, 12, parts, plot_w, title, xlabel, ylabel)
 
 
 def heatmap(
@@ -155,23 +163,14 @@ def heatmap(
     if v_hi == v_lo:
         v_hi = v_lo + 1
     plot_w = WIDTH - MARGIN_L - MARGIN_R - 60  # room for the colorbar
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
     cell_w = plot_w / cols
-    cell_h = plot_h / rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>'
-        )
+    cell_h = PLOT_H / rows
+    parts = []
     for r in range(rows):
         for c in range(cols):
             t = (values[r][c] - v_lo) / (v_hi - v_lo)
             x = MARGIN_L + c * cell_w
-            y = MARGIN_T + plot_h - (r + 1) * cell_h
+            y = MARGIN_T + PLOT_H - (r + 1) * cell_h
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_w + 0.5:.1f}" '
                 f'height="{cell_h + 0.5:.1f}" fill="{_color(t)}"/>'
@@ -180,39 +179,28 @@ def heatmap(
     for c in range(0, cols, step_x):
         x = MARGIN_L + (c + 0.5) * cell_w
         parts.append(
-            f'<text x="{x:.1f}" y="{MARGIN_T + plot_h + 16}" text-anchor="middle">{_fmt(x_ticks[c])}</text>'
+            f'<text x="{x:.1f}" y="{MARGIN_T + PLOT_H + 16}" text-anchor="middle">{_fmt(x_ticks[c])}</text>'
         )
     step_y = max(1, rows // 8)
     for r in range(0, rows, step_y):
-        y = MARGIN_T + plot_h - (r + 0.5) * cell_h
+        y = MARGIN_T + PLOT_H - (r + 0.5) * cell_h
         parts.append(
             f'<text x="{MARGIN_L - 6}" y="{y + 4:.1f}" text-anchor="end">{_fmt(y_ticks[r])}</text>'
         )
     for mx, my in marks:
         cx = MARGIN_L + (list(x_ticks).index(mx) + 0.5) * cell_w
-        cy = MARGIN_T + plot_h - (list(y_ticks).index(my) + 0.5) * cell_h
+        cy = MARGIN_T + PLOT_H - (list(y_ticks).index(my) + 0.5) * cell_h
         parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="3.5" fill="black"/>')
     # Colorbar.
     bar_x = MARGIN_L + plot_w + 20
     for k in range(100):
-        y = MARGIN_T + plot_h * (1 - (k + 1) / 100)
+        y = MARGIN_T + PLOT_H * (1 - (k + 1) / 100)
         parts.append(
-            f'<rect x="{bar_x}" y="{y:.1f}" width="14" height="{plot_h / 100 + 0.5:.1f}" '
+            f'<rect x="{bar_x}" y="{y:.1f}" width="14" height="{PLOT_H / 100 + 0.5:.1f}" '
             f'fill="{_color(k / 99)}"/>'
         )
     parts.append(
-        f'<text x="{bar_x + 18}" y="{MARGIN_T + plot_h}" font-size="10">{_fmt(v_lo)}</text>'
+        f'<text x="{bar_x + 18}" y="{MARGIN_T + PLOT_H}" font-size="10">{_fmt(v_lo)}</text>'
     )
     parts.append(f'<text x="{bar_x + 18}" y="{MARGIN_T + 10}" font-size="10">{_fmt(v_hi)}</text>')
-    if xlabel:
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle">{_esc(xlabel)}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2})">{_esc(ylabel)}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    _write_frame(path, 11, parts, plot_w, title, xlabel, ylabel)

@@ -1,12 +1,12 @@
 """The CSV table format every smirsim text artifact shares.
 
 A table is UTF-8 text: a header row, then data rows, with ``\r\n`` line ends.
-Cells are Python values: ``int`` and ``str`` as text, ``float`` as its
-``repr`` (the shortest text that reads back to the same float), ``None`` as
-an empty cell (unknown). Convert NumPy scalars first (``.tolist()``,
-``float(x)``): the ``csv`` module writes a ``numpy.float64`` as
-``np.float64(...)``. ``write_columns`` takes NumPy columns instead, a float
-NaN standing for None, and writes numeric tables without ``csv.writer``.
+Integers and strings are written as text, a float as its ``repr`` (the
+shortest text that reads back to the same float), an unknown value as an
+empty cell. Every table is written by ``write_columns`` from one NumPy array
+per column, a float NaN standing for unknown; numeric tables are formatted
+without ``csv.writer``, and a table with a str column, whose cells may need
+quoting, goes through ``write_csv``.
 
 ``read_columns`` reads a table into one NumPy array per column. The result
 is always the row path's: ``csv.reader`` rows, each cell converted by

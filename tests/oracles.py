@@ -184,14 +184,7 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
                 per_rep["new_inf" + suffix][rep, day] = (newly & keep).sum()
                 per_rep["prev_I" + suffix][rep, day] = ((comp == abm.I) & keep).sum()
                 per_rep["cum" + suffix][rep, day] = (ever & keep).sum()
-    return abm.EpidemicResult(
-        n_nodes=net.n_nodes,
-        misinformed_nodes=net.misinformed_count,
-        config=cfg,
-        master_seed=int(master_seed),
-        days=np.arange(t),
-        per_rep=per_rep,
-    )
+    return abm.EpidemicResult(days=np.arange(t), per_rep=per_rep)
 
 
 def complete_network(n: int) -> ContactNetwork:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,9 +235,13 @@ class TestRun:
                             steps=10, repetitions=1)
         parts = [abm.run(net, cfg, master_seed=s) for s in (1, 2, 3)]
         merged = abm.merge_results(parts)
-        assert merged.config.repetitions == 3
         assert merged.per_rep["cum"].shape == (3, 11)
         assert merged.peak_day.shape == (3,)
+        for name in abm.MEASURES:
+            assert np.array_equal(merged.per_rep[name][1], parts[1].per_rep[name][0])
+        shorter = abm.run(net, replace(cfg, steps=5), master_seed=4)
+        with pytest.raises(ValidationError, match="day ranges"):
+            abm.merge_results([*parts, shorter])
 
     def test_result_csv_schema(self, tmp_path):
         net = self.small_net()

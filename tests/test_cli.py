@@ -503,6 +503,7 @@ def _write_bad_inputs(d):
         "seed_negative": {"seed": -1},
         "regen_number": {"regen_network": 1},
         "k_bar_nan": {"counties": 3, "k_bar": float("nan")},  # dumped as NaN
+        "scenario_dir_nul": {"scenario_dir": "scenario\0"},
     }.items():
         (d / f"{name}.json").write_text(
             json.dumps({"subcommand": "pipeline", "parameters": params})
@@ -532,6 +533,7 @@ def _write_bad_inputs(d):
         (scen / bad_name).write_bytes(bad_text)
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
     (d / "config_latin1.txt").write_bytes(b"county_count = 5 # caf\xe9\n")
+    (d / "config_seed.txt").write_text("county_count = 4\nseed = 5\n")
     data = _small_contactnet_bytes(d / "good.bin")
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
@@ -550,6 +552,8 @@ BAD_INPUTS = {
     "gen-scenario --counties 0": (["gen-scenario", "--counties", "0"], "county_count"),
     "scenario config not UTF-8": (
         ["gen-scenario", "--scenario-config", "{d}/config_latin1.txt"], "config_latin1.txt:1"),
+    "scenario config with a seed": (
+        ["gen-scenario", "--scenario-config", "{d}/config_seed.txt"], "config_seed.txt:2: seed"),
     "pipeline --counties 0": (["pipeline", "--synthetic", "--counties", "0"], "county_count"),
     "manifest not JSON": (["pipeline", "--from-manifest", "{d}/malformed.json"], "malformed.json"),
     "manifest without parameters": (
@@ -569,6 +573,8 @@ BAD_INPUTS = {
         ["meanfield", "--horizon", "-1", "--sweep", "lambda=1:2"], "horizon"),
     "meanfield --horizon 0 --sweep": (
         ["meanfield", "--horizon", "0", "--sweep", "lambda=1:2"], "horizon"),
+    # 10^300 steps a day: rejected before the first one
+    "meanfield --dt 1e-300": (["meanfield", "--horizon", "2", "--dt", "1e-300"], "dt=1e-300"),
     "meanfield --horizon -1 --grid": (
         ["meanfield", "--horizon", "-1", "--sweep", "alpha=0.5:1", "--grid", "beta-o=0.1:0.2"],
         "horizon"),
@@ -591,6 +597,8 @@ BAD_INPUTS = {
         ["pipeline", "--from-manifest", "{d}/seed_negative.json"], "parameter seed is -1"),
     "gen-scenario --seed -3": (["gen-scenario", "--seed", "-3"], "--seed"),
     "pipeline --seed -1": (["pipeline", "--synthetic", "--seed", "-1"], "--seed"),
+    "manifest scenario_dir with NUL": (
+        ["pipeline", "--from-manifest", "{d}/scenario_dir_nul.json"], "scenario_dir"),
     "manifest regen_network number": (
         ["pipeline", "--from-manifest", "{d}/regen_number.json"], "regen_network"),
     "meanfield --sweep nan start": (["meanfield", "--sweep", "lambda=nan:1:0.1"], "--sweep"),
@@ -659,6 +667,19 @@ _HEADER_FIELDS = (
 
 
 @st.composite
+def truncated_or_flipped(draw, data: bytes) -> bytes:
+    """`data` cut short, or with one to four of its bytes changed."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for at, mask in draw(st.lists(
+            st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+            min_size=1, max_size=4)):
+        out[at] ^= mask
+    return bytes(out)
+
+
+@st.composite
 def corrupted_contactnet(draw, data: bytes) -> bytes:
     """`data` truncated, byte-flipped, with header fields edited, or with
     small node, edge and county counts and a body cut or zero-padded to the
@@ -667,16 +688,9 @@ def corrupted_contactnet(draw, data: bytes) -> bytes:
     end = start + contactnet._HEADER.size
     fields = list(contactnet._HEADER.unpack(data[start:end]))
     body = data[end:]
-    kind = draw(st.sampled_from(["truncate", "flip", "header", "resize"]))
-    if kind == "truncate":
-        return data[:draw(st.integers(0, len(data) - 1))]
-    if kind == "flip":
-        out = bytearray(data)
-        for at, mask in draw(st.lists(
-                st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
-                min_size=1, max_size=4)):
-            out[at] ^= mask
-        return bytes(out)
+    kind = draw(st.sampled_from(["bytes", "header", "resize"]))
+    if kind == "bytes":
+        return draw(truncated_or_flipped(data))
     if kind == "header":
         for i in draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=3)):
             fields[i] = draw(_HEADER_FIELDS[i])
@@ -693,8 +707,68 @@ def corrupted_contactnet(draw, data: bytes) -> bytes:
 def test_inspect_corrupt_contactnet_never_tracebacks(tmp_path, data):
     path = tmp_path / "net.bin"
     path.write_bytes(data.draw(corrupted_contactnet(_small_contactnet_bytes(path))))
+    assert_exits_cleanly(["inspect", str(path)])
+
+
+def assert_exits_cleanly(argv):
+    """`main(argv)` ends in exit 0, 2 or 3; an escaping exception fails the test."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["inspect", str(path)])  # an escaping exception fails the test
+        code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# A small pipeline that runs through the ABM on the three-county scenario.
+SMALL_PIPELINE = ["--reps", "1", "--steps", "2", "--initial-infected", "1"]
+
+
+@pytest.fixture(scope="module")
+def three_counties(tmp_path_factory):
+    """The scenario files of `gen-scenario --counties 3` and the manifest of a
+    small synthetic pipeline on it, as bytes by file name."""
+    out = tmp_path_factory.mktemp("three_counties")
+    assert run_cli("gen-scenario", "--counties", "3", "--out", str(out / "scenario")) == 0
+    assert run_cli("pipeline", "--synthetic", "--counties", "3", *SMALL_PIPELINE,
+                   "--out", str(out / "run")) == 0
+    files = {name: (out / "scenario" / name).read_bytes() for name in SCENARIO_FILES}
+    return {**files, "manifest.json": (out / "run" / "manifest.json").read_bytes()}
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pipeline_on_corrupt_scenario_never_tracebacks(tmp_path, three_counties, data):
+    scen = tmp_path / "scenario"
+    scen.mkdir(exist_ok=True)
+    corrupt = data.draw(st.sampled_from(SCENARIO_FILES))
+    for name in SCENARIO_FILES:
+        text = three_counties[name]
+        (scen / name).write_bytes(data.draw(truncated_or_flipped(text)) if name == corrupt else text)
+    assert_exits_cleanly(["pipeline", "--scenario-dir", str(scen), *SMALL_PIPELINE,
+                          "--out", str(tmp_path / "out")])
+
+
+# JSON values a manifest parameter may be replaced with.
+JSON_VALUES = (st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4)
+               | st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def corrupted_manifest(draw, data: bytes) -> bytes:
+    """The manifest `data` truncated or byte-flipped, or with one to three of
+    its parameters given other JSON values."""
+    if draw(st.booleans()):
+        return draw(truncated_or_flipped(data))
+    manifest = json.loads(data)
+    params = manifest["parameters"]
+    for key in draw(st.lists(st.sampled_from(sorted(params)), min_size=1, max_size=3)):
+        params[key] = draw(JSON_VALUES)
+    return json.dumps(manifest).encode()
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pipeline_from_corrupt_manifest_never_tracebacks(tmp_path, three_counties, data):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(data.draw(corrupted_manifest(three_counties["manifest.json"])))
+    assert_exits_cleanly(["pipeline", "--from-manifest", str(path), "--out", str(tmp_path / "out")])

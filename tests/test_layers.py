@@ -8,6 +8,8 @@ every layer.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,24 @@ def test_imports_only_earlier_layers(module):
         if isinstance(node, ast.ImportFrom) and node.level:
             for name in imported_modules(node):
                 assert name in allowed, f"{module}.py:{node.lineno} imports {name}, a later layer"
+
+
+def benchmark_spans():
+    """The spans perfbench/layers.py reports per-layer metrics from, read from
+    its source without running it, plus ``abm.step``, which it also times."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPAN_TOTALS":
+            return sorted({*ast.literal_eval(node.value).values(), "abm.step"})
+    raise AssertionError(f"{source} defines no SPAN_TOTALS")
+
+
+@pytest.mark.parametrize("span", benchmark_spans())
+def test_benchmark_span_names_a_public_function(span):
+    # The benchmark wraps these functions from outside; a renamed or private
+    # one would silently drop its per-layer metric.
+    layer, name = span.split(".")
+    module = importlib.import_module(f"smirsim.{layer}")
+    func = getattr(module, name, None)
+    assert not name.startswith("_") and inspect.isfunction(func), span
+    assert func.__module__ == module.__name__, f"{span} is defined in {func.__module__}"

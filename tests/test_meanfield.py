@@ -168,6 +168,8 @@ class TestIntegrate:
             mf.integrate(p, horizon=0)
         with pytest.raises(InvalidParamsError):
             mf.integrate(p, method="leapfrog")
+        with pytest.raises(InvalidParamsError, match="dt=1e-05"):  # 100,000 steps a day
+            mf.integrate(p, horizon=1, dt=1e-5)
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_batch_rows_equal_single_runs(self, method):

@@ -144,7 +144,6 @@ class TestConfigFile:
             "# synthetic run\n"
             "county_count = 12\n"
             "pop_median = 8000\n"
-            "seed = 4\n"
             "homophily = 0.9\n"
             "edges_per_node = 3\n"
         )
