@@ -224,33 +224,29 @@ def cmd_meanfield(args) -> int:
             if cells > _MAX_RANGE_VALUES:
                 raise InputError(f"--sweep x --grid has {cells} cells, more than {_MAX_RANGE_VALUES}")
             _progress(f"integrating {cells} grid cells")
-            grid = meanfield.sweep_grid(
-                params, alphas, beta_os, horizon=args.horizon, dt=args.dt, method=args.method
-            )
-            grid_path = run.output("grid.csv")
-            b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
-            write_columns(
-                grid_path,
-                ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
-                [m.ravel() for m in (
-                    b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall)],
-            )
-            write_columns(
-                run.output("grid_argmax.csv"),
-                ["beta_o", "argmax_alpha", "max_overall"],
-                [grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)],
-            )
-            if args.svg:
-                for name in ("ordinary", "misinformed", "overall"):
+            with run.stage("integrate"):
+                grid = meanfield.sweep_grid(params, alphas, beta_os, args.horizon, args.dt,
+                                            args.method)
+            with run.stage("write_outputs"):
+                grid_path = run.output("grid.csv")
+                b_cells, a_cells = np.meshgrid(grid.beta_os, grid.alphas, indexing="ij")
+                write_columns(
+                    grid_path,
+                    ["beta_o", "alpha", "ordinary", "misinformed", "overall"],
+                    [m.ravel() for m in (
+                        b_cells, a_cells, grid.ordinary, grid.misinformed, grid.overall)],
+                )
+                write_columns(
+                    run.output("grid_argmax.csv"),
+                    ["beta_o", "argmax_alpha", "max_overall"],
+                    [grid.beta_os, grid.argmax_alpha, grid.overall.max(axis=1)],
+                )
+                for name in ("ordinary", "misinformed", "overall") if args.svg else ():
                     marks = list(zip(grid.argmax_alpha, grid.beta_os)) if name == "overall" else []
                     svgplot.heatmap(
-                        getattr(grid, name).tolist(),
-                        x_ticks=list(grid.alphas),
-                        y_ticks=list(grid.beta_os),
-                        path=run.output(f"grid_{name}.svg"),
-                        title=f"Total infected ({name})",
-                        xlabel="alpha",
-                        ylabel="beta_o",
+                        getattr(grid, name).tolist(), x_ticks=list(grid.alphas),
+                        y_ticks=list(grid.beta_os), path=run.output(f"grid_{name}.svg"),
+                        title=f"Total infected ({name})", xlabel="alpha", ylabel="beta_o",
                         marks=marks,
                     )
             print(f"grid: {len(grid.beta_os)} x {len(grid.alphas)} cells -> {grid_path}")
@@ -258,37 +254,36 @@ def cmd_meanfield(args) -> int:
             name, values = _parse_range(args.sweep, "--sweep")
             _check_output_names(values, "--sweep")
             _progress(f"sweeping {name} over {len(values)} values")
-            trajs = meanfield.integrate_many(
-                [meanfield.apply_param(params, name, v) for v in values],
-                args.horizon, args.dt, args.method,
-            )
-            series = []
-            for v, traj in zip(values, trajs):
-                write_trajectory_csv(traj, run.output(f"trajectories/traj_{name}_{v:g}.csv"))
-                series.append((f"{name}={v:g}", list(traj.days), list(traj.infected)))
-            table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
-            _write_summary_csv(table, run.output("sweep_summary.csv"))
-            if args.svg:
-                svgplot.line_chart(
-                    series, run.output("sweep_infected.svg"),
-                    title="Infected fraction per day", xlabel="day", ylabel="I",
+            with run.stage("integrate"):
+                trajs = meanfield.integrate_many(
+                    [meanfield.apply_param(params, name, v) for v in values],
+                    args.horizon, args.dt, args.method,
                 )
+            table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
+            with run.stage("write_outputs"):
+                for v, traj in zip(values, trajs):
+                    write_trajectory_csv(traj, run.output(f"trajectories/traj_{name}_{v:g}.csv"))
+                _write_summary_csv(table, run.output("sweep_summary.csv"))
+                if args.svg:
+                    svgplot.line_chart(
+                        [(f"{name}={v:g}", list(t.days), list(t.infected))
+                         for v, t in zip(values, trajs)],
+                        run.output("sweep_infected.svg"),
+                        title="Infected fraction per day", xlabel="day", ylabel="I",
+                    )
             _print_summary_table(table)
         else:
-            traj = meanfield.integrate(params, args.horizon, args.dt, args.method)
-            write_trajectory_csv(traj, run.output("trajectory.csv"))
-            if args.svg:
-                days = list(traj.days)
-                svgplot.line_chart(
-                    [
-                        (name, days, list(traj.states[:, i]))
-                        for i, name in enumerate(meanfield.COMPARTMENTS)
-                    ],
-                    run.output("trajectory.svg"),
-                    title="Compartment fractions",
-                    xlabel="day",
-                    ylabel="fraction",
-                )
+            with run.stage("integrate"):
+                traj = meanfield.integrate(params, args.horizon, args.dt, args.method)
+            with run.stage("write_outputs"):
+                write_trajectory_csv(traj, run.output("trajectory.csv"))
+                if args.svg:
+                    svgplot.line_chart(
+                        [(name, list(traj.days), list(traj.states[:, i]))
+                         for i, name in enumerate(meanfield.COMPARTMENTS)],
+                        run.output("trajectory.svg"),
+                        title="Compartment fractions", xlabel="day", ylabel="fraction",
+                    )
             _print_summary_table([("-", 0.0, meanfield.summarize(traj))])
     return 0
 
@@ -408,21 +403,13 @@ def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run):
         )
     with run.stage("expected_edges"):
         e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, nodes.n)
-    abm_cfg = abm.AbmConfig(
-        p_o=cfg.p_o,
-        p_m=cfg.p_m,
-        gamma=cfg.gamma,
-        initial_infected=cfg.initial_infected,
-        steps=cfg.steps,
-        repetitions=cfg.reps,
-    )
+    abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
+                            initial_infected=cfg.initial_infected, steps=cfg.steps,
+                            repetitions=cfg.reps)
     # (stage suffix, network stream, epidemic stream, config) per network built
     if cfg.regen_network:
-        builds = [
-            (f"[rep={rep}]", _STREAM_NET_REP + rep, _STREAM_ABM_REP + rep,
-             replace(abm_cfg, repetitions=1))
-            for rep in range(cfg.reps)
-        ]
+        builds = [(f"[rep={rep}]", _STREAM_NET_REP + rep, _STREAM_ABM_REP + rep,
+                   replace(abm_cfg, repetitions=1)) for rep in range(cfg.reps)]
     else:
         builds = [("", _STREAM_NET, _STREAM_ABM, abm_cfg)]
     parts = []
@@ -464,13 +451,9 @@ def cmd_pipeline(args) -> int:
         if args.svg:
             days = list(result.days)
             svgplot.line_chart(
-                [
-                    ("mean prevalent I", days, list(result.mean("prev_I"))),
-                    ("mean cumulative", days, list(result.mean("cum"))),
-                ],
-                run.output("epidemic.svg"),
-                title="Epidemic course",
-                xlabel="day",
+                [("mean prevalent I", days, list(result.mean("prev_I"))),
+                 ("mean cumulative", days, list(result.mean("cum")))],
+                run.output("epidemic.svg"), title="Epidemic course", xlabel="day",
                 ylabel="individuals",
             )
     print(summary)
@@ -537,10 +520,8 @@ def cmd_sweep(args) -> int:
             svgplot.line_chart(
                 [("mean cumulative infections", [float(v) for v in values],
                   [s["cumulative_final_mean"] for s in summaries])],
-                run.output("sweep_cumulative.svg"),
-                title=f"Cumulative infections vs {args.vary}",
-                xlabel=args.vary,
-                ylabel="individuals",
+                run.output("sweep_cumulative.svg"), title=f"Cumulative infections vs {args.vary}",
+                xlabel=args.vary, ylabel="individuals",
             )
     print(f"{'value':>10}{'misinformed':>14}{'peak_day':>10}{'cum_mean':>14}")
     for v, s in zip(values, summaries):
@@ -556,10 +537,8 @@ def cmd_gen_scenario(args) -> int:
         sc, net = _scenario(None, args.scenario_config, args.counties, args.seed, run)
         run.params = {"counties": sc.n_counties, "seed": args.seed,
                       "scenario_config": args.scenario_config}
-    print(
-        f"scenario: {sc.n_counties} counties, {int(sc.voters.sum())} voters, "
-        f"{net.n_nodes} accounts, {net.n_edges} retweet edges -> {run.out}"
-    )
+    print(f"scenario: {sc.n_counties} counties, {int(sc.voters.sum())} voters, "
+          f"{net.n_nodes} accounts, {net.n_edges} retweet edges -> {run.out}")
     return 0
 
 
@@ -574,10 +553,7 @@ def cmd_inspect(args) -> int:
         by_county = np.bincount(net.county_index, minlength=len(net.county_ids))
         print(f"contact network: {net.n_nodes} nodes, {net.n_edges} edges")
         print(f"mean degree: {net.mean_degree:.3f} (target {net.k_bar})")
-        print(
-            f"misinformed: {net.misinformed_count} "
-            f"({net.misinformed_count / net.n_nodes:.2%})"
-        )
+        print(f"misinformed: {net.misinformed_count} ({net.misinformed_count / net.n_nodes:.2%})")
         print(f"counties: {len(net.county_ids)} (largest block {int(by_county.max())})")
         print(f"build seed: {net.seed}")
         return 0
@@ -588,10 +564,8 @@ def cmd_inspect(args) -> int:
     first = text.splitlines()[0] if text else ""
     if first.startswith("fips,"):
         sc = scenario.load_scenario(path, path.parent / "mobility.csv")
-        print(
-            f"scenario: {sc.n_counties} counties, {int(sc.voters.sum())} voters, "
-            f"{int(sc.twitter_users.sum())} twitter users"
-        )
+        print(f"scenario: {sc.n_counties} counties, {int(sc.voters.sum())} voters, "
+              f"{int(sc.twitter_users.sum())} twitter users")
         return 0
     if first.startswith("day,"):
         rows = text.count("\n") - 1
@@ -610,12 +584,8 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario-config", help="key=value scenario config file (synthetic mode)")
     p.add_argument("--counties", type=int, default=None, help="override synthetic county count")
     p.add_argument("--phi", type=int, default=1, help="linear threshold (misinformed friends)")
-    p.add_argument(
-        "--mode",
-        choices=[infonet.DISTINCT_FRIENDS, infonet.RETWEET_WEIGHTED],
-        default=infonet.DISTINCT_FRIENDS,
-        help="exposure counting mode",
-    )
+    p.add_argument("--mode", choices=[infonet.DISTINCT_FRIENDS, infonet.RETWEET_WEIGHTED],
+                   default=infonet.DISTINCT_FRIENDS, help="exposure counting mode")
     p.add_argument("--sample", type=float, default=0.01, help="per-county sampling fraction")
     p.add_argument("--k-bar", dest="k_bar", type=float, default=25.0, help="target mean degree")
     p.add_argument("--p-o", dest="p_o", type=float, default=0.01)
@@ -624,20 +594,12 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--initial-infected", type=int, default=100)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument(
-        "--regen-network",
-        action="store_true",
-        help="rebuild the contact network for every repetition",
-    )
+    p.add_argument("--regen-network", action="store_true",
+                   help="rebuild the contact network for every repetition")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--svg", action="store_true", help="emit SVG plots")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument(
-        "--from-manifest",
-        dest="from_manifest",
-        default=None,
-        help="rerun with the parameters recorded in a manifest.json",
-    )
+    p.add_argument("--from-manifest", help="rerun with the parameters recorded in a manifest.json")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,8 @@ forward-Euler update (``method="euler"``, ``dt=1.0``), i.e. a discrete-time
 daily epidemic map; this is the engine's reference configuration and what
 the headline peak-day and attack-rate numbers are quoted from. Classical
 RK4 at ``dt=0.01`` is available behind ``method="rk4"`` for analysis-grade
-accuracy; the two agree qualitatively everywhere we sweep.
+accuracy; the two agree qualitatively everywhere we sweep. A batch steps in
+lockstep and in place: a step costs the same NumPy calls for any row count.
 
 Daily infected curves report prevalence (the fraction currently infected),
 not incidence.
@@ -131,24 +132,44 @@ def initial_state(params: MeanFieldParams) -> MeanFieldState:
     return MeanFieldState(s_o, eps / 2, 0.0, s_m, eps / 2, 0.0)
 
 
-def _rhs(y: np.ndarray, beta_o, beta_m, gamma, alpha) -> np.ndarray:
-    """Time derivatives for a batch of packed states, shape (..., 6).
+def _blocks(packed: np.ndarray) -> np.ndarray:
+    """The compartment-major view (S/I/R, O/M, ...) of packed states (..., 6)."""
+    return np.moveaxis(packed.reshape(*packed.shape[:-1], 2, 3), (-1, -2), (0, 1))
 
-    The rate parameters broadcast against the leading batch dimensions, so a
-    whole parameter sweep integrates in lockstep.
+
+def _rates(params_seq: Sequence[MeanFieldParams]) -> tuple[np.ndarray, ...]:
+    """(2 beta, alpha, 1 - alpha, gamma) of a batch, each (O/M, row)."""
+    two_beta_o, two_beta_m, alpha, alpha_c, gamma = np.array(
+        [(2.0 * p.beta_o, 2.0 * p.beta_m, p.alpha, 1.0 - p.alpha, p.gamma) for p in params_seq]
+    ).T
+    return np.stack([two_beta_o, two_beta_m]), *(np.stack([v, v]) for v in (alpha, alpha_c, gamma))
+
+
+def _flow(y: np.ndarray, k: np.ndarray, rates: tuple[np.ndarray, ...]):
+    """A function writing the time derivatives of the compartment-major batch
+    `y` (S/I/R, O/M, row) into `k`, allocating nothing. One set of ops serves
+    both groups: the other group's infected are ``I`` with the group axis
+    reversed. Each element sees the equations' operations in their written
+    order (the misinformed mix adds its terms swapped, and float addition
+    commutes exactly), so the result is bit-identical to them term by term.
     """
-    force_o = 2.0 * beta_o * y[..., S_O] * (alpha * y[..., I_O] + (1.0 - alpha) * y[..., I_M])
-    force_m = 2.0 * beta_m * y[..., S_M] * ((1.0 - alpha) * y[..., I_O] + alpha * y[..., I_M])
-    rec_o = gamma * y[..., I_O]
-    rec_m = gamma * y[..., I_M]
-    out = np.empty_like(y)
-    out[..., S_O] = -force_o
-    out[..., I_O] = force_o - rec_o
-    out[..., R_O] = rec_o
-    out[..., S_M] = -force_m
-    out[..., I_M] = force_m - rec_m
-    out[..., R_M] = rec_m
-    return out
+    two_beta, alpha, alpha_c, gamma = rates
+    s, i = y[0], y[1]
+    i_other = i[::-1]
+    d_s, d_i, d_r = k
+    mix = np.empty_like(s)
+
+    def flow():
+        np.multiply(alpha, i, mix)
+        np.multiply(alpha_c, i_other, d_r)
+        np.add(mix, d_r, mix)
+        np.multiply(two_beta, s, d_s)
+        np.multiply(d_s, mix, d_s)  # the force of infection
+        np.multiply(gamma, i, d_r)  # recoveries
+        np.subtract(d_s, d_r, d_i)
+        np.negative(d_s, d_s)
+
+    return flow
 
 
 def derivatives(state: MeanFieldState, params: MeanFieldParams) -> np.ndarray:
@@ -157,8 +178,10 @@ def derivatives(state: MeanFieldState, params: MeanFieldParams) -> np.ndarray:
     The six components sum to zero: the system only moves mass between
     compartments.
     """
-    y = np.asarray(state, dtype=float)
-    return _rhs(y, params.beta_o, params.beta_m, params.gamma, params.alpha)
+    y = np.array([state], dtype=float)
+    k = np.empty_like(y)
+    _flow(_blocks(y), _blocks(k), _rates([params]))()
+    return k[0]
 
 
 @dataclass(frozen=True)
@@ -239,26 +262,49 @@ def integrate_many(
     if horizon < 1:
         raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
     dt, steps_per_day = _resolve_step(dt, method)
-    y = np.array([initial_state(p) for p in params_seq], dtype=float)
-    rates = np.array([(p.beta_o, p.beta_m, p.gamma, p.alpha) for p in params_seq]).T
+    initial = np.array([initial_state(p) for p in params_seq], dtype=float)
     states = np.empty((len(params_seq), horizon + 1, 6))
-    states[:, 0] = y
-    for day in range(horizon):
+    states[:, 0] = initial
+    days = _blocks(states)  # (S/I/R, O/M, row, day) view of `states`
+    # The batch steps compartment-major, in place: the stage buffers and their
+    # views are made once, and each step is a fixed list of ufunc calls.
+    y = _blocks(initial).copy()
+    rates = _rates(params_seq)
+    k1, k2, k3, k4, z, acc = (np.empty_like(y) for _ in range(6))
+    f1 = _flow(y, k1, rates)
+    if method == "euler":
+        def step():
+            f1()
+            np.multiply(dt, k1, z)
+            np.add(y, z, y)
+    else:
+        f2, f3, f4 = (_flow(z, k, rates) for k in (k2, k3, k4))
+        stages = ((0.5 * dt, k1, f2), (0.5 * dt, k2, f3), (dt, k3, f4))
+        sixth = dt / 6.0
+
+        def step():  # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
+            f1()
+            for h, k, f in stages:  # the next stage, at y + h k
+                np.multiply(h, k, z)
+                np.add(y, z, z)
+                f()
+            np.multiply(2.0, k2, acc)
+            np.add(k1, acc, acc)
+            np.multiply(2.0, k3, z)
+            np.add(acc, z, acc)
+            np.add(acc, k4, acc)
+            np.multiply(sixth, acc, acc)
+            np.add(y, acc, y)
+
+    for day in range(1, horizon + 1):
         for _ in range(steps_per_day):
-            if method == "euler":
-                y = y + dt * _rhs(y, *rates)
-            else:
-                k1 = _rhs(y, *rates)
-                k2 = _rhs(y + 0.5 * dt * k1, *rates)
-                k3 = _rhs(y + 0.5 * dt * k2, *rates)
-                k4 = _rhs(y + dt * k3, *rates)
-                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[:, day + 1] = y
-        in_bounds = np.isfinite(y) & (y >= -_BOUND_TOL) & (y <= 1 + _BOUND_TOL)
+            step()
+        days[..., day] = y
+        in_bounds = (np.isfinite(y) & (y >= -_BOUND_TOL) & (y <= 1 + _BOUND_TOL)).all(axis=(0, 1))
         if not in_bounds.all():
-            row = int(np.argmin(in_bounds.all(axis=1)))
+            row = int(np.argmin(in_bounds))
             raise NonfiniteStateError(
-                f"compartment left [0, 1] on day {day + 1} for {params_seq[row]} "
+                f"compartment left [0, 1] on day {day} for {params_seq[row]} "
                 f"(method={method}, dt={dt}); reduce dt or check parameters"
             )
     return [
@@ -320,22 +366,19 @@ def summarize(traj: Trajectory) -> TrajectorySummary:
     )
 
 
-#: Parameter names accepted by sweep(); "tau" sets gamma = 1/tau.
-SWEEPABLE = ("lambda", "alpha", "beta_o", "tau")
+# Parameter names accepted by sweep() and the field each sets; "tau" sets gamma = 1/tau.
+_SWEPT_FIELDS = {"lambda": "lam", "alpha": "alpha", "beta_o": "beta_o", "tau": "gamma"}
+SWEEPABLE = tuple(_SWEPT_FIELDS)
 
 
 def apply_param(params: MeanFieldParams, name: str, value: float) -> MeanFieldParams:
-    if name == "lambda":
-        return replace(params, lam=value)
-    if name == "alpha":
-        return replace(params, alpha=value)
-    if name == "beta_o":
-        return replace(params, beta_o=value)
+    if name not in _SWEPT_FIELDS:
+        raise InvalidParamsError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
     if name == "tau":
         if value <= 0:
             raise InvalidParamsError(f"tau must be > 0, got {value}")
-        return replace(params, gamma=1.0 / value)
-    raise InvalidParamsError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
+        value = 1.0 / value
+    return replace(params, **{_SWEPT_FIELDS[name]: value})
 
 
 def sweep(
@@ -384,8 +427,9 @@ def sweep_grid(
 ) -> HomophilyGrid:
     """Total-infected surfaces over the full alpha x beta_o grid.
 
-    The whole grid is integrated as one batch, so a 21 x 13 grid costs about
-    as much as a dozen single trajectories.
+    The whole grid is one lockstep batch: at rk4 over 100 days a 21 x 13 grid
+    costs under two single trajectories (0.44-0.61 s against 0.32-0.35 s on a
+    2-vCPU VM).
     """
     alphas = np.asarray(list(alphas), dtype=float)
     beta_os = np.asarray(list(beta_os), dtype=float)
@@ -401,11 +445,5 @@ def sweep_grid(
     overall = ord_total + mis_total
     ordinary = ord_total / mu if mu > 0 else np.zeros(shape)
     misinformed = mis_total / (1.0 - mu) if mu < 1 else np.zeros(shape)
-    return HomophilyGrid(
-        beta_os=beta_os,
-        alphas=alphas,
-        ordinary=ordinary,
-        misinformed=misinformed,
-        overall=overall,
-        argmax_alpha=alphas[np.argmax(overall, axis=1)],
-    )
+    return HomophilyGrid(beta_os=beta_os, alphas=alphas, ordinary=ordinary, misinformed=misinformed,
+                         overall=overall, argmax_alpha=alphas[np.argmax(overall, axis=1)])

@@ -15,7 +15,9 @@ from itertools import product
 import numpy as np
 
 from smirsim import abm, infonet
+from smirsim import meanfield as mf
 from smirsim.contactnet import ContactNetwork
+from smirsim.errors import NonfiniteStateError
 from smirsim.scenario import Scenario, derive_seed
 
 
@@ -223,6 +225,53 @@ def mean_field_map(n, p, gamma, initial, days) -> tuple[np.ndarray, np.ndarray]:
         prevalence.append(i)
         sd.append(np.sqrt(cov[1, 1]))
     return np.array(prevalence), np.array(sd)
+
+
+def reference_rhs(y: np.ndarray, beta_o, beta_m, gamma, alpha) -> np.ndarray:
+    """Time derivatives of packed mean-field states, shape (..., 6), written
+    straight from the equations; the rates broadcast against the batch."""
+    force_o = 2.0 * beta_o * y[..., mf.S_O] * (alpha * y[..., mf.I_O] + (1.0 - alpha) * y[..., mf.I_M])
+    force_m = 2.0 * beta_m * y[..., mf.S_M] * ((1.0 - alpha) * y[..., mf.I_O] + alpha * y[..., mf.I_M])
+    rec_o = gamma * y[..., mf.I_O]
+    rec_m = gamma * y[..., mf.I_M]
+    out = np.empty_like(y)
+    out[..., mf.S_O] = -force_o
+    out[..., mf.I_O] = force_o - rec_o
+    out[..., mf.R_O] = rec_o
+    out[..., mf.S_M] = -force_m
+    out[..., mf.I_M] = force_m - rec_m
+    out[..., mf.R_M] = rec_m
+    return out
+
+
+def reference_integrate(params_seq, horizon: int, dt: float, method: str) -> np.ndarray:
+    """States (rows, horizon + 1, 6) of a lockstep batch, stepped with fresh
+    arrays per stage from the packed layout: the integrator `integrate_many`
+    must match bit for bit. Raises the same NonfiniteStateError on the same
+    row and day."""
+    y = np.array([mf.initial_state(p) for p in params_seq], dtype=float)
+    rates = np.array([(p.beta_o, p.beta_m, p.gamma, p.alpha) for p in params_seq]).T
+    states = np.empty((len(params_seq), horizon + 1, 6))
+    states[:, 0] = y
+    for day in range(horizon):
+        for _ in range(round(1.0 / dt)):
+            if method == "euler":
+                y = y + dt * reference_rhs(y, *rates)
+            else:
+                k1 = reference_rhs(y, *rates)
+                k2 = reference_rhs(y + 0.5 * dt * k1, *rates)
+                k3 = reference_rhs(y + 0.5 * dt * k2, *rates)
+                k4 = reference_rhs(y + dt * k3, *rates)
+                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[:, day + 1] = y
+        in_bounds = np.isfinite(y) & (y >= -1e-9) & (y <= 1 + 1e-9)
+        if not in_bounds.all():
+            row = int(np.argmin(in_bounds.all(axis=1)))
+            raise NonfiniteStateError(
+                f"compartment left [0, 1] on day {day + 1} for {params_seq[row]} "
+                f"(method={method}, dt={dt}); reduce dt or check parameters"
+            )
+    return states
 
 
 def reference_account_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smirsim import contactnet, meanfield, scenario
-from smirsim.cli import main, write_trajectory_csv
+from smirsim.cli import _Run, main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
 
 
@@ -401,6 +401,35 @@ class TestRunRecord:
         assert outputs == written
         assert str(out / "rows" / "phi_3" / "contactnet.bin") in outputs
 
+    @pytest.mark.parametrize("mode", [
+        [], ["--sweep", "lambda=1:3:1"], ["--sweep", "alpha=0.5:1:0.25", "--grid", "beta-o=0.1:0.3:0.1"],
+    ], ids=["single", "sweep", "grid"])
+    def test_meanfield_names_every_output_inside_a_stage(self, tmp_path, monkeypatch, mode):
+        open_stages, outside = [], []
+        stage, output = _Run.stage, _Run.output
+
+        @contextlib.contextmanager
+        def tracked_stage(self, name):
+            with stage(self, name):
+                open_stages.append(name)
+                try:
+                    yield
+                finally:
+                    open_stages.pop()
+
+        def tracked_output(self, name):
+            if not open_stages:
+                outside.append(name)
+            return output(self, name)
+
+        monkeypatch.setattr(_Run, "stage", tracked_stage)
+        monkeypatch.setattr(_Run, "output", tracked_output)
+        out = tmp_path / "m"
+        assert run_cli("meanfield", "--horizon", "5", *mode, "--svg", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["name"] for s in manifest["stages"]] == ["integrate", "write_outputs"]
+        assert manifest["outputs"] and outside == []
+
     def test_out_of_memory_in_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
             raise MemoryError("Unable to allocate 7.45 GiB")
@@ -415,9 +444,18 @@ class TestRunRecord:
         def exhausted(*args):
             raise MemoryError()
 
+        # The summary printed after the stages is computed outside any stage.
+        monkeypatch.setattr(meanfield, "summarize", exhausted)
+        assert run_cli("meanfield", "--horizon", "2", "--out", str(tmp_path / "m")) == 3
+        assert capsys.readouterr().err.endswith("numeric failure: out of memory\n")
+
+    def test_meanfield_out_of_memory_names_the_integrate_stage(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
         monkeypatch.setattr(meanfield, "integrate", exhausted)
         assert run_cli("meanfield", "--out", str(tmp_path / "m")) == 3
-        assert capsys.readouterr().err == "numeric failure: out of memory\n"
+        assert capsys.readouterr().err.endswith("numeric failure: stage integrate: out of memory\n")
 
     def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "p"
@@ -444,7 +482,7 @@ class TestRunRecord:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest.keys() == MANIFEST_KEYS
         assert manifest["subcommand"] == argv[0]
-        assert (manifest["stages"] == []) == (argv[0] == "meanfield")
+        assert manifest["stages"], "every command records its stages"
 
 
 class TestOtherCommands:
@@ -772,3 +810,43 @@ def test_pipeline_from_corrupt_manifest_never_tracebacks(tmp_path, three_countie
     path = tmp_path / "manifest.json"
     path.write_bytes(data.draw(corrupted_manifest(three_counties["manifest.json"])))
     assert_exits_cleanly(["pipeline", "--from-manifest", str(path), "--out", str(tmp_path / "out")])
+
+
+# Values a meanfield flag or range bound may take: half of the draws valid
+# for most flags, half out of range, tiny, huge or non-finite.
+FUZZ_VALID = ("0.25", "0.5", "0.75", "1", "2")
+FUZZ_ODD = ("0", "-1", "1e-300", "1e300", "nan", "inf", "-inf")
+fuzz_number = st.sampled_from(FUZZ_VALID) | st.sampled_from(FUZZ_ODD)
+MEANFIELD_FLAGS = ("--beta-o", "--gamma", "--lambda", "--mu", "--alpha", "--epsilon", "--dt")
+
+
+@st.composite
+def range_spec(draw, names) -> str:
+    """A --sweep/--grid value: a name (mostly one of `names`) and either an
+    ordered START:STOP:STEP or one to four arbitrary parts."""
+    name = draw(st.sampled_from(names) | st.sampled_from(["lambda", "tau", "gamma", ""]))
+    if draw(st.booleans()):
+        start, stop = sorted(draw(st.lists(st.sampled_from(FUZZ_VALID), min_size=2, max_size=2)),
+                             key=float)
+        parts = [start, stop, draw(st.sampled_from(FUZZ_VALID))]
+    else:
+        parts = draw(st.lists(fuzz_number | st.just("x"), min_size=1, max_size=4))
+    return f"{name}={':'.join(parts)}"
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_meanfield_flag_values_never_traceback(tmp_path, data):
+    argv = ["meanfield", "--horizon", str(data.draw(st.integers(-1, 5))),
+            "--method", data.draw(st.sampled_from(["euler", "rk4"]))]
+    for flag in data.draw(st.lists(st.sampled_from(MEANFIELD_FLAGS), max_size=3, unique=True)):
+        argv.append(f"{flag}={data.draw(fuzz_number)}")  # "--x -inf" would read as two flags
+    mode = data.draw(st.sampled_from(["single", "sweep", "grid"]))
+    if mode == "sweep":
+        argv.append(f"--sweep={data.draw(range_spec(['lambda', 'alpha', 'beta-o', 'tau']))}")
+    if mode == "grid":
+        argv.append(f"--sweep={data.draw(range_spec(['alpha']))}")
+        argv.append(f"--grid={data.draw(range_spec(['beta-o']))}")
+    if data.draw(st.booleans()):
+        argv.append("--svg")
+    assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])

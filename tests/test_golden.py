@@ -45,6 +45,22 @@ GOLDEN = {
                 "3d124c6085c1759e15b21ab3cf7cb52a31dbff7d4ca850f1cd168e13d9bbb8d6",
         },
     ),
+    # The benchmark's first meanfield command: rk4 trajectories pinned day by
+    # day, not just the final states a grid keeps.
+    "meanfield rk4 sweep": (
+        ["meanfield", "--beta-o", "0.3", "--gamma", "0.2", "--alpha", "0.75",
+         "--method", "rk4", "--sweep", "lambda=1:5:2"],
+        {
+            "sweep_summary.csv":
+                "ed7c9572277d17da2375ef2023521d9f5ead2ae1d741eef152d0c97720b1ce94",
+            "trajectories/traj_lambda_1.csv":
+                "7432e927d9e1cd45ff2cd0cd408746d46f8cfc9f99ff3260be1a7353b3e2d0d6",
+            "trajectories/traj_lambda_3.csv":
+                "66f3bc77150737bc5a15deddca604206af9f1191f2d2ff0adcdab53bf496aade",
+            "trajectories/traj_lambda_5.csv":
+                "d9651f2d361fa16ce085e55ab49ff174c99845a81d82571c22e7d23453fd5df8",
+        },
+    ),
     "meanfield rk4 grid": (
         ["meanfield", "--lambda", "3", "--method", "rk4",
          "--sweep", "alpha=0.5:1:0.25", "--grid", "beta-o=0.1:0.3:0.1", "--svg"],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_integrate, reference_rhs
 
 from smirsim import meanfield as mf
 from smirsim.errors import InvalidParamsError, NonfiniteStateError
@@ -190,6 +193,63 @@ class TestIntegrate:
     def test_euler_blowup_raises(self):
         with pytest.raises(NonfiniteStateError):
             mf.integrate(mf.MeanFieldParams(beta_o=2.0, gamma=0.2), horizon=50, method="euler")
+
+
+@st.composite
+def mf_params(draw, max_beta=3.0, max_gamma=2.0, max_lam=6.0):
+    """Valid parameters, edges included: alpha in {0.5, 1}, mu in {0, 1}, epsilon 0."""
+    return mf.MeanFieldParams(
+        beta_o=draw(st.floats(0.01, max_beta)),
+        gamma=draw(st.floats(0.01, max_gamma)),
+        lam=draw(st.floats(1.0, max_lam)),
+        mu=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)),
+        alpha=draw(st.sampled_from([0.5, 1.0]) | st.floats(0.5, 1.0)),
+        epsilon=draw(st.just(0.0) | st.floats(0.0, 0.09)),
+    )
+
+
+def integrated_or_error(integrate, batch, horizon, dt, method):
+    """The (rows, horizon + 1, 6) states as uint64 bits, or the error text."""
+    try:
+        return integrate(batch, horizon, dt, method).view(np.uint64).tolist()
+    except NonfiniteStateError as e:
+        return str(e)
+
+
+def states_of(batch, horizon, dt, method):
+    return np.array([t.states for t in mf.integrate_many(batch, horizon, dt, method)])
+
+
+class TestAgainstReferenceLoop:
+    """The in-place compartment-major stepping equals the plain packed loop
+    of tests/oracles.py bit for bit, and fails on the same row and day."""
+
+    @settings(max_examples=150)
+    @given(st.lists(mf_params(), min_size=1, max_size=40), st.sampled_from(["euler", "rk4"]),
+           st.sampled_from([1.0, 0.5, 0.1, 0.01]), st.integers(1, 3))
+    def test_integrate_many_is_bit_identical(self, batch, method, dt, horizon):
+        assert integrated_or_error(states_of, batch, horizon, dt, method) == \
+            integrated_or_error(reference_integrate, batch, horizon, dt, method)
+
+    # Daily Euler keeps these rows in [0, 1]: 2 beta_m <= 0.9 and gamma <= 1.
+    @settings(max_examples=50)
+    @given(st.lists(mf_params(max_beta=0.3, max_gamma=1.0, max_lam=1.5), max_size=10), st.data())
+    def test_a_diverging_row_raises_the_reference_error(self, stable, data):
+        diverging = mf.MeanFieldParams(beta_o=2.0, gamma=0.2, lam=data.draw(st.floats(1.0, 3.0)))
+        batch = list(stable)
+        batch.insert(data.draw(st.integers(0, len(batch))), diverging)
+        with pytest.raises(NonfiniteStateError) as got:
+            mf.integrate_many(batch, 50, 1.0, "euler")
+        with pytest.raises(NonfiniteStateError) as expected:
+            reference_integrate(batch, 50, 1.0, "euler")
+        assert str(got.value) == str(expected.value)
+        assert f"for {diverging} " in str(got.value)
+
+    @given(st.lists(st.floats(-1.0, 2.0), min_size=6, max_size=6), mf_params())
+    def test_derivatives_are_bit_identical(self, values, p):
+        state = mf.MeanFieldState(*values)
+        expected = reference_rhs(np.asarray(state, dtype=float), p.beta_o, p.beta_m, p.gamma, p.alpha)
+        assert mf.derivatives(state, p).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestSummarize:
