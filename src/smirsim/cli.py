@@ -391,10 +391,10 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
     return sc, net
 
 
-def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run):
+def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run, summary_json=False, svg=False) -> dict:
     """Spread -> sample -> build -> simulate on the scenario `sc` and its
-    infonet `net`; saves contactnet.bin and result.csv as outputs of `run` and
-    returns (contact_net, result)."""
+    infonet `net`; saves contactnet.bin and result.csv (and summary.json and
+    epidemic.svg, if asked) as outputs of `run` and returns the summary."""
     with run.stage("spread_misinformation"):
         labeling = infonet.spread_misinformation(net, cfg.phi, cfg.mode)
     with run.stage("sample_population"):
@@ -421,14 +421,7 @@ def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run):
         with run.stage(f"abm{suffix}"):
             parts.append(abm.run(cnet, run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
     result = abm.merge_results(parts)
-    with run.stage("write_outputs"):
-        contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
-        abm.write_result_csv(result, run.output("result.csv"))
-    return cnet, result
-
-
-def _result_summary(cnet, result) -> dict:
-    return {
+    summary = {
         "n_nodes": cnet.n_nodes,
         "n_edges": cnet.n_edges,
         "mean_degree": round(cnet.mean_degree, 6),
@@ -439,16 +432,12 @@ def _result_summary(cnet, result) -> dict:
         "cumulative_final_mean": result.cumulative_final_mean,
         "cumulative_final_std": result.cumulative_final_std,
     }
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _pipeline_config(args)
-    with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
-        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        cnet, result = _run_pipeline(cfg, sc, net, run)
-        summary = json.dumps(_result_summary(cnet, result), indent=2, sort_keys=True)
-        run.output("summary.json").write_text(summary + "\n")
-        if args.svg:
+    with run.stage("write_outputs"):
+        contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
+        abm.write_result_csv(result, run.output("result.csv"))
+        if summary_json:
+            run.output("summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        if svg:
             days = list(result.days)
             svgplot.line_chart(
                 [("mean prevalent I", days, list(result.mean("prev_I"))),
@@ -456,7 +445,15 @@ def cmd_pipeline(args) -> int:
                 run.output("epidemic.svg"), title="Epidemic course", xlabel="day",
                 ylabel="individuals",
             )
-    print(summary)
+    return summary
+
+
+def cmd_pipeline(args) -> int:
+    cfg = _pipeline_config(args)
+    with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
+        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+        summary = _run_pipeline(cfg, sc, net, run, summary_json=True, svg=args.svg)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -475,9 +472,9 @@ def _sweep_row(cfg: PipelineConfig, sc, net, vary: str, out: Path, value):
     stage named under the row's directory."""
     field = vary.replace("-", "_")
     row = _Run(out / "rows" / f"{field}_{value:g}")
-    cnet, result = _run_pipeline(replace(cfg, **{field: value}), sc, net, row)
+    summary = _run_pipeline(replace(cfg, **{field: value}), sc, net, row)
     stages = [{**s, "name": f"{row.out.name}/{s['name']}"} for s in row.stages]
-    return _result_summary(cnet, result), stages, row.outputs
+    return summary, stages, row.outputs
 
 
 def cmd_sweep(args) -> int:
@@ -509,20 +506,22 @@ def cmd_sweep(args) -> int:
             "n_nodes", "misinformed_nodes", "misinformed_fraction", "peak_day_mean",
             "peak_height_mean", "cumulative_final_mean", "cumulative_final_std",
         ]
-        write_columns(
-            run.output("sweep_summary.csv"),
-            ["vary", "value", *columns, "relative_increase_vs_baseline"],
-            [np.array([args.vary] * len(values)), np.array(values, dtype=float),
-             *(np.array([s[c] for s in summaries]) for c in columns),
-             (cum - base) / base if base > 0 else np.zeros(len(values))],
-        )
-        if args.svg:
-            svgplot.line_chart(
-                [("mean cumulative infections", [float(v) for v in values],
-                  [s["cumulative_final_mean"] for s in summaries])],
-                run.output("sweep_cumulative.svg"), title=f"Cumulative infections vs {args.vary}",
-                xlabel=args.vary, ylabel="individuals",
+        with run.stage("write_outputs"):
+            write_columns(
+                run.output("sweep_summary.csv"),
+                ["vary", "value", *columns, "relative_increase_vs_baseline"],
+                [np.array([args.vary] * len(values)), np.array(values, dtype=float),
+                 *(np.array([s[c] for s in summaries]) for c in columns),
+                 (cum - base) / base if base > 0 else np.zeros(len(values))],
             )
+            if args.svg:
+                svgplot.line_chart(
+                    [("mean cumulative infections", [float(v) for v in values],
+                      [s["cumulative_final_mean"] for s in summaries])],
+                    run.output("sweep_cumulative.svg"),
+                    title=f"Cumulative infections vs {args.vary}", xlabel=args.vary,
+                    ylabel="individuals",
+                )
     print(f"{'value':>10}{'misinformed':>14}{'peak_day':>10}{'cum_mean':>14}")
     for v, s in zip(values, summaries):
         print(

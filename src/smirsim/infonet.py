@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NoScoredNodesError, ParseError, ValidationError
-from .tables import FLOAT_OR_NAN, has_duplicates, lookup, read_columns, write_columns
+from .tables import FLOAT_OR_NAN, ID, has_duplicates, lookup, read_columns, write_columns
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -141,9 +141,7 @@ def spread_misinformation(
         np.add.at(exposure, net.edge_dst[from_seed], 1)
     else:
         np.add.at(exposure, net.edge_dst[from_seed], net.edge_weight[from_seed])
-    return MisinfoLabeling(
-        phi=int(phi), mode=mode, misinformed=net.seed | (exposure >= phi)
-    )
+    return MisinfoLabeling(phi=int(phi), mode=mode, misinformed=net.seed | (exposure >= phi))
 
 
 def propagate_alignment(net: InfoNetwork, max_rounds: int = 100) -> InfoNetwork:
@@ -298,30 +296,17 @@ def generate_synthetic_infonet(
         dst = (uniq % np.uint64(n)).astype(np.int64)
         w = w_agg
 
-    return InfoNetwork(
-        ids=np.arange(n, dtype=np.int64),
-        county=county,
-        alignment=alignment,
-        seed=seeds,
-        edge_src=src,
-        edge_dst=dst,
-        edge_weight=w,
-    )
+    return InfoNetwork(ids=np.arange(n, dtype=np.int64), county=county, alignment=alignment,
+                       seed=seeds, edge_src=src, edge_dst=dst, edge_weight=w)
 
 
 def save_infonet(net: InfoNetwork, nodes_path, edges_path) -> None:
     """Write the node and edge tables in the documented CSV contract; an
     unknown alignment score is an empty cell."""
-    write_columns(
-        nodes_path,
-        ["id", "county_fips", "alignment", "misinformed_seed"],
-        [net.ids, net.county, net.alignment, net.seed.astype(np.int64)],
-    )
-    write_columns(
-        edges_path,
-        ["src", "dst", "weight"],
-        [net.ids[net.edge_src], net.ids[net.edge_dst], net.edge_weight],
-    )
+    write_columns(nodes_path, ["id", "county_fips", "alignment", "misinformed_seed"],
+                  [net.ids, net.county, net.alignment, net.seed.astype(np.int64)])
+    write_columns(edges_path, ["src", "dst", "weight"],
+                  [net.ids[net.edge_src], net.ids[net.edge_dst], net.edge_weight])
 
 
 def load_infonet(nodes_path, edges_path) -> InfoNetwork:
@@ -331,19 +316,12 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     Edge rows: src, dst, weight, referring to node ids.
     """
     (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
-    (src, dst, weight), lines = read_columns(edges_path, (str, str, int))
+    (src, dst, weight), lines = read_columns(edges_path, (ID, ID, int))
     edge_src, edge_dst = lookup(ids, src), lookup(ids, dst)
     unknown = (edge_src < 0) | (edge_dst < 0)
     if unknown.any():
         row = int(np.argmax(unknown))
         name = str(src[row] if edge_src[row] < 0 else dst[row])
         raise ParseError(edges_path, int(lines[row]), f"unknown node id {name!r}")
-    return InfoNetwork(
-        ids=ids,
-        county=county,
-        alignment=alignment,
-        seed=seed != 0,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_weight=weight,
-    )
+    return InfoNetwork(ids=ids, county=county, alignment=alignment, seed=seed != 0,
+                       edge_src=edge_src, edge_dst=edge_dst, edge_weight=weight)

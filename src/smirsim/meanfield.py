@@ -72,12 +72,12 @@ class MeanFieldParams:
     epsilon: float = 0.001
 
     def __post_init__(self):
-        if not (self.beta_o > 0):
-            raise InvalidParamsError(f"beta_o must be > 0, got {self.beta_o}")
-        if not (self.gamma > 0):
-            raise InvalidParamsError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.lam >= 1):
-            raise InvalidParamsError(f"lam must be >= 1, got {self.lam}")
+        if not (0 < self.beta_o < np.inf):
+            raise InvalidParamsError(f"beta_o must be finite and > 0, got {self.beta_o}")
+        if not (0 < self.gamma < np.inf):
+            raise InvalidParamsError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not (1 <= self.lam < np.inf):
+            raise InvalidParamsError(f"lambda must be finite and >= 1, got {self.lam}")
         if not (0.5 <= self.alpha <= 1):
             raise InvalidParamsError(f"alpha must be in [0.5, 1], got {self.alpha}")
         if not (0 <= self.mu <= 1):

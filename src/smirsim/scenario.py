@@ -143,13 +143,8 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
             f"mobility asymmetry of {asym.max() / scale:.1%} symmetrized by averaging",
             stacklevel=2,
         )
-    return Scenario(
-        county_ids=fips,
-        voters=voters,
-        republican_share=share,
-        twitter_users=users,
-        mobility=MobilityMatrix(county_ids=fips, values=l_matrix),
-    )
+    return Scenario(county_ids=fips, voters=voters, republican_share=share, twitter_users=users,
+                    mobility=MobilityMatrix(county_ids=fips, values=l_matrix))
 
 
 def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
@@ -303,14 +298,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
     mobility = generate_synthetic_mobility(
         county_ids, voters, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)
     )
-    scenario = Scenario(
-        county_ids=county_ids,
-        voters=voters,
-        republican_share=share,
-        twitter_users=users,
-        mobility=mobility,
-    )
-    net = generate_synthetic_infonet(
-        scenario, cfg.info, derive_seed(cfg.seed, _STREAM_INFONET)
-    )
+    scenario = Scenario(county_ids=county_ids, voters=voters, republican_share=share,
+                        twitter_users=users, mobility=mobility)
+    net = generate_synthetic_infonet(scenario, cfg.info, derive_seed(cfg.seed, _STREAM_INFONET))
     return scenario, net

@@ -15,9 +15,13 @@ printable ASCII, tabs and ``\n`` or ``\r\n`` line ends, with no ``"`` and
 no very long line, is parsed in bulk by NumPy's C reader instead, where
 ``csv`` and that reader split cells alike; any error or warning from the
 bulk parse sends the file to the row path, which accepts or rejects it, so
-the bulk parse never widens what a table may hold. ``lookup`` (where is each id) and ``has_duplicates``
-(is an id repeated) answer the loaders' and value objects' key questions by
-sorting, not by dicts or hashing.
+the bulk parse never widens what a table may hold. An ``ID`` column holds
+ids: when every cell of its table is a canonical decimal (digits, no sign,
+space or leading zero, within int64), the table is parsed once as int64,
+else the ids are text. ``lookup`` (where is each id) and ``has_duplicates``
+(is an id repeated) match canonical decimal ids as integers, through a dense
+table where they span a small range, and any other id as text, so "007" is
+never "7".
 """
 
 from __future__ import annotations
@@ -34,9 +38,13 @@ from .errors import ParseError
 
 # A column kind beside str, int and float: float(), with an empty cell NaN.
 FLOAT_OR_NAN = "float or NaN"
+# A column kind for ids: int64 if the table is all canonical decimals, else str.
+ID = "id"
 _DTYPE = {str: str, int: np.int64, float: np.float64, FLOAT_OR_NAN: np.float64}
 # Bytes whose cells csv.reader and np.loadtxt split and strip alike.
 _BULK_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n\r"
+# A non-negative int64 v has one decimal digit more than the entries of _POW10 it reaches.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _int64(cell: str) -> int:
@@ -104,32 +112,55 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
 
     `kinds` gives each column's kind: ``str`` (the cell text, a ``<U``
     array as wide as its longest cell), ``int`` (int64), ``float`` or
-    ``FLOAT_OR_NAN`` (float64). The line numbers let
-    callers name the line of a row that fails a later check. The header
-    row is required and skipped; blank rows are skipped; a row with other
-    than ``len(kinds)`` cells, a cell that does not convert and text that
-    is not UTF-8 raise ``ParseError``.
+    ``FLOAT_OR_NAN`` (float64), or ``ID`` (int64 if the table has only ``ID``
+    and ``int`` columns and every cell is a canonical decimal, else ``str``).
+    The line numbers let callers name the line of a row that fails a later
+    check. The header row is required and skipped; blank rows are skipped; a
+    row with other than ``len(kinds)`` cells, a cell that does not convert
+    and text that is not UTF-8 raise ``ParseError``.
     """
-    lines = _scan_lines(Path(path).read_bytes())
-    if lines is not None:
+    data = Path(path).read_bytes()
+    for read in (_read_decimal, _read_bulk):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return _read_bulk(path, kinds, *lines)
+                columns = read(path, data, kinds)
+            if columns:
+                return columns
         except (ValueError, TypeError, OverflowError, Warning):
             pass  # the row path names the row at fault, or reads what the bulk parse cannot
+        kinds = [str if kind == ID else kind for kind in kinds]  # ids not all int64: text
     return _read_rows(path, kinds)
 
 
-def _scan_lines(data: bytes) -> tuple[np.ndarray, int] | None:
-    """Line numbers of the data rows and the longest line's length.
+def _read_decimal(path, data: bytes, kinds: Sequence):
+    """The int64 columns of a table of ``ID`` and ``int`` columns, or None. Past
+    the header line the bytes must be digits, commas and line breaks (``\r``
+    only in ``\r\n``), np.loadtxt must parse one row per line, and the bytes
+    must count the values' digits, the commas and the breaks: a leading zero
+    would add a byte, so every cell is a canonical decimal."""
+    header, _, body = data.partition(b"\n")
+    if (set(kinds) - {ID, int} or not body or header.translate(None, _BULK_BYTES)
+            or body.translate(None, b"0123456789,\r\n") or _lone_cr(data)):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    breaks, crlf = np.count_nonzero(raw == ord("\n")), np.count_nonzero(raw == ord("\r"))
+    table = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None, quotechar=None,
+                       skiprows=1, ndmin=2, encoding="utf-8")
+    powers = _POW10[_POW10 <= table.max(initial=0)]
+    digits = table.size + sum(int(np.count_nonzero(table >= p)) for p in powers)
+    if (table.shape != (breaks + (body[-1:] != b"\n"), len(kinds))
+            or len(body) != digits + len(table) * (len(kinds) - 1) + breaks + crlf):
+        return None
+    return list(np.ascontiguousarray(table.T)), np.arange(2, len(table) + 2, dtype=np.int64)
 
-    None (the row path) when `data` is empty, holds a byte outside
-    ``_BULK_BYTES`` or a ``\r`` not followed by ``\n``, or has a line so
-    long that cells as wide as it would take far more memory than the text,
-    or that a cell may pass csv's field size limit.
-    """
-    if not data or data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+
+def _read_bulk(path, data: bytes, kinds: Sequence):
+    """np.loadtxt of `data`, the bytes at `path`; None (the row path) when they are
+    empty, hold a byte outside ``_BULK_BYTES`` or a lone ``\r``, or have a line so
+    long that cells as wide would take far more memory than the text, or that a
+    cell may pass csv's field size limit."""
+    if not data or data.translate(None, _BULK_BYTES) or _lone_cr(data):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -138,13 +169,9 @@ def _scan_lines(data: bytes) -> tuple[np.ndarray, int] | None:
     starts = np.concatenate([[0], ends[:-1] + 1])
     lengths = ends - starts
     blank = (lengths == 0) | ((lengths == 1) & (raw[starts] == ord("\r")))
-    rows, width = np.flatnonzero(~blank[1:]) + 2, max(int(lengths[1:].max(initial=1)), 1)
-    too_wide = len(rows) * width > 8 * len(data) or width > csv.field_size_limit()
-    return None if too_wide else (rows, width)
-
-
-def _read_bulk(path, kinds: Sequence, line_numbers: np.ndarray, width: int):
-    """np.loadtxt of a file `_scan_lines` admits; no cell is longer than `width`."""
+    line_numbers, width = np.flatnonzero(~blank[1:]) + 2, max(int(lengths[1:].max(initial=1)), 1)
+    if len(line_numbers) * width > 8 * len(data) or width > csv.field_size_limit():
+        return None
     dtype = [(f"c{k}", f"S{width}" if kind in (str, FLOAT_OR_NAN) else _DTYPE[kind])
              for k, kind in enumerate(kinds)]
     table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
@@ -165,6 +192,13 @@ def _read_bulk(path, kinds: Sequence, line_numbers: np.ndarray, width: int):
             column[known] = table[f"c{k}"][known].astype(np.float64)
         columns.append(np.ascontiguousarray(column))
     return columns, line_numbers
+
+
+def _lone_cr(data: bytes) -> bool:
+    """Whether `data` holds a ``\r`` not followed by ``\n``."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cr = raw == ord("\r")
+    return np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == ord("\n")))
 
 
 def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
@@ -201,17 +235,35 @@ def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
 
 def has_duplicates(values: np.ndarray) -> bool:
     """True when some entry of `values` occurs more than once."""
-    ordered = np.sort(_packed(values)[0])
+    ints, canonical = _decimal(values)
+    ordered = np.sort(ints if canonical.all() else values)
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index in `keys` of each entry of `values` (any one, if it repeats), -1 if absent."""
+    """Index in `keys` of each entry of `values` (the first, if it repeats), -1 if absent;
+    as int64 when every value is an integer or canonical decimal, else as text."""
+    ints, canonical = _decimal(values)
+    if canonical.all():  # a key that is no canonical decimal, as "007", equals no value
+        key_ints, key_canonical = _decimal(keys)
+        where = np.append(np.flatnonzero(key_canonical), -1)  # index -1 (absent) stays -1
+        return where[_find(key_ints[where[:-1]], ints)]
     if keys.dtype.kind == values.dtype.kind == "U" and values.itemsize > keys.itemsize:
         # A value longer than every key matches none; searchsorted would widen the keys to it.
         too_long = np.char.str_len(values) > keys.itemsize // 4
         return np.where(too_long, -1, lookup(keys, values.astype(keys.dtype)))
-    keys, values = _packed(keys, values)
+    return _find(keys, values)
+
+
+def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``lookup`` of values in keys that compare as they are."""
+    if keys.dtype == values.dtype == np.int64 and len(keys):
+        lo, hi = int(keys.min()), int(keys.max())
+        if hi - lo < 4 * (len(keys) + len(values)):  # a dense table: table[key - lo] = index
+            table = np.full(hi - lo + 1, -1, dtype=np.int64)
+            table[keys[::-1] - lo] = np.arange(len(keys) - 1, -1, -1)  # the first of a repeat last
+            near = np.clip(values, lo, hi)
+            return np.where(near == values, table[near - lo], -1)
     by_key = np.argsort(keys, kind="stable")
     by_value = np.argsort(values)  # sorted queries walk the keys with few cache misses
     keys, values = keys[by_key], values[by_value]
@@ -223,21 +275,19 @@ def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return index
 
 
-def _packed(*columns: np.ndarray) -> list[np.ndarray]:
-    """The columns, or, when all are strings of at most 8 characters below
-    U+0100, uint64 numbers that compare alike: one character per byte, zero
-    padded (a ``<U`` string never ends in U+0000, so the packing is one-to-one).
-    """
-    width = max(c.itemsize for c in columns) // 4
-    if width > 8 or any(c.dtype.kind != "U" for c in columns):
-        return list(columns)
-    codes = [np.ascontiguousarray(c, f"<U{width}").view(np.uint32).reshape(len(c), width)
-             for c in columns]
-    if any(c.max(initial=0) > 0xFF for c in codes):
-        return list(columns)
-    packed = [np.zeros(len(c), dtype=np.uint64) for c in codes]
-    for p, c in zip(packed, codes):
-        for k in range(width):
-            p <<= np.uint64(8)
-            p |= c[:, k]
-    return packed
+def _decimal(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of `column` as int64, and whether it is one: all of an int
+    column, the canonical decimals of a str column (whose code points past a
+    string's end are U+0000, as a ``<U`` string never ends in one)."""
+    if column.dtype.kind != "U":
+        return column, np.ones(len(column), dtype=bool)
+    codes = np.ascontiguousarray(column).view(np.uint32).reshape(-1, column.itemsize // 4).T.copy()
+    digits = codes - np.uint32(ord("0"))
+    is_digit = digits < 10
+    value = np.zeros(len(column), dtype=np.uint64)
+    for k in range(min(len(codes), 19)):  # 19 digits fit in uint64
+        value = np.where(is_digit[k], value * 10 + digits[k], value)
+    length = is_digit.sum(axis=0)
+    canonical = ((is_digit | (codes == 0)).all(axis=0) & (is_digit[:-1] >= is_digit[1:]).all(axis=0)
+                 & (length > 0) & (length < 20) & (value < 2**63) & ((digits[0] > 0) | (length == 1)))
+    return value.astype(np.int64), canonical

@@ -17,7 +17,7 @@ import numpy as np
 from smirsim import abm, infonet
 from smirsim import meanfield as mf
 from smirsim.contactnet import ContactNetwork
-from smirsim.errors import NonfiniteStateError
+from smirsim.errors import NonfiniteStateError, ParseError, ValidationError
 from smirsim.scenario import Scenario, derive_seed
 
 
@@ -452,27 +452,55 @@ def _reference_rows(path, n_columns):
     """(line number, cells) per data row, read as the row-by-row loader did."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        assert next(reader, None) is not None
+        if next(reader, None) is None:
+            raise ParseError(path, 1, "empty file, expected a header row")
         for line_no, row in enumerate(reader, start=2):
             if row:
-                assert len(row) == n_columns, f"{path}:{line_no}"
+                if len(row) != n_columns:
+                    raise ParseError(path, line_no, f"expected {n_columns} columns, got {len(row)}")
                 yield line_no, row
 
 
+def _reference_int(path, line_no, cell):
+    try:
+        value = int(cell)
+    except ValueError as e:
+        raise ParseError(path, line_no, str(e)) from e
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(path, line_no, f"integer {cell.strip()} does not fit in int64")
+    return value
+
+
 def reference_load_infonet(nodes_path, edges_path) -> dict[str, np.ndarray]:
-    """The arrays the row-by-row infonet loader built, by name."""
+    """The arrays the row-by-row infonet loader built, by name; or the
+    ParseError or ValidationError it raised."""
     ids, county, alignment, seed = [], [], [], []
-    for _, row in _reference_rows(nodes_path, 4):
+    for line_no, row in _reference_rows(nodes_path, 4):
         ids.append(row[0])
-        county.append(int(row[1]))
-        alignment.append(float(row[2]) if row[2] != "" else np.nan)
-        seed.append(bool(int(row[3])))
+        county.append(_reference_int(nodes_path, line_no, row[1]))
+        try:
+            alignment.append(float(row[2]) if row[2] != "" else np.nan)
+        except ValueError as e:
+            raise ParseError(nodes_path, line_no, str(e)) from e
+        seed.append(_reference_int(nodes_path, line_no, row[3]) != 0)
     index = {node_id: i for i, node_id in enumerate(ids)}
-    src, dst, weight = [], [], []
-    for _, row in _reference_rows(edges_path, 3):
-        src.append(index[row[0]])
-        dst.append(index[row[1]])
-        weight.append(int(row[2]))
+    rows = [(line_no, row[0], row[1], _reference_int(edges_path, line_no, row[2]))
+            for line_no, row in _reference_rows(edges_path, 3)]
+    for line_no, *ends, _ in rows:
+        for name in (end for end in ends if end not in index):
+            raise ParseError(edges_path, line_no, f"unknown node id {name!r}")
+    src, dst = [index[r[1]] for r in rows], [index[r[2]] for r in rows]
+    weight = [r[3] for r in rows]
+    if not ids:
+        raise ValidationError("information network needs at least one node")
+    if len(index) < len(ids):
+        raise ValidationError("node ids are not unique")
+    if any(s == d for s, d in zip(src, dst)):
+        raise ValidationError("self-edges are not allowed")
+    if any(w < 1 for w in weight):
+        raise ValidationError("edge weights must be >= 1")
+    if len(set(zip(src, dst))) < len(src):
+        raise ValidationError("duplicate directed edges are not allowed")
     return {
         "ids": np.asarray(ids),
         "county": np.asarray(county, dtype=np.int64),

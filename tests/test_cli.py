@@ -33,6 +33,32 @@ PIPELINE_BASE = [
 ]
 
 
+@pytest.fixture
+def outputs_outside_stages(monkeypatch):
+    """The names `_Run.output` is given while no `_Run.stage` is open, as a
+    list that fills while the test runs."""
+    open_stages, outside = [], []
+    stage, output = _Run.stage, _Run.output
+
+    @contextlib.contextmanager
+    def tracked_stage(self, name):
+        with stage(self, name):
+            open_stages.append(name)
+            try:
+                yield
+            finally:
+                open_stages.pop()
+
+    def tracked_output(self, name):
+        if not open_stages:
+            outside.append(name)
+        return output(self, name)
+
+    monkeypatch.setattr(_Run, "stage", tracked_stage)
+    monkeypatch.setattr(_Run, "output", tracked_output)
+    return outside
+
+
 class TestMeanfieldCommand:
     def test_lambda_sweep_has_21_rows_and_reference_peaks(self, tmp_path, capsys):
         out = tmp_path / "mf"
@@ -386,7 +412,8 @@ class TestRunRecord:
         row = ["spread_misinformation", "sample_population", "expected_edges",
                "build_contact_network", "abm", "write_outputs"]
         assert names == ["generate_scenario", "save_scenario",
-                         *(f"phi_1/{n}" for n in row), *(f"phi_3/{n}" for n in row)]
+                         *(f"phi_1/{n}" for n in row), *(f"phi_3/{n}" for n in row),
+                         "write_outputs"]
         assert not list((out / "rows").rglob("manifest.json"))
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -404,31 +431,28 @@ class TestRunRecord:
     @pytest.mark.parametrize("mode", [
         [], ["--sweep", "lambda=1:3:1"], ["--sweep", "alpha=0.5:1:0.25", "--grid", "beta-o=0.1:0.3:0.1"],
     ], ids=["single", "sweep", "grid"])
-    def test_meanfield_names_every_output_inside_a_stage(self, tmp_path, monkeypatch, mode):
-        open_stages, outside = [], []
-        stage, output = _Run.stage, _Run.output
-
-        @contextlib.contextmanager
-        def tracked_stage(self, name):
-            with stage(self, name):
-                open_stages.append(name)
-                try:
-                    yield
-                finally:
-                    open_stages.pop()
-
-        def tracked_output(self, name):
-            if not open_stages:
-                outside.append(name)
-            return output(self, name)
-
-        monkeypatch.setattr(_Run, "stage", tracked_stage)
-        monkeypatch.setattr(_Run, "output", tracked_output)
+    def test_meanfield_names_every_output_inside_a_stage(self, tmp_path, outputs_outside_stages,
+                                                         mode):
         out = tmp_path / "m"
         assert run_cli("meanfield", "--horizon", "5", *mode, "--svg", "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["integrate", "write_outputs"]
-        assert manifest["outputs"] and outside == []
+        assert manifest["outputs"] and outputs_outside_stages == []
+
+    @pytest.mark.parametrize("command, last_written", [
+        (["pipeline"], {"summary.json", "epidemic.svg"}),
+        (["sweep", "--vary", "phi", "--values", "1,2"], {"sweep_summary.csv", "sweep_cumulative.svg"}),
+    ], ids=["pipeline", "sweep"])
+    def test_pipeline_names_every_output_inside_a_stage(self, tmp_path, outputs_outside_stages,
+                                                        command, last_written):
+        out = tmp_path / "p"
+        assert run_cli(*command, "--synthetic", "--counties", "3", *SMALL_PIPELINE, "--svg",
+                       "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert last_written <= {p.name for p in out.iterdir()}
+        assert manifest["outputs"] and outputs_outside_stages == []
+        top_stages = [s["name"] for s in manifest["stages"] if "/" not in s["name"]]
+        assert top_stages.count("write_outputs") == 1
 
     def test_out_of_memory_in_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
@@ -639,6 +663,12 @@ BAD_INPUTS = {
         ["pipeline", "--from-manifest", "{d}/scenario_dir_nul.json"], "scenario_dir"),
     "manifest regen_network number": (
         ["pipeline", "--from-manifest", "{d}/regen_number.json"], "regen_network"),
+    # non-finite rates: rejected before a step that would warn and overflow
+    "meanfield --beta-o=inf --gamma=inf": (
+        ["meanfield", "--beta-o=inf", "--gamma=inf"], "beta_o must be finite"),
+    "meanfield --gamma=inf": (["meanfield", "--gamma=inf"], "gamma must be finite"),
+    "meanfield --lambda=inf": (["meanfield", "--lambda=inf"], "lambda must be finite"),
+    "meanfield --beta-o=nan": (["meanfield", "--beta-o=nan"], "beta_o must be finite"),
     "meanfield --sweep nan start": (["meanfield", "--sweep", "lambda=nan:1:0.1"], "--sweep"),
     "meanfield --sweep nan step": (["meanfield", "--sweep", "lambda=1:2:nan"], "--sweep"),
     "meanfield --sweep inf stop": (["meanfield", "--sweep", "lambda=1:inf:1"], "--sweep"),
@@ -849,4 +879,36 @@ def test_meanfield_flag_values_never_traceback(tmp_path, data):
         argv.append(f"--grid={data.draw(range_spec(['beta-o']))}")
     if data.draw(st.booleans()):
         argv.append("--svg")
+    assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])
+
+
+# Values a pipeline flag may take: valid, out of range or non-finite, all
+# small enough that a run on three counties ends within a second.
+PIPELINE_FLAG_VALUES = {
+    "--sample": ("0.05", "1", "0", "-0.5", "2", "1e-300", "nan", "inf"),
+    "--k-bar": ("3", "10", "0", "-1", "1e6", "1e300", "nan", "inf", "-inf"),
+    "--p-o": ("0", "0.01", "1", "-0.1", "1.5", "nan", "inf"),
+    "--p-m": ("0", "0.5", "1", "-0.1", "1.5", "nan", "-inf"),
+    "--gamma": ("0", "0.2", "1", "-0.1", "1.5", "nan", "inf"),
+    "--steps": ("-1", "0", "1", "3"),
+    "--reps": ("-1", "0", "1", "2"),
+    "--phi": ("-1", "0", "1", "2", "1000000"),
+    "--initial-infected": ("-1", "0", "1", "5", "1000000"),
+}
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_pipeline_flag_values_never_traceback(tmp_path, three_counties, data):
+    scen = tmp_path / "scenario"
+    if not scen.exists():
+        scen.mkdir()
+        for name in SCENARIO_FILES:
+            (scen / name).write_bytes(three_counties[name])
+    argv = ["pipeline", "--scenario-dir", str(scen), *SMALL_PIPELINE]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(PIPELINE_FLAG_VALUES)), min_size=1,
+                                   max_size=4, unique=True)):
+        argv.append(f"{flag}={data.draw(st.sampled_from(PIPELINE_FLAG_VALUES[flag]))}")
+    if data.draw(st.booleans()):
+        argv.append("--regen-network")
     assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])

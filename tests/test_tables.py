@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smirsim import infonet, scenario, tables
-from smirsim.errors import ParseError
+from smirsim.errors import ParseError, ValidationError
 from smirsim.tables import FLOAT_OR_NAN, read_columns
 
 from oracles import reference_load_infonet, reference_load_scenario
@@ -235,15 +236,30 @@ class TestWriteColumns:
 
 class TestLookup:
     @pytest.mark.parametrize("ids", [
-        ["7", "007", "70", "x.1", "b-c"],           # packed into uint64
-        ["123456789012", "7", "007"],               # longer than 8 characters
-        ["ж", "7", "007"],                          # beyond U+00FF
+        ["7", "007", "70", "x.1", "b-c"],
+        ["123456789012", "7", "007"],
+        ["ж", "7", "007"],
+        ["0", "7", "70", "9223372036854775807"],                   # canonical decimals
+        ["0", "00", "-0", "+7", " 7", "9223372036854775808", "7"],  # mostly not
+        ["1234567890123456789", "12345678901234567890", "7"],     # 19 and 20 digits
     ])
     def test_matches_a_dict_of_strings(self, ids):
-        names = ids[::-1] + ["0007", "", "7 ", "zz"]
         index = {v: i for i, v in enumerate(ids)}
-        got = tables.lookup(np.asarray(ids), np.asarray(names))
-        assert got.tolist() == [index.get(v, -1) for v in names]
+        for extra in (["0007", "", "7 ", "zz"], ["7", "0", "70", "9"]):  # text, then decimals
+            names = ids[::-1] + extra
+            got = tables.lookup(np.asarray(ids), np.asarray(names))
+            assert got.tolist() == [index.get(v, -1) for v in names]
+
+    def test_int_values_match_canonical_keys_only(self):
+        keys = np.array(["007", "+7", "7", "08", "8", "7"])
+        values = np.array([7, 8, 0, -7, 2**63 - 1])
+        assert tables.lookup(keys, values).tolist() == [2, 4, -1, -1, -1]
+
+    @pytest.mark.parametrize("spread", [1, 10**15])  # a dense table, and the sorted path
+    def test_int_keys_first_of_a_repeat(self, spread):
+        keys = np.array([5, 3, 5, 9, 3], dtype=np.int64) * spread
+        values = np.append(np.array([3, 5, 9, 4]) * spread, [-(2**63), 2**63 - 1])
+        assert tables.lookup(keys, values).tolist() == [1, 0, 3, -1, -1, -1]
 
     def test_value_longer_than_every_key(self):
         keys = np.array([str(i) for i in range(100_000)])
@@ -263,6 +279,7 @@ class TestLookup:
     def test_duplicates(self):
         assert tables.has_duplicates(np.array(["7", "007", "7"]))
         assert not tables.has_duplicates(np.array(["7", "007", "70"]))
+        assert not tables.has_duplicates(np.array(["1234567890123456789", "12345678901234567890"]))
         assert tables.has_duplicates(np.array([3, 1, 3], dtype=np.uint64))
 
 
@@ -332,3 +349,107 @@ class TestLoaders:
         for name, array in want.items():
             assert got[name].dtype == array.dtype, name
             assert got[name].tobytes() == array.tobytes(), name
+
+
+# Ids the loader matches as int64 (canonical decimals), other ids of digits
+# only (zero-padded or beyond int64), and ids that are not digits at all.
+CANONICAL_IDS = ["0", "7", "70", "123456789012345678", "1234567890123456789",
+                 "9223372036854775807"]
+PADDED_IDS = ["007", "00", "070", "12345678901234567890", "9223372036854775808"]
+TEXT_IDS = ["+7", " 7", "7 ", "-0", "", "x"]
+any_id = (st.sampled_from(CANONICAL_IDS) | st.sampled_from(PADDED_IDS) | st.sampled_from(TEXT_IDS)
+          | st.integers(0, 10**6).map(str))
+
+
+def load_outcome(load, nodes, edges):
+    """The arrays a loader gives, by name, bit for bit; or its error."""
+    try:
+        got = load(nodes, edges)
+    except ParseError as e:
+        return ("parse error", str(e.path), e.line_no, str(e))
+    except ValidationError as e:
+        return ("invalid", str(e))
+    if isinstance(got, infonet.InfoNetwork):
+        got = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
+    return {name: (a.dtype.str, a.tobytes()) for name, a in got.items()}
+
+
+def assert_loads_as_the_oracle(nodes, edges):
+    assert (load_outcome(infonet.load_infonet, nodes, edges)
+            == load_outcome(reference_load_infonet, nodes, edges))
+
+
+@st.composite
+def infonet_tables(draw):
+    """Node and edge rows mixing canonical and text ids, some edges naming
+    unknown ids, some rows blank, and a few weights that fail."""
+    ids = draw(st.lists(any_id, min_size=1, max_size=6, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        ids.append(draw(st.sampled_from(ids)))  # a repeated node id
+    nodes = [[i, draw(st.sampled_from(["1000", "1001"])), draw(st.sampled_from(["", "0.5", "-0.25"])),
+              draw(st.sampled_from(["0", "1"]))] for i in ids]
+    end = st.sampled_from(ids) | any_id
+    weight = st.sampled_from(["1", "2", "10"]) | st.sampled_from(["07", "+3", " 4", "", "0", "x"])
+    edges = draw(st.lists(st.tuples(end, end, weight).map(list), max_size=8))
+    for rows in (nodes, edges):
+        if draw(st.integers(0, 3)) == 0:
+            rows.insert(draw(st.integers(0, len(rows))), [])  # a blank row
+    return nodes, edges
+
+
+@given(tables_=infonet_tables(), line_end=st.sampled_from(["\n", "\r\n"]),
+       final_break=st.booleans())
+def test_load_infonet_matches_the_row_oracle(tmp_path_factory, tables_, line_end, final_break):
+    d = tmp_path_factory.getbasetemp()
+    nodes, edges = d / "nodes.csv", d / "edges.csv"
+    write_table(nodes, tables_[0], line_end, final_break)
+    write_table(edges, tables_[1], line_end, final_break)
+    assert_loads_as_the_oracle(nodes, edges)
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    (["7", "8", "007"], ["007,8,1", "7,8,1"]),          # canonical node ids, a text edge id
+    (["7", "8"], ["7,8,1", "8,007,2"]),                  # ... that names no node
+    (["7", "8"], ["007,8,1"]),                           # ... in a table of digits only
+    (["007", "7", "+8", "8", ""], ["7,8,1", "8,7,2"]),   # text node ids, canonical edges
+    (["007", "+8"], ["7,8,1"]),                          # ... that match none of them
+    (["7", "8"], ["7,8,01"]),                            # canonical ids, a text weight
+    (["9223372036854775807", "0"], ["9223372036854775807,0,1"]),
+    (["9223372036854775808", "0"], ["9223372036854775808,0,1"]),
+])
+def test_mixed_canonical_and_text_ids(tmp_path, nodes, edges):
+    nodes = [[i, "1000", "", "0"] for i in nodes]
+    write_table(tmp_path / "nodes.csv", nodes)
+    write_table(tmp_path / "edges.csv", [e.split(",") for e in edges])
+    assert_loads_as_the_oracle(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+
+
+@pytest.mark.parametrize("edges", [
+    b"src,dst,weight\n7,8,1\n\r8,9,1\r\n",  # a lone \r is a line break to csv
+    b"src,dst,weight\r\r\n7,8,1\r\n8,9,1\r\n",
+    b"src,dst,weight\n\n7,8,1\n8,9,1",
+])
+def test_edge_lines_are_counted_as_csv_counts_them(tmp_path, edges):
+    write_table(tmp_path / "nodes.csv", [["7", "1000", "", "0"], ["8", "1000", "", "0"]])
+    (tmp_path / "edges.csv").write_bytes(edges)
+    assert_loads_as_the_oracle(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+
+
+def test_default_scenario_edges_take_the_int_path(tmp_path):
+    _, net = scenario.generate_scenario(scenario.ScenarioConfig(seed=1))
+    nodes, edges = tmp_path / "infonet_nodes.csv", tmp_path / "infonet_edges.csv"
+    infonet.save_infonet(net, nodes, edges)
+    read_text = tables._read_bulk
+
+    def read_node_text(path, data, kinds):
+        assert path != edges, "edge ids read as text"
+        return read_text(path, data, kinds)
+
+    with mock.patch.object(tables, "_read_bulk", read_node_text), \
+            mock.patch.object(tables, "_read_rows", side_effect=AssertionError("row path")):
+        got = infonet.load_infonet(nodes, edges)
+    assert got.ids.dtype == np.dtype("<U6")
+    want = reference_load_infonet(nodes, edges)
+    for name, array in want.items():
+        assert getattr(got, name).dtype == array.dtype, name
+        assert getattr(got, name).tobytes() == array.tobytes(), name
