@@ -21,7 +21,6 @@ from .contactnet import (
 from .infonet import (
     InfoGenConfig,
     InfoNetwork,
-    MisinfoLabeling,
     generate_synthetic_infonet,
     load_infonet,
     propagate_alignment,
@@ -57,7 +56,7 @@ __all__ = [
     "AbmConfig", "AbmState", "EpidemicResult", "run", "seed_infection", "step",
     "ContactNetwork", "SampledNodes", "build_contact_network", "expected_edges",
     "load_contact_network", "sample_population", "save_contact_network",
-    "InfoGenConfig", "InfoNetwork", "MisinfoLabeling", "generate_synthetic_infonet",
+    "InfoGenConfig", "InfoNetwork", "generate_synthetic_infonet",
     "load_infonet", "propagate_alignment", "save_infonet", "spread_misinformation",
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",

@@ -13,9 +13,10 @@ resolved parameters, input hashes, seed, outputs and ``stages``: each
 pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
 the process that ran it (a high-water mark, never falling within a process;
 a sweep has one scenario, at its top level, and names its rows' stages
-``phi_1/abm``, ...). Re-running with the same parameters reproduces every CSV
-and binary artifact byte for byte. Exit codes: 0 on success, 2 for
-argument/input errors, 3 for numeric failures.
+``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample
+and each network, recorded under the first row sharing them). Re-running with
+the same parameters reproduces every CSV and binary artifact byte for byte.
+Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
 
 from __future__ import annotations
@@ -391,18 +392,24 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
     return sc, net
 
 
-def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run, summary_json=False, svg=False) -> dict:
-    """Spread -> sample -> build -> simulate on the scenario `sc` and its
-    infonet `net`; saves contactnet.bin and result.csv (and summary.json and
-    epidemic.svg, if asked) as outputs of `run` and returns the summary."""
-    with run.stage("spread_misinformation"):
-        labeling = infonet.spread_misinformation(net, cfg.phi, cfg.mode)
-    with run.stage("sample_population"):
+def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json=False,
+                  svg=False) -> list[dict]:
+    """Spread -> sample -> build -> simulate on the scenario `sc` and its infonet
+    `net` for rows ``(run, config)`` that differ only in phi and mode: they share
+    one sample and each network, recorded in the first row's run. Each row saves
+    contactnet.bin and result.csv (and summary.json and epidemic.svg, if asked)
+    as outputs of its run; returns the rows' summaries."""
+    labels = []
+    for run, cfg in rows:
+        with run.stage("spread_misinformation"):
+            labels.append(infonet.spread_misinformation(net, cfg.phi, cfg.mode))
+    first, cfg = rows[0]
+    with first.stage("sample_population"):
         nodes = contactnet.sample_population(
-            sc, net, labeling, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
+            sc, net, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
         )
-    with run.stage("expected_edges"):
-        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, nodes.n)
+    with first.stage("expected_edges"):
+        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, len(nodes.source))
     abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
                             initial_infected=cfg.initial_infected, steps=cfg.steps,
                             repetitions=cfg.reps)
@@ -412,47 +419,54 @@ def _run_pipeline(cfg: PipelineConfig, sc, net, run: _Run, summary_json=False, s
                    replace(abm_cfg, repetitions=1)) for rep in range(cfg.reps)]
     else:
         builds = [("", _STREAM_NET, _STREAM_ABM, abm_cfg)]
-    parts = []
+    parts = [[] for _ in rows]
     for suffix, net_stream, abm_stream, run_cfg in builds:
-        with run.stage(f"build_contact_network{suffix}"):
-            cnet = contactnet.build_contact_network(
+        with first.stage(f"build_contact_network{suffix}"):
+            graph = contactnet.build_contact_network(
                 nodes, e_matrix, cfg.k_bar, scenario.derive_seed(cfg.seed, net_stream)
             )
-        with run.stage(f"abm{suffix}"):
-            parts.append(abm.run(cnet, run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
-    result = abm.merge_results(parts)
-    summary = {
-        "n_nodes": cnet.n_nodes,
-        "n_edges": cnet.n_edges,
-        "mean_degree": round(cnet.mean_degree, 6),
-        "misinformed_nodes": cnet.misinformed_count,
-        "misinformed_fraction": round(cnet.misinformed_count / cnet.n_nodes, 9),
-        "peak_day_mean": result.peak_day_mean,
-        "peak_height_mean": result.peak_height_mean,
-        "cumulative_final_mean": result.cumulative_final_mean,
-        "cumulative_final_std": result.cumulative_final_std,
-    }
-    with run.stage("write_outputs"):
-        contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
-        abm.write_result_csv(result, run.output("result.csv"))
-        if summary_json:
-            run.output("summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        if svg:
-            days = list(result.days)
-            svgplot.line_chart(
-                [("mean prevalent I", days, list(result.mean("prev_I"))),
-                 ("mean cumulative", days, list(result.mean("cum")))],
-                run.output("epidemic.svg"), title="Epidemic course", xlabel="day",
-                ylabel="individuals",
-            )
-    return summary
+        cnets = []
+        for (run, _), misinformed, part in zip(rows, labels, parts):
+            with run.stage(f"abm{suffix}"):
+                cnets.append(graph.relabel(misinformed[nodes.source]))
+                part.append(abm.run(cnets[-1], run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
+    summaries = []
+    for (run, _), cnet, part in zip(rows, cnets, parts):
+        result = abm.merge_results(part)
+        summary = {
+            "n_nodes": cnet.n_nodes,
+            "n_edges": cnet.n_edges,
+            "mean_degree": round(cnet.mean_degree, 6),
+            "misinformed_nodes": cnet.misinformed_count,
+            "misinformed_fraction": round(cnet.misinformed_count / cnet.n_nodes, 9),
+            "peak_day_mean": result.peak_day_mean,
+            "peak_height_mean": result.peak_height_mean,
+            "cumulative_final_mean": result.cumulative_final_mean,
+            "cumulative_final_std": result.cumulative_final_std,
+        }
+        summaries.append(summary)
+        with run.stage("write_outputs"):
+            contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
+            abm.write_result_csv(result, run.output("result.csv"))
+            if summary_json:
+                text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+                run.output("summary.json").write_text(text)
+            if svg:
+                days = list(result.days)
+                svgplot.line_chart(
+                    [("mean prevalent I", days, list(result.mean("prev_I"))),
+                     ("mean cumulative", days, list(result.mean("cum")))],
+                    run.output("epidemic.svg"), title="Epidemic course", xlabel="day",
+                    ylabel="individuals",
+                )
+    return summaries
 
 
 def cmd_pipeline(args) -> int:
     cfg = _pipeline_config(args)
     with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        summary = _run_pipeline(cfg, sc, net, run, summary_json=True, svg=args.svg)
+        [summary] = _run_pipeline([(run, cfg)], sc, net, summary_json=True, svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -466,36 +480,45 @@ def _parse_values(text: str, vary: str) -> list:
         raise InputError(f"bad --values {text!r}: {e}") from e
 
 
-def _sweep_row(cfg: PipelineConfig, sc, net, vary: str, out: Path, value):
-    """One pipeline run on the sweep's scenario with the varying parameter
-    replaced; used by --jobs workers. Returns (summary, stages, outputs), each
-    stage named under the row's directory."""
+def _sweep_share(cfg: PipelineConfig, sc, net, vary: str, out: Path, values: list):
+    """The sweep rows of `values`, in one `_run_pipeline` call (in the sweep's
+    process or a --jobs worker). Returns (summaries, stages, outputs), each
+    stage named under its row's directory."""
     field = vary.replace("-", "_")
-    row = _Run(out / "rows" / f"{field}_{value:g}")
-    summary = _run_pipeline(replace(cfg, **{field: value}), sc, net, row)
-    stages = [{**s, "name": f"{row.out.name}/{s['name']}"} for s in row.stages]
-    return summary, stages, row.outputs
+    rows = [(_Run(out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v})) for v in values]
+    summaries = _run_pipeline(rows, sc, net)
+    stages = [{**s, "name": f"{run.out.name}/{s['name']}"} for run, _ in rows for s in run.stages]
+    return summaries, stages, [o for run, _ in rows for o in run.outputs]
 
 
 def cmd_sweep(args) -> int:
     cfg = _pipeline_config(args)
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     params = {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}
     with _Run(args.out, "sweep", params, cfg.seed) as run:
         # No varied field (phi, k-bar, sample) changes the scenario.
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        row = partial(_sweep_row, cfg, sc, net, args.vary, run.out)
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+        # Phi rows share a sample and networks in min(jobs, rows) contiguous shares.
+        k = min(args.jobs, len(values)) if args.vary == "phi" else len(values)
+        shares = [values[i * len(values) // k:(i + 1) * len(values) // k] for i in range(k)]
+        share = partial(_sweep_share, cfg, sc, net, args.vary, run.out)
+        workers = min(args.jobs, len(shares))
+        if workers > 1:
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(row, values))
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    done = list(pool.map(share, shares))
+            except BrokenExecutor as e:  # a worker was killed
+                raise NumericError("a sweep worker died (killed, or out of memory)") from e
         else:
-            rows = [row(v) for v in values]
-        summaries = [summary for summary, _, _ in rows]
-        run.stages += [s for _, stages, _ in rows for s in stages]
-        run.outputs += [o for _, _, outputs in rows for o in outputs]
+            done = [share(chunk) for chunk in shares]
+        summaries = [s for share_summaries, _, _ in done for s in share_summaries]
+        run.stages += [s for _, stages, _ in done for s in stages]
+        run.outputs += [o for _, _, outputs in done for o in outputs]
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.

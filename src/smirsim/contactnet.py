@@ -1,19 +1,20 @@
 """County-structured physical contact networks.
 
-The pipeline here turns a scenario plus a misinformation labeling into an
-undirected simple graph of sampled individuals:
+The pipeline here turns a scenario into an undirected simple graph of
+sampled individuals:
 
 1. ``sample_population`` draws individuals county by county, with
    replacement, from the information network, matching each county's
-   republican/democrat vote split; each draw copies the persona's
-   ordinary/misinformed label onto a fresh contact node.
+   republican/democrat vote split; each draw records the persona it copies.
 2. ``expected_edges`` converts the scenario's mobility matrix into
    real-valued expected edge counts per unordered county pair, normalized
    so they sum to the edge budget k_bar * N / 2.
 3. ``build_contact_network`` integerizes those expectations with a single
    multinomial draw and places each block's edges between uniformly random
    node pairs, rejecting self-loops and duplicates, like a stochastic block
-   model with homogeneous mixing inside each county.
+   model with homogeneous mixing inside each county. Its nodes are ordinary:
+   no step reads a label. ``ContactNetwork.relabel`` puts a labeling's flags,
+   ``misinformed[nodes.source]``, on a copy sharing the edges and ``adjacency``.
 
 Every stage is fully determined by its seed. Block placement uses one
 generator for the whole graph and makes one vectorized pass per lo county x,
@@ -29,6 +30,7 @@ it peaks at ~13 bytes per edge, its uint64 sort keys included (411 -> 683 MB).
 
 from __future__ import annotations
 
+import copy
 import os
 import struct
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ from .errors import (
     ValidationError,
     ZeroMobilityError,
 )
-from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork, MisinfoLabeling
+from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork
 from .scenario import MobilityMatrix, Scenario
 from .tables import lookup
 
@@ -66,26 +68,17 @@ class SampledNodes:
     """Individuals drawn for the contact network, ordered by county block.
 
     ``county_index`` indexes the governing scenario's county order; ``source``
-    is the information-network node each draw copied its label from.
+    is the information-network node each draw copied.
     """
 
     county_ids: np.ndarray
     county_index: np.ndarray
-    misinformed: np.ndarray
     source: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.county_index)
-
-    def county_sizes(self, n_counties: int) -> np.ndarray:
-        return np.bincount(self.county_index, minlength=n_counties)
 
 
 def sample_population(
     scenario: Scenario,
     net: InfoNetwork,
-    labeling: MisinfoLabeling,
     sample_fraction: float,
     rng_seed: int,
 ) -> SampledNodes:
@@ -103,8 +96,6 @@ def sample_population(
     """
     if not (0 < sample_fraction <= 1):
         raise ValidationError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
-    if len(labeling.misinformed) != net.n_nodes:
-        raise ValidationError("labeling does not match the information network")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     party = net.party
 
@@ -112,48 +103,39 @@ def sample_population(
     if np.any(county_of_net < 0):
         raise ValidationError("information network references counties outside the scenario")
 
-    # Group persona indices by (county, party) once; pools slice the order.
+    # Persona indices grouped by (county, party) once: the pool of key
+    # 3 * county + party + 1 is order[bounds[key]:bounds[key + 1]].
     combined = county_of_net.astype(np.int64) * 3 + (party.astype(np.int64) + 1)
     order = np.argsort(combined, kind="stable")
-    combined_sorted = combined[order]
-
-    def pool_for(ci: int, party_code: int) -> np.ndarray:
-        key = ci * 3 + party_code + 1
-        lo = np.searchsorted(combined_sorted, key, side="left")
-        hi = np.searchsorted(combined_sorted, key, side="right")
-        return order[lo:hi]
+    bounds = np.searchsorted(combined[order], np.arange(3 * scenario.n_counties + 1))
 
     counts = _round_half_up(scenario.voters * sample_fraction)
     rep_counts = _round_half_up(counts * scenario.republican_share)
     dem_counts = counts - rep_counts
 
-    county_index_out, mis_out, src_out = [], [], []
+    src_out = []
     for ci in range(scenario.n_counties):
-        if int(counts[ci]) == 0:
-            continue
         for party_code, n_party in (
             (REPUBLICAN, int(rep_counts[ci])),
             (DEMOCRAT, int(dem_counts[ci])),
         ):
             if n_party == 0:
                 continue
-            pool = pool_for(ci, party_code)
+            key = ci * 3 + party_code + 1
+            pool = order[bounds[key]:bounds[key + 1]]
             if len(pool) == 0:
                 raise MissingPartyPoolError(
                     int(scenario.county_ids[ci]), PARTY_NAMES[party_code]
                 )
-            picks = pool[rng.integers(0, len(pool), size=n_party)]
-            src_out.append(picks)
-            mis_out.append(labeling.misinformed[picks])
-            county_index_out.append(np.full(n_party, ci, dtype=np.int32))
+            src_out.append(pool[rng.integers(0, len(pool), size=n_party)])
 
-    if not county_index_out:
+    if not src_out:
         raise ValidationError("no county sampled any nodes; increase sample_fraction")
+    source = np.concatenate(src_out).astype(np.int64)
     return SampledNodes(
         county_ids=scenario.county_ids,
-        county_index=np.concatenate(county_index_out),
-        misinformed=np.concatenate(mis_out),
-        source=np.concatenate(src_out).astype(np.int64),
+        county_index=county_of_net[source].astype(np.int32),  # each draw's pool's county
+        source=source,
     )
 
 
@@ -241,6 +223,17 @@ class ContactNetwork:
     def misinformed_count(self) -> int:
         return int(self.misinformed.sum())
 
+    def relabel(self, misinformed: np.ndarray) -> ContactNetwork:
+        """This graph with the node labels `misinformed` (a bool per node),
+        sharing its edges, county index and ``adjacency``, built here first.
+        Only the length is checked: the edges were checked with this graph."""
+        if len(misinformed) != self.n_nodes:
+            raise ValidationError("misinformed length does not match node count")
+        self.adjacency  # cached on this graph, then copied with its fields
+        out = copy.copy(self)
+        object.__setattr__(out, "misinformed", misinformed)
+        return out
+
     @cached_property
     def adjacency(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Neighbor lists as two CSR halves, ``((ptr, nbr), (ptr, nbr))``.
@@ -250,7 +243,8 @@ class ContactNetwork:
         its lo end under its hi end, so v's neighbors are the union of its
         two rows. The first half's neighbors are a view of ``edges``, which
         is already sorted by lo; only the second needs an index of its own.
-        Built once per network and freed with it.
+        Built once per graph, shared by its relabeled copies, and freed with
+        the last of them.
         """
         n = self.n_nodes
         lo, hi = self.edges[:, 0], self.edges[:, 1]
@@ -323,7 +317,7 @@ def build_contact_network(
     k_bar: float,
     rng_seed: int,
 ) -> ContactNetwork:
-    """Place k_bar * N / 2 edges according to expected per-pair counts.
+    """Place k_bar * N / 2 edges according to expected per-pair counts; all nodes ordinary.
 
     Integer per-pair counts come from one multinomial draw over the full edge
     budget (stream ``[rng_seed, 0]``) with probabilities proportional to
@@ -342,11 +336,11 @@ def build_contact_network(
         RetryBudgetError: rejection sampling exceeded 100x a block's count.
     """
     _check_k_bar(k_bar)
-    n = nodes.n
+    n = len(nodes.county_index)
     n_counties = len(nodes.county_ids)
     if e_matrix.shape != (n_counties, n_counties):
         raise ValidationError("expected-edge matrix does not match county count")
-    sizes = nodes.county_sizes(n_counties)
+    sizes = np.bincount(nodes.county_index, minlength=n_counties)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     if not np.array_equal(np.sort(nodes.county_index), nodes.county_index):
         raise ValidationError("sampled nodes must be ordered by county block")
@@ -391,7 +385,7 @@ def build_contact_network(
     return ContactNetwork(
         county_ids=nodes.county_ids,
         county_index=nodes.county_index,
-        misinformed=nodes.misinformed,
+        misinformed=np.zeros(n, dtype=bool),
         edges=edges,
         k_bar=float(k_bar),
         seed=int(rng_seed),

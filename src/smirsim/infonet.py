@@ -104,28 +104,13 @@ class InfoNetwork:
         return out
 
 
-@dataclass(frozen=True)
-class MisinfoLabeling:
-    """Outcome of the threshold conversion: who counts as misinformed.
-
-    Every empirical seed stays misinformed regardless of the threshold.
-    """
-
-    phi: int
-    mode: str
-    misinformed: np.ndarray  # bool per node
-
-    @property
-    def n_misinformed(self) -> int:
-        return int(self.misinformed.sum())
-
-
 def spread_misinformation(
     net: InfoNetwork, phi: int, mode: str = DISTINCT_FRIENDS
-) -> MisinfoLabeling:
-    """Single-pass linear-threshold conversion from the empirical seeds.
+) -> np.ndarray:
+    """Single-pass linear-threshold conversion from the empirical seeds:
+    which accounts are misinformed, as one bool per account.
 
-    A node becomes misinformed iff it is a seed, or its exposure from seed
+    An account becomes misinformed iff it is a seed, or its exposure from seed
     friends meets the threshold ``phi``. Exposure counts distinct seed
     in-neighbors in ``distinct_friends`` mode, or the summed retweet weights
     of those edges in ``retweet_weighted`` mode. The pass never iterates:
@@ -137,11 +122,9 @@ def spread_misinformation(
         raise ValidationError(f"unknown exposure mode {mode!r}")
     exposure = np.zeros(net.n_nodes, dtype=np.int64)
     from_seed = net.seed[net.edge_src]
-    if mode == DISTINCT_FRIENDS:
-        np.add.at(exposure, net.edge_dst[from_seed], 1)
-    else:
-        np.add.at(exposure, net.edge_dst[from_seed], net.edge_weight[from_seed])
-    return MisinfoLabeling(phi=int(phi), mode=mode, misinformed=net.seed | (exposure >= phi))
+    weight = 1 if mode == DISTINCT_FRIENDS else net.edge_weight[from_seed]
+    np.add.at(exposure, net.edge_dst[from_seed], weight)
+    return net.seed | (exposure >= phi)
 
 
 def propagate_alignment(net: InfoNetwork, max_rounds: int = 100) -> InfoNetwork:
@@ -317,7 +300,7 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     """
     (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
     (src, dst, weight), lines = read_columns(edges_path, (ID, ID, int))
-    edge_src, edge_dst = lookup(ids, src), lookup(ids, dst)
+    edge_src, edge_dst = np.split(lookup(ids, np.concatenate([src, dst])), 2)
     unknown = (edge_src < 0) | (edge_dst < 0)
     if unknown.any():
         row = int(np.argmax(unknown))

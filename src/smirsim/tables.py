@@ -262,8 +262,9 @@ def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         if hi - lo < 4 * (len(keys) + len(values)):  # a dense table: table[key - lo] = index
             table = np.full(hi - lo + 1, -1, dtype=np.int64)
             table[keys[::-1] - lo] = np.arange(len(keys) - 1, -1, -1)  # the first of a repeat last
-            near = np.clip(values, lo, hi)
-            return np.where(near == values, table[near - lo], -1)
+            index = table[np.clip(values, lo, hi) - lo]  # at most two arrays of len(values)
+            index[(values < lo) | (values > hi)] = -1
+            return index
     by_key = np.argsort(keys, kind="stable")
     by_value = np.argsort(values)  # sorted queries walk the keys with few cache misses
     keys, values = keys[by_key], values[by_value]

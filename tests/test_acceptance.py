@@ -38,14 +38,14 @@ def desk_scenario():
 
 
 def pipeline_once(scenario, net, phi, sample_fraction, k_bar, cfg):
-    lab = sm.spread_misinformation(net, phi)
+    misinformed = sm.spread_misinformation(net, phi)
     nodes = sm.sample_population(
-        scenario, net, lab, sample_fraction, derive_seed(SCENARIO_SEED, SAMPLE_STREAM)
+        scenario, net, sample_fraction, derive_seed(SCENARIO_SEED, SAMPLE_STREAM)
     )
-    e_matrix = sm.expected_edges(scenario.mobility, k_bar, nodes.n)
+    e_matrix = sm.expected_edges(scenario.mobility, k_bar, len(nodes.source))
     cnet = sm.build_contact_network(
         nodes, e_matrix, k_bar, derive_seed(SCENARIO_SEED, NET_STREAM)
-    )
+    ).relabel(misinformed[nodes.source])
     result = abm.run(cnet, cfg, derive_seed(SCENARIO_SEED, ABM_STREAM))
     return cnet, result
 
@@ -254,7 +254,6 @@ def test_criterion_7_contact_network_statistics():
     nodes = sm.SampledNodes(
         county_ids=np.array([1, 2, 3], dtype=np.int64),
         county_index=np.repeat(np.arange(3, dtype=np.int32), sizes),
-        misinformed=np.zeros(n, dtype=bool),
         source=np.zeros(n, dtype=np.int64),
     )
     k_bar = 25.0

@@ -380,6 +380,116 @@ class TestSweepCommand:
         assert list(manifest["input_hashes"]) == [str(config)]
 
 
+# A sweep small enough to run in well under a second per row.
+SMALL_SWEEP = [
+    "sweep", "--synthetic", "--counties", "3", "--sample", "0.04", "--k-bar", "6",
+    "--steps", "3", "--reps", "1", "--initial-infected", "5", "--seed", "2",
+]
+
+
+class FakePool:
+    """A ProcessPoolExecutor stand-in that starts no process: it records each
+    pool's max_workers and the shares it is given, and maps them serially."""
+
+    def __init__(self, max_workers=None):
+        self.calls.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, shares):
+        self.calls[-1]["shares"] = list(shares)
+        return map(fn, self.calls[-1]["shares"])
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """FakePool in place of concurrent.futures.ProcessPoolExecutor; returns
+    its list of calls."""
+    import concurrent.futures
+
+    pool = type("RecordingPool", (FakePool,), {"calls": []})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pool
+
+
+class TestSweepShares:
+    """Phi rows share one sample and each network built; --jobs splits a
+    sweep's rows into contiguous shares, at most one worker per share."""
+
+    @pytest.fixture(scope="class")
+    def lone_runs(self, tmp_path_factory):
+        """contactnet.bin and result.csv of a lone pipeline per phi and
+        --regen-network setting."""
+        out = tmp_path_factory.mktemp("lone")
+        runs = {}
+        for regen in ([], ["--regen-network"]):
+            for phi in (1, 3, 5):
+                run = out / f"{len(regen)}_{phi}"
+                assert run_cli(*PIPELINE_BASE, *regen, "--phi", str(phi), "--out", str(run)) == 0
+                runs[bool(regen), phi] = {name: (run / name).read_bytes()
+                                          for name in ("contactnet.bin", "result.csv")}
+        return runs
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("regen", [[], ["--regen-network"]], ids=["one_network", "regen"])
+    def test_rows_equal_lone_pipelines(self, tmp_path, lone_runs, jobs, regen):
+        out = tmp_path / "s"
+        assert run_cli("sweep", *PIPELINE_BASE[1:], *regen, "--vary", "phi", "--values", "1,3,5",
+                       "--jobs", jobs, "--out", str(out)) == 0
+        for phi in (1, 3, 5):
+            for name, data in lone_runs[bool(regen), phi].items():
+                assert (out / "rows" / f"phi_{phi}" / name).read_bytes() == data, (phi, name)
+        names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
+        # One share at --jobs 1; at --jobs 2 the shares are [1] and [3, 5].
+        firsts = ["phi_1"] if jobs == "1" else ["phi_1", "phi_3"]
+        builds = ["[rep=0]", "[rep=1]"] if regen else [""]
+        assert [n for n in names if "sample_population" in n] == [
+            f"{row}/sample_population" for row in firsts]
+        assert [n for n in names if "build_contact_network" in n] == [
+            f"{row}/build_contact_network{b}" for row in firsts for b in builds]
+        assert [n for n in names if "spread_misinformation" in n] == [
+            f"phi_{phi}/spread_misinformation" for phi in (1, 3, 5)]
+        assert [n for n in names if "/abm" in n] == [
+            f"phi_{phi}/abm{b}" for phi in (1, 3, 5) for b in builds]
+
+    @pytest.mark.parametrize("vary, values, jobs, shares", [
+        ("phi", "1,3,5", "2", [[1], [3, 5]]),
+        ("phi", "1,3,5", "16", [[1], [3], [5]]),
+        ("phi", "1,2,3,4,5", "3", [[1], [2, 3], [4, 5]]),
+        ("k-bar", "4,5,6", "2", [[4.0], [5.0], [6.0]]),
+        ("sample", "0.03,0.04", "16", [[0.03], [0.04]]),
+    ])
+    def test_workers_capped_at_the_share_count(self, tmp_path, fake_pool, vary, values, jobs,
+                                               shares):
+        assert run_cli(*SMALL_SWEEP, "--vary", vary, "--values", values, "--jobs", jobs,
+                       "--out", str(tmp_path / "s")) == 0
+        workers = min(int(jobs), len(shares))
+        assert fake_pool.calls == [{"max_workers": workers, "shares": shares}]
+
+    def test_one_job_starts_no_pool(self, tmp_path, fake_pool):
+        assert run_cli(*SMALL_SWEEP, "--vary", "k-bar", "--values", "4,6",
+                       "--out", str(tmp_path / "s")) == 0
+        assert fake_pool.calls == []
+
+    def test_dead_worker_exits_3(self, tmp_path, fake_pool, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken_map(self, fn, shares):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(fake_pool, "map", broken_map)
+        out = tmp_path / "s"
+        assert run_cli(*SMALL_SWEEP, "--vary", "phi", "--values", "1,3", "--jobs", "2",
+                       "--out", str(out)) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "numeric failure: a sweep worker died (killed, or out of memory)"
+        assert not (out / "manifest.json").exists()
+
+
 MANIFEST_KEYS = {
     "engine_version", "subcommand", "parameters", "input_hashes", "master_seed",
     "duration_seconds", "outputs", "stages",
@@ -680,6 +790,10 @@ BAD_INPUTS = {
         ["meanfield", "--sweep", "lambda=1:1.000002:0.000001"], "1.000001"),
     "sweep --values 1,1": (
         ["sweep", "--synthetic", "--vary", "phi", "--values", "1,1"], "--values"),
+    "sweep --jobs 0": (
+        ["sweep", "--synthetic", "--vary", "phi", "--values", "1", "--jobs", "0"], "--jobs"),
+    "sweep --jobs -2": (
+        ["sweep", "--synthetic", "--vary", "phi", "--values", "1", "--jobs", "-2"], "--jobs"),
     "empty mobility file": (
         ["pipeline", "--scenario-dir", "{d}/empty_mobility"], "mobility.csv"),
     "empty infonet edges file": (
@@ -776,6 +890,32 @@ def test_inspect_corrupt_contactnet_never_tracebacks(tmp_path, data):
     path = tmp_path / "net.bin"
     path.write_bytes(data.draw(corrupted_contactnet(_small_contactnet_bytes(path))))
     assert_exits_cleanly(["inspect", str(path)])
+
+
+@pytest.fixture(scope="module")
+def text_artifacts(tmp_path_factory):
+    """result.csv, counties.csv, mobility.csv and manifest.json of a small
+    synthetic pipeline, as bytes by file name."""
+    out = tmp_path_factory.mktemp("text_artifacts")
+    assert run_cli("pipeline", "--synthetic", "--counties", "3", "--reps", "1", "--steps", "2",
+                   "--initial-infected", "1", "--out", str(out)) == 0
+    return {name: (out / name).read_bytes()
+            for name in ("result.csv", "counties.csv", "mobility.csv", "manifest.json")}
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_inspect_corrupt_text_artifact_never_tracebacks(tmp_path, text_artifacts, data):
+    # counties.csv is inspected as a scenario, with its sibling mobility.csv.
+    (tmp_path / "mobility.csv").write_bytes(text_artifacts["mobility.csv"])
+    name = data.draw(st.sampled_from(["result.csv", "counties.csv", "manifest.json"]))
+    path = tmp_path / name
+    path.write_bytes(data.draw(truncated_or_flipped(text_artifacts[name])))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["inspect", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def assert_exits_cleanly(argv):

@@ -20,11 +20,6 @@ from smirsim.scenario import MobilityMatrix, generate_synthetic_mobility
 from conftest import build_infonet, build_scenario
 
 
-def label_all_ordinary(net):
-    return inet.MisinfoLabeling(phi=1, mode=inet.DISTINCT_FRIENDS,
-                                misinformed=np.zeros(net.n_nodes, dtype=bool))
-
-
 class TestExpectedEdges:
     def test_single_county_gets_whole_budget(self):
         m = MobilityMatrix(np.array([1000]), np.array([[3.7]]))
@@ -76,8 +71,8 @@ class TestSamplePopulation:
 
     def test_party_matched_counts(self):
         scenario, net = self.make_inputs([1000], [0.6])
-        nodes = cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=4)
-        assert nodes.n == 100
+        nodes = cn.sample_population(scenario, net, 0.1, rng_seed=4)
+        assert len(nodes.source) == 100
         # Independent tally over the emitted node list via source personas.
         rep_sourced = int((net.party[nodes.source] == inet.REPUBLICAN).sum())
         assert rep_sourced == 60
@@ -85,62 +80,61 @@ class TestSamplePopulation:
 
     def test_tiny_fraction_drops_county(self):
         scenario, net = self.make_inputs([400, 10000], [0.5, 0.5])
-        nodes = cn.sample_population(scenario, net, label_all_ordinary(net), 0.001, rng_seed=4)
-        assert nodes.county_sizes(2).tolist() == [0, 10]
+        nodes = cn.sample_population(scenario, net, 0.001, rng_seed=4)
+        assert np.bincount(nodes.county_index, minlength=2).tolist() == [0, 10]
 
     def test_degenerate_share_uses_one_pool(self):
         scenario, net = self.make_inputs([500], [1.0])
-        nodes = cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=4)
+        nodes = cn.sample_population(scenario, net, 0.1, rng_seed=4)
         assert np.all(net.party[nodes.source] == inet.REPUBLICAN)
 
     def test_missing_party_pool_raises(self):
         scenario = build_scenario([1000], [0.6], users=[3])
         net = build_infonet(3, [], county=[1000] * 3, alignment=[1.0, 1.0, 1.0])
         with pytest.raises(MissingPartyPoolError, match="democrat"):
-            cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=4)
+            cn.sample_population(scenario, net, 0.1, rng_seed=4)
 
     def test_unneeded_party_pool_not_required(self):
         scenario = build_scenario([1000], [1.0], users=[3])
         net = build_infonet(3, [], county=[1000] * 3, alignment=[1.0, 1.0, 1.0])
-        nodes = cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=4)
-        assert nodes.n == 100
+        nodes = cn.sample_population(scenario, net, 0.1, rng_seed=4)
+        assert len(nodes.source) == 100
 
     def test_rejects_bad_fraction(self):
         scenario, net = self.make_inputs([1000], [0.5])
         with pytest.raises(ValidationError):
-            cn.sample_population(scenario, net, label_all_ordinary(net), 0.0, rng_seed=4)
+            cn.sample_population(scenario, net, 0.0, rng_seed=4)
 
     def test_county_marginals_exact(self, rng):
         voters = [1234, 8888, 402, 61000]
         scenario, net = self.make_inputs(voters, [0.3, 0.5, 0.8, 0.45])
-        nodes = cn.sample_population(scenario, net, label_all_ordinary(net), 0.037, rng_seed=9)
+        nodes = cn.sample_population(scenario, net, 0.037, rng_seed=9)
         want = np.floor(np.asarray(voters) * 0.037 + 0.5).astype(int)
-        assert nodes.county_sizes(4).tolist() == want.tolist()
+        assert np.bincount(nodes.county_index, minlength=4).tolist() == want.tolist()
 
     def test_misinformed_fraction_non_increasing_in_phi(self):
         scenario = build_scenario([3000, 2000], [0.6, 0.4], users=[200, 150])
         net = inet.generate_synthetic_infonet(scenario, inet.InfoGenConfig(), rng_seed=21)
         fractions = []
+        nodes = cn.sample_population(scenario, net, 0.2, rng_seed=33)
         for phi in (1, 2, 3, 5, 10):
-            lab = inet.spread_misinformation(net, phi)
-            nodes = cn.sample_population(scenario, net, lab, 0.2, rng_seed=33)
-            fractions.append(nodes.misinformed.mean())
+            misinformed = inet.spread_misinformation(net, phi)
+            fractions.append(misinformed[nodes.source].mean())
         assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
 
     def test_same_seed_same_draws(self):
         scenario, net = self.make_inputs([5000, 2000], [0.5, 0.7])
-        a = cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=5)
-        b = cn.sample_population(scenario, net, label_all_ordinary(net), 0.1, rng_seed=5)
+        a = cn.sample_population(scenario, net, 0.1, rng_seed=5)
+        b = cn.sample_population(scenario, net, 0.1, rng_seed=5)
         assert np.array_equal(a.source, b.source)
 
 
-def sampled(counties, sizes, misinformed=None):
+def sampled(counties, sizes):
     county_index = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     n = county_index.size
     return cn.SampledNodes(
         county_ids=np.asarray(counties, dtype=np.int64),
         county_index=county_index,
-        misinformed=np.zeros(n, dtype=bool) if misinformed is None else misinformed,
         source=np.zeros(n, dtype=np.int64),
     )
 
@@ -230,7 +224,7 @@ class TestBuildNetwork:
     def test_simple_graph_and_exact_total(self):
         nodes = sampled([1, 2, 3], [120, 80, 100])
         values = np.ones((3, 3))
-        e = cn.expected_edges(values, k_bar=10.0, n_nodes=nodes.n)
+        e = cn.expected_edges(values, k_bar=10.0, n_nodes=len(nodes.source))
         net = cn.build_contact_network(nodes, e, k_bar=10.0, rng_seed=3)
         assert net.n_edges == 1500  # k N / 2 exactly
         assert np.all(net.edges[:, 0] < net.edges[:, 1])
@@ -289,7 +283,7 @@ class TestAdjacency:
 
     def test_rows_are_the_undirected_neighbors(self):
         nodes = sampled([1, 2, 3], [40, 25, 35])
-        e = cn.expected_edges(np.ones((3, 3)), k_bar=6.0, n_nodes=nodes.n)
+        e = cn.expected_edges(np.ones((3, 3)), k_bar=6.0, n_nodes=len(nodes.source))
         net = cn.build_contact_network(nodes, e, k_bar=6.0, rng_seed=4)
         want = [set() for _ in range(net.n_nodes)]
         for u, v in net.edges.tolist():
@@ -317,6 +311,34 @@ class TestAdjacency:
         nodes = sampled([1], [30])
         net = cn.build_contact_network(nodes, np.array([[1.0]]), k_bar=4.0, rng_seed=2)
         assert net.adjacency is net.adjacency
+
+
+class TestRelabel:
+    def build(self):
+        nodes = sampled([1, 2], [30, 20])
+        e = cn.expected_edges(np.ones((2, 2)), 6.0, 50)
+        return cn.build_contact_network(nodes, e, 6.0, rng_seed=13)
+
+    def test_built_network_is_all_ordinary(self):
+        net = self.build()
+        assert net.misinformed.dtype == bool and not net.misinformed.any()
+
+    def test_shares_topology_and_index(self):
+        net = self.build()
+        labels = np.arange(50) % 3 == 0
+        a, b = net.relabel(labels), net.relabel(~labels)
+        for other in (a, b):
+            assert other.edges is net.edges
+            assert other.county_index is net.county_index
+            assert all(x is y for half, other_half in zip(net.adjacency, other.adjacency)
+                       for x, y in zip(half, other_half))
+        assert a.misinformed is labels and np.array_equal(b.misinformed, ~labels)
+        assert not net.misinformed.any()  # the source graph keeps its labels
+
+    @pytest.mark.parametrize("n", [0, 49, 51])
+    def test_rejects_labels_of_another_length(self, n):
+        with pytest.raises(ValidationError, match="misinformed length"):
+            self.build().relabel(np.zeros(n, dtype=bool))
 
 
 class TestSyntheticMobility:
@@ -393,10 +415,9 @@ class TestValidation:
 
 class TestPersistence:
     def build(self):
-        nodes = sampled([1, 2], [30, 20],
-                        misinformed=(np.arange(50) % 3 == 0))
+        nodes = sampled([1, 2], [30, 20])
         e = cn.expected_edges(np.ones((2, 2)), 6.0, 50)
-        return cn.build_contact_network(nodes, e, 6.0, rng_seed=13)
+        return cn.build_contact_network(nodes, e, 6.0, rng_seed=13).relabel(np.arange(50) % 3 == 0)
 
     def test_binary_round_trip(self, tmp_path):
         net = self.build()

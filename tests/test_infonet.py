@@ -39,33 +39,33 @@ class TestSpread:
     def test_phi_one_converts_every_exposed_node(self):
         # seeds 0,1; nodes 2,3 each hear from one seed; 4 hears nothing
         net = build_infonet(5, [(0, 2, 1), (1, 3, 4), (2, 4, 1)], seeds=[0, 1])
-        lab = inet.spread_misinformation(net, 1)
-        assert list(lab.misinformed) == [True, True, True, True, False]
+        misinformed = inet.spread_misinformation(net, 1)
+        assert list(misinformed) == [True, True, True, True, False]
 
     def test_unreachable_threshold_leaves_only_seeds(self):
         net = build_infonet(5, [(0, 2, 1), (1, 2, 9), (1, 3, 2)], seeds=[0, 1])
-        lab = inet.spread_misinformation(net, 50)
-        assert np.array_equal(lab.misinformed, net.seed)
+        misinformed = inet.spread_misinformation(net, 50)
+        assert np.array_equal(misinformed, net.seed)
 
     def test_distinct_versus_weighted_modes(self):
         # seeds {a=0, b=1}; a->c w3, b->c w1, a->d w5
         net = build_infonet(4, [(0, 2, 3), (1, 2, 1), (0, 3, 5)], seeds=[0, 1])
         distinct = inet.spread_misinformation(net, 2, inet.DISTINCT_FRIENDS)
-        assert list(distinct.misinformed) == [True, True, True, False]
+        assert list(distinct) == [True, True, True, False]
         weighted = inet.spread_misinformation(net, 2, inet.RETWEET_WEIGHTED)
-        assert list(weighted.misinformed) == [True, True, True, True]
+        assert list(weighted) == [True, True, True, True]
 
     def test_single_pass_does_not_cascade(self):
         # chain seed -> a -> b: a converts, b must not (no iteration)
         net = build_infonet(3, [(0, 1, 1), (1, 2, 1)], seeds=[0])
-        lab = inet.spread_misinformation(net, 1)
-        assert list(lab.misinformed) == [True, True, False]
+        misinformed = inet.spread_misinformation(net, 1)
+        assert list(misinformed) == [True, True, False]
 
     def test_exposure_follows_retweet_direction(self):
         # seed 1 retweets 0: edge (0 -> 1); node 0 gets no exposure from it
         net = build_infonet(2, [(0, 1, 1)], seeds=[1])
-        lab = inet.spread_misinformation(net, 1)
-        assert list(lab.misinformed) == [False, True]
+        misinformed = inet.spread_misinformation(net, 1)
+        assert list(misinformed) == [False, True]
 
     def test_rejects_bad_phi_and_mode(self):
         net = build_infonet(2, [(0, 1, 1)])
@@ -89,11 +89,11 @@ class TestSpread:
             for mode in (inet.DISTINCT_FRIENDS, inet.RETWEET_WEIGHTED):
                 prev = None
                 for phi in range(1, 6):
-                    lab = inet.spread_misinformation(net, phi, mode)
-                    assert np.all(lab.misinformed[net.seed])
+                    misinformed = inet.spread_misinformation(net, phi, mode)
+                    assert np.all(misinformed[net.seed])
                     if prev is not None:
-                        assert np.all(prev | ~lab.misinformed)  # shrinking sets
-                    prev = lab.misinformed
+                        assert np.all(prev | ~misinformed)  # shrinking sets
+                    prev = misinformed
 
     def test_matches_brute_force_recount(self, rng):
         for trial in range(30):
@@ -111,7 +111,7 @@ class TestSpread:
                     (inet.DISTINCT_FRIENDS, False),
                     (inet.RETWEET_WEIGHTED, True),
                 ):
-                    got = set(np.flatnonzero(inet.spread_misinformation(net, phi, mode).misinformed))
+                    got = set(np.flatnonzero(inet.spread_misinformation(net, phi, mode)))
                     want = brute_force_misinformed(n, edges, seeds, phi, weighted)
                     assert got == want
 
@@ -227,7 +227,7 @@ class TestGenerator:
         net = inet.generate_synthetic_infonet(self.scenario(), cfg, 5)
         assert net.seed.sum() == 0
         for phi in (1, 3):
-            assert inet.spread_misinformation(net, phi).n_misinformed == 0
+            assert not inet.spread_misinformation(net, phi).any()
 
     def test_full_homophily_keeps_edges_within_party(self):
         cfg = inet.InfoGenConfig(homophily=1.0)
