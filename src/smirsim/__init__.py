@@ -42,7 +42,6 @@ from .meanfield import (
     sweep_grid,
 )
 from .scenario import (
-    MobilityMatrix,
     Scenario,
     ScenarioConfig,
     generate_scenario,
@@ -61,6 +60,6 @@ __all__ = [
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",
     "sweep", "sweep_grid",
-    "MobilityMatrix", "Scenario", "ScenarioConfig", "generate_scenario",
-    "generate_synthetic_mobility", "load_scenario", "save_scenario",
+    "Scenario", "ScenarioConfig", "generate_scenario", "generate_synthetic_mobility",
+    "load_scenario", "save_scenario",
 ]

@@ -256,19 +256,15 @@ def cmd_meanfield(args) -> int:
             _check_output_names(values, "--sweep")
             _progress(f"sweeping {name} over {len(values)} values")
             with run.stage("integrate"):
-                trajs = meanfield.integrate_many(
-                    [meanfield.apply_param(params, name, v) for v in values],
-                    args.horizon, args.dt, args.method,
-                )
-            table = [(name, v, meanfield.summarize(t)) for v, t in zip(values, trajs)]
+                rows = meanfield.sweep(params, name, values, args.horizon, args.dt, args.method)
+            table = [(name, v, meanfield.summarize(t)) for v, t in rows]
             with run.stage("write_outputs"):
-                for v, traj in zip(values, trajs):
+                for v, traj in rows:
                     write_trajectory_csv(traj, run.output(f"trajectories/traj_{name}_{v:g}.csv"))
                 _write_summary_csv(table, run.output("sweep_summary.csv"))
                 if args.svg:
                     svgplot.line_chart(
-                        [(f"{name}={v:g}", list(t.days), list(t.infected))
-                         for v, t in zip(values, trajs)],
+                        [(f"{name}={v:g}", list(t.days), list(t.infected)) for v, t in rows],
                         run.output("sweep_infected.svg"),
                         title="Infected fraction per day", xlabel="day", ylabel="I",
                     )

@@ -46,7 +46,7 @@ from .errors import (
     ZeroMobilityError,
 )
 from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork
-from .scenario import MobilityMatrix, Scenario
+from .scenario import Scenario
 from .tables import lookup
 
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
@@ -144,19 +144,19 @@ def _check_k_bar(k_bar: float) -> None:
         raise ValidationError(f"k_bar must be finite and > 0, got {k_bar}")
 
 
-def expected_edges(mobility: MobilityMatrix | np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
+def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
     """Expected edge counts per unordered county pair, incl. the diagonal.
 
-    Returns an upper-triangular matrix E with E[x, y] (x <= y) proportional
-    to the mobility between x and y and summing to the total edge budget
-    k_bar * n_nodes / 2. Scaling the mobility matrix by any positive constant
-    leaves E unchanged.
+    `mobility` is a symmetric county-by-county matrix, such as
+    ``Scenario.mobility``. Returns an upper-triangular matrix E with E[x, y]
+    (x <= y) proportional to the mobility between x and y and summing to the
+    total edge budget k_bar * n_nodes / 2. Scaling the mobility matrix by any
+    positive constant leaves E unchanged.
     """
-    values = mobility.values if isinstance(mobility, MobilityMatrix) else np.asarray(mobility)
     _check_k_bar(k_bar)
     if n_nodes < 2:
         raise ValidationError(f"need at least 2 nodes, got {n_nodes}")
-    upper = np.triu(values)
+    upper = np.triu(mobility)
     total_mobility = upper.sum()
     if total_mobility <= 0:
         raise ZeroMobilityError("mobility matrix sums to zero")

@@ -388,14 +388,14 @@ def sweep(
     horizon: int = DEFAULT_HORIZON,
     dt: float | None = None,
     method: str = DEFAULT_METHOD,
-) -> list[tuple[float, TrajectorySummary]]:
-    """Integrate and summarize once per value of one varying parameter.
+) -> list[tuple[float, Trajectory]]:
+    """The trajectory of each value of one varying parameter, as (value, trajectory).
 
     Rows come back in input order and are integrated as one batch. A numeric
     failure names the offending row's parameters.
     """
     trajs = integrate_many([apply_param(params, varying, v) for v in values], horizon, dt, method)
-    return [(v, summarize(t)) for v, t in zip(values, trajs)]
+    return list(zip(values, trajs))
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,21 @@ def derive_seed(master_seed: int, stream: int) -> int:
 
 
 @dataclass(frozen=True)
-class MobilityMatrix:
-    """Symmetric nonnegative county-by-county daily movement counts."""
+class Scenario:
+    """County table plus mobility, index-aligned: ``mobility`` is the (n, n) symmetric
+    nonnegative matrix of daily movement counts between counties, not all zero."""
 
     county_ids: np.ndarray
-    values: np.ndarray
+    voters: np.ndarray
+    republican_share: np.ndarray
+    twitter_users: np.ndarray
+    mobility: np.ndarray
 
     def __post_init__(self):
-        v = self.values
         n = len(self.county_ids)
+        if n < 1:
+            raise ValidationError("scenario needs at least one county")
+        v = self.mobility
         if v.shape != (n, n):
             raise ValidationError(
                 f"mobility shape {v.shape} does not match {n} counties"
@@ -60,22 +66,6 @@ class MobilityMatrix:
             raise ValidationError("mobility matrix must be symmetric")
         if not np.any(v > 0):
             raise ValidationError("mobility matrix needs at least one positive entry")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """County table plus mobility. Column arrays are index-aligned."""
-
-    county_ids: np.ndarray
-    voters: np.ndarray
-    republican_share: np.ndarray
-    twitter_users: np.ndarray
-    mobility: MobilityMatrix
-
-    def __post_init__(self):
-        n = len(self.county_ids)
-        if n < 1:
-            raise ValidationError("scenario needs at least one county")
         if has_duplicates(self.county_ids):
             raise ValidationError("county ids are not unique")
         for name in ("voters", "republican_share", "twitter_users"):
@@ -87,8 +77,6 @@ class Scenario:
             raise ValidationError("republican_share must be in [0, 1]")
         if np.any(self.twitter_users < 0):
             raise ValidationError("twitter user counts must be nonnegative")
-        if not np.array_equal(self.mobility.county_ids, self.county_ids):
-            raise ValidationError("mobility county ids do not match scenario counties")
 
     @property
     def n_counties(self) -> int:
@@ -144,7 +132,7 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
             stacklevel=2,
         )
     return Scenario(county_ids=fips, voters=voters, republican_share=share, twitter_users=users,
-                    mobility=MobilityMatrix(county_ids=fips, values=l_matrix))
+                    mobility=l_matrix)
 
 
 def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
@@ -155,7 +143,7 @@ def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
         [scenario.county_ids, scenario.voters, scenario.republican_share.astype(float),
          scenario.twitter_users],
     )
-    values = scenario.mobility.values
+    values = scenario.mobility
     i, j = np.triu_indices(scenario.n_counties)  # row-major: (0, 0), (0, 1), ...
     keep = values[i, j] > 0
     i, j = i[keep], j[keep]
@@ -187,6 +175,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.county_count < 1:
             raise ValidationError("county_count must be positive")
+        for name in ("pop_median", "pop_sigma", "share_alpha", "share_beta", "gravity_exponent"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pop_median <= 0 or self.pop_sigma <= 0:
             raise ValidationError("population distribution parameters must be positive")
         if self.share_alpha <= 0 or self.share_beta <= 0:
@@ -246,13 +237,12 @@ LOCAL_DISTANCE = 0.05
 
 
 def generate_synthetic_mobility(
-    county_ids: np.ndarray,
     voters: np.ndarray,
     gravity_exponent: float = 2.0,
     rng_seed: int = 0,
     coordinates: np.ndarray | None = None,
-) -> MobilityMatrix:
-    """Gravity-model mobility on synthetic county coordinates.
+) -> np.ndarray:
+    """Gravity-model mobility matrix of the counties whose populations are `voters`.
 
     L[x, y] = voters_x * voters_y / dist(x, y)^exponent for distinct counties
     and voters_x^2 / LOCAL_DISTANCE^exponent on the diagonal. Coordinates are
@@ -260,7 +250,7 @@ def generate_synthetic_mobility(
     """
     if np.any(voters <= 0):
         raise ValidationError("gravity model needs positive county populations")
-    n = len(county_ids)
+    n = len(voters)
     if coordinates is None:
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
         coordinates = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -276,8 +266,7 @@ def generate_synthetic_mobility(
     dist = np.maximum(dist, LOCAL_DISTANCE)
     pop = voters.astype(float)
     values = np.outer(pop, pop) / dist**gravity_exponent
-    values = (values + values.T) / 2.0
-    return MobilityMatrix(county_ids=county_ids, values=values)
+    return (values + values.T) / 2.0
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
@@ -296,7 +285,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
     ).astype(np.int64)
 
     mobility = generate_synthetic_mobility(
-        county_ids, voters, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)
+        voters, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)
     )
     scenario = Scenario(county_ids=county_ids, voters=voters, republican_share=share,
                         twitter_users=users, mobility=mobility)

@@ -4,9 +4,9 @@ A table is UTF-8 text: a header row, then data rows, with ``\r\n`` line ends.
 Integers and strings are written as text, a float as its ``repr`` (the
 shortest text that reads back to the same float), an unknown value as an
 empty cell. Every table is written by ``write_columns`` from one NumPy array
-per column, a float NaN standing for unknown; numeric tables are formatted
-without ``csv.writer``, and a table with a str column, whose cells may need
-quoting, goes through ``write_csv``.
+per column, a float NaN standing for unknown, to the bytes ``csv.writer``
+writes: a str cell holding ``,``, ``"``, ``\r`` or ``\n`` is quoted, its
+quotes doubled, and the empty cell of a one-column table is written ``""``.
 
 ``read_columns`` reads a table into one NumPy array per column. The result
 is always the row path's: ``csv.reader`` rows, each cell converted by
@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -57,29 +57,20 @@ def _int64(cell: str) -> int:
 # Rows per write of write_columns: about 1 MB of text in an edge table.
 _CHUNK_ROWS = 1 << 16
 
+# csv.writer quotes a cell that holds the delimiter, the quote or a line break.
+_NEEDS_QUOTES = frozenset(',"\r\n')
+
 _CONVERT = {str: str, int: _int64, float: float, FLOAT_OR_NAN: lambda c: float(c) if c else np.nan}
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write `header` and then every row of `rows` to `path`."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        out = csv.writer(f)
-        out.writerow(header)
-        out.writerows(rows)
-
-
 def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write `header` and then the table whose columns are `columns`, a float
-    NaN as an empty cell. Integer and float columns are ``%``-formatted in
-    chunks of rows to the bytes ``write_csv`` writes; any other column (str
-    ids may need quoting) sends the table to ``write_csv``."""
-    if any(c.dtype.kind not in "iuf" for c in columns):
-        write_csv(path, header, zip(*(_cells(c, None) for c in columns)))
-        return
+    """Write `header` and then the table whose columns are `columns` (int,
+    float or ``<U``), a float NaN as an empty cell, ``%``-formatted in chunks
+    of rows."""
     row = ",".join("%d" if c.dtype.kind in "iu" else "%s" for c in columns) + "\r\n"
     unknown = '""' if len(columns) == 1 else ""  # as csv quotes a row of one empty cell
     with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerow(header)
+        f.write(",".join(_cells(np.array(header), unknown)) + "\r\n")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             chunk = [_cells(c[start : start + _CHUNK_ROWS], unknown) for c in columns]
             cells = [None] * (len(chunk) * len(chunk[0]))
@@ -89,7 +80,11 @@ def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) ->
 
 
 def _cells(column: np.ndarray, unknown) -> list:
-    """The entries of `column` as Python values, a float NaN as `unknown`."""
+    """The entries of `column` as Python values: a float NaN and an empty str as
+    `unknown`, a str holding ``,``, ``"``, ``\r`` or ``\n`` quoted as csv quotes it."""
+    if column.dtype.kind == "U":
+        return [s or unknown if _NEEDS_QUOTES.isdisjoint(s) else '"%s"' % s.replace('"', '""')
+                for s in column.tolist()]
     if column.dtype.kind != "f" or not np.isnan(column).any():
         return column.tolist()
     cells = column.astype(object)

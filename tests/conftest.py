@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from smirsim.infonet import InfoNetwork
-from smirsim.scenario import MobilityMatrix, Scenario
+from smirsim.scenario import Scenario
 
 # Reproducible property tests that keep no example database, and whose
 # caches (source constants, unicode tables) stay out of the working tree.
@@ -40,10 +40,7 @@ def build_scenario(voters, shares=None, users=None, mobility=None):
     n = len(voters)
     ids = np.arange(1000, 1000 + n, dtype=np.int64)
     if mobility is None:
-        values = np.ones((n, n))
-        mobility = MobilityMatrix(county_ids=ids, values=values)
-    elif isinstance(mobility, np.ndarray):
-        mobility = MobilityMatrix(county_ids=ids, values=mobility)
+        mobility = np.ones((n, n))
     return Scenario(
         county_ids=ids,
         voters=np.asarray(voters, dtype=np.int64),

@@ -535,3 +535,11 @@ def reference_load_scenario(counties_path, mobility_path) -> dict[str, np.ndarra
         "twitter_users": np.asarray(users, dtype=np.int64),
         "mobility": np.where(both, (raw + raw.T) / 2.0, raw + raw.T * ~filled),
     }
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """Write `header` and then every row of `rows` to `path` with ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        out = csv.writer(f)
+        out.writerow(header)
+        out.writerows(rows)

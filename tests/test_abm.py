@@ -139,6 +139,27 @@ class TestStep:
                     assert any(prev[nb] == abm.I for nb in adj_sets[j])
 
 
+    @pytest.mark.parametrize("carried", [True, False], ids=["carried", "bare"])
+    def test_leaves_its_input_unchanged(self, carried):
+        net = stacked_network([(0, 1), (1, 2)], [True, False, True], copies=50)
+        cfg = abm.AbmConfig(p_o=0.5, p_m=0.9, gamma=0.3, initial_infected=20)
+        state = abm.seed_infection(net, cfg, abm.seeding_stream(3))
+        if carried:
+            state = abm.step(state, net, cfg, abm.day_key(3, 0))
+        else:
+            state = abm.AbmState(state.compartment, 0)
+        names = ("compartment", "infected", "pressure")
+        before = [None if getattr(state, n) is None else getattr(state, n).copy() for n in names]
+        out = abm.step(state, net, cfg, abm.day_key(3, 1))
+        assert not np.array_equal(out.compartment, state.compartment)  # the day changed something
+        assert (state.infected is None) != carried  # a bare state carries nothing
+        for name, copy in zip(names, before):
+            if copy is None:
+                assert getattr(state, name) is None, name
+            else:
+                assert getattr(state, name).tobytes() == copy.tobytes(), name
+
+
 class TestOracleAgreement:
     CASES = [
         # (edges, misinformed, initial, gamma)

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -591,6 +592,15 @@ class TestRunRecord:
         assert run_cli("meanfield", "--out", str(tmp_path / "m")) == 3
         assert capsys.readouterr().err.endswith("numeric failure: stage integrate: out of memory\n")
 
+    def test_meanfield_sweep_out_of_memory_names_the_integrate_stage(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(meanfield, "sweep", exhausted)
+        assert run_cli("meanfield", "--sweep", "lambda=1:2", "--out", str(tmp_path / "m")) == 3
+        assert capsys.readouterr().err.endswith("numeric failure: stage integrate: out of memory\n")
+
     def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "p"
         assert run_cli(*PIPELINE_BASE, "--k-bar", "nan", "--out", str(out)) == 2
@@ -680,6 +690,9 @@ def _write_bad_inputs(d):
         (d / f"{name}.json").write_text(
             json.dumps({"subcommand": "pipeline", "parameters": params})
         )
+    (d / "meanfield_manifest.json").write_text(
+        json.dumps({"subcommand": "meanfield", "parameters": {"horizon": 10}})
+    )
     big = "99999999999999999999"  # beyond int64
     for dir_name, bad_name, bad_text in (
         ("empty_mobility", "mobility.csv", b""),
@@ -692,6 +705,12 @@ def _write_bad_inputs(d):
          f"fips,voters,republican_share,twitter_users\n1000,{big},0.5,5\n".encode()),
         ("nodes_latin1", "infonet_nodes.csv",
          b"id,county_fips,alignment,misinformed_seed\n0,1000,,1\n\xe9,1000,,0\n"),
+        ("users_negative", "counties.csv",
+         b"fips,voters,republican_share,twitter_users\n1000,50,0.5,-5\n"),
+        ("mobility_inf", "mobility.csv", b"x_fips,y_fips,value\n1000,1000,inf\n"),
+        ("mobility_negative", "mobility.csv", b"x_fips,y_fips,value\n1000,1000,-1.0\n"),
+        ("node_outside", "infonet_nodes.csv",
+         b"id,county_fips,alignment,misinformed_seed\n0,1001,,1\n"),
     ):
         scen = d / dir_name
         scen.mkdir()
@@ -706,6 +725,19 @@ def _write_bad_inputs(d):
     (d / "binary.dat").write_bytes(b"\xff\xfe\x00\x81 not text")
     (d / "config_latin1.txt").write_bytes(b"county_count = 5 # caf\xe9\n")
     (d / "config_seed.txt").write_text("county_count = 4\nseed = 5\n")
+    for name, line in {
+        "pop_median_nan": "pop_median = nan",
+        "pop_sigma_inf": "pop_sigma = inf",
+        "share_alpha_inf": "share_alpha = inf",
+        "gravity_exponent_inf": "gravity_exponent = inf",
+        "pop_median_negative": "pop_median = -1",
+        "share_alpha_zero": "share_alpha = 0",
+        "user_rate_2": "twitter_user_rate = 2",
+        "users_min_0": "twitter_users_min = 0",
+        "retweet_weight_p_0": "retweet_weight_p = 0",
+        "no_equals": "county_count 3",
+    }.items():
+        (d / f"config_{name}.txt").write_text(line + "\n")
     data = _small_contactnet_bytes(d / "good.bin")
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
@@ -747,6 +779,10 @@ BAD_INPUTS = {
         ["meanfield", "--horizon", "0", "--sweep", "lambda=1:2"], "horizon"),
     # 10^300 steps a day: rejected before the first one
     "meanfield --dt 1e-300": (["meanfield", "--horizon", "2", "--dt", "1e-300"], "dt=1e-300"),
+    "meanfield --grid without --sweep": (
+        ["meanfield", "--grid", "beta-o=0.1:0.4"], "--grid requires --sweep"),
+    "meanfield --dt 0": (["meanfield", "--dt", "0"], "dt must be > 0"),
+    "meanfield --sweep tau from 0": (["meanfield", "--sweep", "tau=0:2"], "tau must be > 0"),
     "meanfield --horizon -1 --grid": (
         ["meanfield", "--horizon", "-1", "--sweep", "alpha=0.5:1", "--grid", "beta-o=0.1:0.2"],
         "horizon"),
@@ -773,6 +809,39 @@ BAD_INPUTS = {
         ["pipeline", "--from-manifest", "{d}/scenario_dir_nul.json"], "scenario_dir"),
     "manifest regen_network number": (
         ["pipeline", "--from-manifest", "{d}/regen_number.json"], "regen_network"),
+    "manifest of a meanfield run": (
+        ["pipeline", "--from-manifest", "{d}/meanfield_manifest.json"],
+        "is not a pipeline manifest"),
+    "scenario config pop_median -1": (
+        ["gen-scenario", "--scenario-config", "{d}/config_pop_median_negative.txt"],
+        "population distribution"),
+    "scenario config share_alpha 0": (
+        ["gen-scenario", "--scenario-config", "{d}/config_share_alpha_zero.txt"],
+        "share distribution"),
+    "scenario config twitter_user_rate 2": (
+        ["gen-scenario", "--scenario-config", "{d}/config_user_rate_2.txt"], "twitter_user_rate"),
+    "scenario config twitter_users_min 0": (
+        ["gen-scenario", "--scenario-config", "{d}/config_users_min_0.txt"], "twitter_users_min"),
+    "scenario config retweet_weight_p 0": (
+        ["gen-scenario", "--scenario-config", "{d}/config_retweet_weight_p_0.txt"],
+        "retweet_weight_p"),
+    "scenario config line without =": (
+        ["gen-scenario", "--scenario-config", "{d}/config_no_equals.txt"],
+        "config_no_equals.txt:1: expected key = value"),
+    # non-finite: rejected before NumPy warns on a cast or a division
+    "scenario config non-finite pop_median": (
+        ["gen-scenario", "--counties", "5", "--scenario-config", "{d}/config_pop_median_nan.txt"],
+        "pop_median must be finite, got nan"),
+    "scenario config non-finite pop_sigma": (
+        ["gen-scenario", "--counties", "5", "--scenario-config", "{d}/config_pop_sigma_inf.txt"],
+        "pop_sigma must be finite, got inf"),
+    "scenario config non-finite share_alpha": (
+        ["gen-scenario", "--counties", "5", "--scenario-config", "{d}/config_share_alpha_inf.txt"],
+        "share_alpha must be finite, got inf"),
+    "scenario config non-finite gravity_exponent": (
+        ["gen-scenario", "--counties", "5",
+         "--scenario-config", "{d}/config_gravity_exponent_inf.txt"],
+        "gravity_exponent must be finite, got inf"),
     # non-finite rates: rejected before a step that would warn and overflow
     "meanfield --beta-o=inf --gamma=inf": (
         ["meanfield", "--beta-o=inf", "--gamma=inf"], "beta_o must be finite"),
@@ -808,6 +877,17 @@ BAD_INPUTS = {
         ["pipeline", "--scenario-dir", "{d}/voters_overflow"], "counties.csv:2"),
     "infonet nodes not UTF-8": (
         ["pipeline", "--scenario-dir", "{d}/nodes_latin1"], "infonet_nodes.csv:3"),
+    "county twitter users negative": (
+        ["pipeline", "--scenario-dir", "{d}/users_negative"],
+        "twitter user counts must be nonnegative"),
+    "mobility value inf": (
+        ["pipeline", "--scenario-dir", "{d}/mobility_inf"], "mobility entries must be finite"),
+    "mobility value negative": (
+        ["pipeline", "--scenario-dir", "{d}/mobility_negative"],
+        "mobility.csv:2: negative mobility"),
+    "node county outside the scenario": (
+        ["pipeline", "--scenario-dir", "{d}/node_outside"],
+        "references counties outside the scenario"),
     "pipeline --k-bar nan": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "nan"], "stage expected_edges"),
     "pipeline --k-bar inf": (
@@ -838,6 +918,16 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert main(argv) == code
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: " if code == 2 else "numeric failure: ") and expected in last
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if "non-finite" in c])
+def test_non_finite_scenario_config_warns_nothing(tmp_path, capsys, case):
+    argv, expected = BAD_INPUTS[case]
+    _write_bad_inputs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert expected in capsys.readouterr().err
 
 
 # Header fields of contactnet.bin, in _HEADER order: node count, edge count,

@@ -15,21 +15,19 @@ from smirsim.errors import (
     ValidationError,
     ZeroMobilityError,
 )
-from smirsim.scenario import MobilityMatrix, generate_synthetic_mobility
+from smirsim.scenario import generate_synthetic_mobility
 
 from conftest import build_infonet, build_scenario
 
 
 class TestExpectedEdges:
     def test_single_county_gets_whole_budget(self):
-        m = MobilityMatrix(np.array([1000]), np.array([[3.7]]))
-        e = cn.expected_edges(m, k_bar=4.0, n_nodes=10)
+        e = cn.expected_edges(np.array([[3.7]]), k_bar=4.0, n_nodes=10)
         assert e[0, 0] == pytest.approx(20.0)
 
     def test_two_county_uniform_split(self):
         # L_AA = L_AB = L_BB = 1, k=4, N=10: three unordered pairs, 20/3 each
-        m = MobilityMatrix(np.array([1, 2]), np.ones((2, 2)))
-        e = cn.expected_edges(m, 4.0, 10)
+        e = cn.expected_edges(np.ones((2, 2)), 4.0, 10)
         assert e[0, 0] == pytest.approx(20 / 3)
         assert e[0, 1] == pytest.approx(20 / 3)
         assert e[1, 1] == pytest.approx(20 / 3)
@@ -40,14 +38,13 @@ class TestExpectedEdges:
         n = 5
         raw = rng.uniform(0, 10, (n, n))
         values = (raw + raw.T) / 2
-        ids = np.arange(n)
-        a = cn.expected_edges(MobilityMatrix(ids, values), 25.0, 1000)
-        b = cn.expected_edges(MobilityMatrix(ids, values * 37.5), 25.0, 1000)
+        a = cn.expected_edges(values, 25.0, 1000)
+        b = cn.expected_edges(values * 37.5, 25.0, 1000)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero_mobility_rejected(self):
         with pytest.raises(ValidationError):
-            MobilityMatrix(np.array([1]), np.zeros((1, 1)))
+            build_scenario([100], mobility=np.zeros((1, 1)))
         with pytest.raises(ZeroMobilityError):
             cn.expected_edges(np.zeros((2, 2)), 25.0, 10)
 
@@ -345,27 +342,25 @@ class TestSyntheticMobility:
     def test_equal_populations_equidistant_symmetric(self):
         scenario = build_scenario([500, 500, 800])
         coords = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
-        m = generate_synthetic_mobility(
-            scenario.county_ids, scenario.voters, 2.0, 0, coordinates=coords
-        )
-        assert m.values[0, 2] == pytest.approx(m.values[1, 2])
-        assert m.values[0, 0] == pytest.approx(m.values[1, 1])
+        m = generate_synthetic_mobility(scenario.voters, 2.0, 0, coordinates=coords)
+        assert m[0, 2] == pytest.approx(m[1, 2])
+        assert m[0, 0] == pytest.approx(m[1, 1])
 
     def test_exponent_zero_ignores_distance(self):
         scenario = build_scenario([100, 200, 400])
-        m = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 0.0, 3)
+        m = generate_synthetic_mobility(scenario.voters, 0.0, 3)
         pop = scenario.voters.astype(float)
-        assert m.values == pytest.approx(np.outer(pop, pop))
+        assert m == pytest.approx(np.outer(pop, pop))
 
     def test_deterministic_under_seed(self):
         scenario = build_scenario([100, 200, 400])
-        a = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 2.0, 9)
-        b = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 2.0, 9)
-        assert np.array_equal(a.values, b.values)
+        a = generate_synthetic_mobility(scenario.voters, 2.0, 9)
+        b = generate_synthetic_mobility(scenario.voters, 2.0, 9)
+        assert np.array_equal(a, b)
 
     def test_feeds_expected_edges(self):
         scenario = build_scenario([1000, 2000])
-        m = generate_synthetic_mobility(scenario.county_ids, scenario.voters, 1.5, 2)
+        m = generate_synthetic_mobility(scenario.voters, 1.5, 2)
         e = cn.expected_edges(m, 25.0, 10000)
         assert e.sum() == pytest.approx(125000.0, rel=1e-12)
 

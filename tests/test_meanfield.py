@@ -300,17 +300,18 @@ class TestSweep:
         p = mf.MeanFieldParams(**FIG2)
         rows = mf.sweep(p, "lambda", [1.0])
         assert len(rows) == 1
-        assert rows[0][1] == mf.summarize(mf.integrate(p))
+        assert mf.summarize(rows[0][1]) == mf.summarize(mf.integrate(p))
 
     def test_lambda_monotone_total(self):
         p = mf.MeanFieldParams(**FIG2)
         rows = mf.sweep(p, "lambda", [1.0, 1.5, 2.0, 2.5, 3.0])
-        totals = [s.total_infected for _, s in rows]
+        totals = [mf.summarize(t).total_infected for _, t in rows]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
     def test_threshold_behavior(self):
         p = mf.MeanFieldParams(**FIG2)
-        rows = dict(mf.sweep(p, "beta_o", [0.1, 0.18, 0.3], horizon=150))
+        rows = mf.sweep(p, "beta_o", [0.1, 0.18, 0.3], horizon=150)
+        rows = {v: mf.summarize(t) for v, t in rows}
         eps = p.epsilon
         assert rows[0.1].total_infected - eps < 0.01   # R0 = 0.5
         assert rows[0.18].total_infected - eps < 0.01  # R0 = 0.9
@@ -319,18 +320,18 @@ class TestSweep:
     def test_tau_sweep_sets_gamma(self):
         p = mf.MeanFieldParams(**FIG2)
         rows = mf.sweep(p, "tau", [2.0, 5.0, 10.0])
-        totals = [s.total_infected for _, s in rows]
+        totals = [mf.summarize(t).total_infected for _, t in rows]
         assert totals[0] < totals[1] < totals[2]  # longer infectious period, worse
 
     def test_alpha_sweep_misinformed_monotone_low_beta(self):
         p = mf.MeanFieldParams(beta_o=0.1, gamma=0.2, lam=3.0, mu=0.5, epsilon=0.001)
         rows = mf.sweep(p, "alpha", list(np.linspace(0.5, 1.0, 11)), method="rk4")
-        mis = [s.total_infected_misinformed for _, s in rows]
+        mis = [mf.summarize(t).total_infected_misinformed for _, t in rows]
         assert all(b >= a - 1e-12 for a, b in zip(mis, mis[1:]))
 
     def test_alpha_full_separation_shields_at_high_beta(self):
         p = mf.MeanFieldParams(beta_o=0.4, gamma=0.2, lam=3.0, mu=0.5, epsilon=0.001)
-        rows = dict(mf.sweep(p, "alpha", [0.5, 1.0], method="rk4"))
+        rows = {v: mf.summarize(t) for v, t in mf.sweep(p, "alpha", [0.5, 1.0], method="rk4")}
         assert rows[1.0].total_infected < rows[0.5].total_infected
 
     def test_sweep_error_names_value(self):

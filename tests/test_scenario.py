@@ -30,8 +30,8 @@ class TestLoad:
         s = sc.load_scenario(cpath, mpath)
         assert s.n_counties == 2
         assert s.voters.tolist() == [5000, 3000]
-        assert s.mobility.values[0, 1] == pytest.approx(6.0)
-        assert s.mobility.values[1, 0] == pytest.approx(6.0)
+        assert s.mobility[0, 1] == pytest.approx(6.0)
+        assert s.mobility[1, 0] == pytest.approx(6.0)
 
     def test_negative_population_cites_row(self, tmp_path):
         cpath, mpath = write_fixture(
@@ -66,7 +66,7 @@ class TestLoad:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = sc.load_scenario(cpath, mpath)
-        assert s.mobility.values[0, 1] == pytest.approx(10.025)
+        assert s.mobility[0, 1] == pytest.approx(10.025)
 
     def test_large_asymmetry_warns(self, tmp_path):
         cpath, mpath = write_fixture(
@@ -76,7 +76,7 @@ class TestLoad:
         )
         with pytest.warns(UserWarning, match="asymmetry"):
             s = sc.load_scenario(cpath, mpath)
-        assert s.mobility.values[0, 1] == pytest.approx(15.0)
+        assert s.mobility[0, 1] == pytest.approx(15.0)
 
     def test_duplicate_county_rejected(self, tmp_path):
         cpath, mpath = write_fixture(
@@ -84,6 +84,19 @@ class TestLoad:
         )
         with pytest.raises(ValidationError, match="unique"):
             sc.load_scenario(cpath, mpath)
+
+
+class TestMobilityChecks:
+    @pytest.mark.parametrize("mobility, message", [
+        (np.ones((2, 3)), r"mobility shape \(2, 3\) does not match 2 counties"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "mobility entries must be finite"),
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), "mobility entries must be nonnegative"),
+        (np.array([[1.0, 2.0], [3.0, 1.0]]), "mobility matrix must be symmetric"),
+        (np.zeros((2, 2)), "mobility matrix needs at least one positive entry"),
+    ], ids=["shape", "nan", "negative", "asymmetric", "all zero"])
+    def test_scenario_rejects_mobility(self, mobility, message):
+        with pytest.raises(ValidationError, match=message):
+            build_scenario([100, 200], mobility=mobility)
 
 
 class TestRoundTrip:
@@ -108,7 +121,7 @@ class TestRoundTrip:
         sc.save_scenario(generated, tmp_path / "c.csv", tmp_path / "m.csv")
         loaded = sc.load_scenario(tmp_path / "c.csv", tmp_path / "m.csv")
         assert loaded.n_counties == 7
-        assert np.allclose(loaded.mobility.values, generated.mobility.values)
+        assert np.allclose(loaded.mobility, generated.mobility)
 
 
 class TestGenerate:
@@ -116,13 +129,13 @@ class TestGenerate:
         a_s, a_n = sc.generate_scenario(sc.ScenarioConfig(county_count=6, seed=9))
         b_s, b_n = sc.generate_scenario(sc.ScenarioConfig(county_count=6, seed=9))
         assert np.array_equal(a_s.voters, b_s.voters)
-        assert np.array_equal(a_s.mobility.values, b_s.mobility.values)
+        assert np.array_equal(a_s.mobility, b_s.mobility)
         assert np.array_equal(a_n.edge_dst, b_n.edge_dst)
 
     def test_single_county_is_all_diagonal(self):
         s, _ = sc.generate_scenario(sc.ScenarioConfig(county_count=1, seed=2))
-        assert s.mobility.values.shape == (1, 1)
-        assert s.mobility.values[0, 0] > 0
+        assert s.mobility.shape == (1, 1)
+        assert s.mobility[0, 0] > 0
 
     def test_default_shape(self):
         cfg = sc.ScenarioConfig(seed=1)

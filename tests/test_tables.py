@@ -4,14 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smirsim import infonet, scenario, tables
 from smirsim.errors import ParseError, ValidationError
 from smirsim.tables import FLOAT_OR_NAN, read_columns
 
-from oracles import reference_load_infonet, reference_load_scenario
+from oracles import reference_load_infonet, reference_load_scenario, reference_write_csv
 
 KINDS = (str, int, float, FLOAT_OR_NAN)
 
@@ -189,29 +189,39 @@ class TestReadColumns:
 
 
 def csv_bytes(path, header, columns):
-    """The table as ``write_csv`` writes it, a NaN as None."""
+    """The table as ``csv.writer`` writes it, a NaN as None."""
     rows = zip(*([None if isinstance(v, float) and v != v else v for v in c.tolist()]
                  for c in columns))
-    tables.write_csv(path, header, rows)
+    reference_write_csv(path, header, rows)
     return path.read_bytes()
 
 
-numeric_columns = st.integers(0, 9).flatmap(lambda n: st.lists(
+# Text that csv quotes or not: delimiters, quotes, line breaks, spaces, non-ASCII,
+# empty strings; no NUL, which a <U array cannot end in, and no lone surrogate.
+text_cells = st.text(
+    st.sampled_from(',"\r\n \tx7é') | st.characters(blacklist_categories=("Cs",),
+                                                      blacklist_characters="\x00"),
+    max_size=4,
+)
+table_columns = st.integers(0, 9).flatmap(lambda n: st.lists(
     st.one_of(
         st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
         .map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
         .map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(text_cells, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=str)),
     ),
     min_size=1, max_size=4,
 ))
 
 
 class TestWriteColumns:
-    @given(numeric_columns)
-    def test_numeric_table_matches_csv_writer(self, tmp_path_factory, columns):
+    @given(table_columns, st.lists(text_cells, min_size=4, max_size=4))
+    @example([np.array(["", "a,b", ""])], ["c0"])  # one column: an empty cell is ""
+    @example([np.array(["", 'q"'])] * 2, ["", "\n"])
+    def test_numeric_table_matches_csv_writer(self, tmp_path_factory, columns, names):
         d = tmp_path_factory.mktemp("w")
-        header = [f"c{k}" for k in range(len(columns))]
+        header = names[: len(columns)]
         with mock.patch.object(tables, "_CHUNK_ROWS", 4):  # rows cross chunk boundaries
             tables.write_columns(d / "fast.csv", header, columns)
         assert (d / "fast.csv").read_bytes() == csv_bytes(d / "csv.csv", header, columns)
@@ -331,7 +341,7 @@ class TestLoaders:
         repeated = "1000,1001,5.0\n1000,1001,7.0\n" * 3
         m.write_text("x_fips,y_fips,value\n" + repeated + "1001,1001,1\n")
         s = scenario.load_scenario(c, m)
-        assert s.mobility.values.tolist() == [[0.0, 7.0], [7.0, 1.0]]
+        assert s.mobility.tolist() == [[0.0, 7.0], [7.0, 1.0]]
 
     def test_generated_scenario_loads_as_the_row_loader_did(self, tmp_path):
         sc, net = scenario.generate_scenario(scenario.ScenarioConfig(county_count=12, seed=3))
@@ -341,8 +351,7 @@ class TestLoaders:
             got_sc = scenario.load_scenario(tmp_path / "counties.csv", tmp_path / "mobility.csv")
             got_net = infonet.load_infonet(tmp_path / "nodes.csv", tmp_path / "edges.csv")
         want = reference_load_scenario(tmp_path / "counties.csv", tmp_path / "mobility.csv")
-        got = {name: getattr(got_sc, name) for name in want if name != "mobility"}
-        got["mobility"] = got_sc.mobility.values
+        got = {name: getattr(got_sc, name) for name in want}
         want.update(reference_load_infonet(tmp_path / "nodes.csv", tmp_path / "edges.csv"))
         got.update({name: getattr(got_net, name) for name in want if name not in got})
         assert set(got) == set(want)
