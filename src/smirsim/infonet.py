@@ -82,8 +82,11 @@ class InfoNetwork:
                 raise ValidationError("self-edges are not allowed")
             if self.edge_weight.min() < 1:
                 raise ValidationError("edge weights must be >= 1")
-            key = self.edge_src.astype(np.uint64) * np.uint64(n) + self.edge_dst.astype(np.uint64)
-            if has_duplicates(key):
+            # Indices in [0, n) cast to uint64 exactly, and the key fits in one.
+            key = np.multiply(self.edge_src, n, dtype=np.uint64, casting="unsafe")
+            np.add(key, self.edge_dst, out=key, dtype=np.uint64, casting="unsafe")
+            key.sort()
+            if np.any(key[1:] == key[:-1]):
                 raise ValidationError("duplicate directed edges are not allowed")
 
     @property
@@ -300,11 +303,14 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     """
     (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
     (src, dst, weight), lines = read_columns(edges_path, (ID, ID, int))
-    edge_src, edge_dst = np.split(lookup(ids, np.concatenate([src, dst])), 2)
-    unknown = (edge_src < 0) | (edge_dst < 0)
-    if unknown.any():
-        row = int(np.argmax(unknown))
-        name = str(src[row] if edge_src[row] < 0 else dst[row])
-        raise ParseError(edges_path, int(lines[row]), f"unknown node id {name!r}")
+    edge_src = lookup(ids, src)  # one id column at a time, each dropped once looked up
+    unknown = [(row, src[row]) for row in np.flatnonzero(edge_src < 0)[:1]]
+    del src
+    edge_dst = lookup(ids, dst)
+    unknown += [(row, dst[row]) for row in np.flatnonzero(edge_dst < 0)[:1]]
+    if unknown:
+        row, name = min(unknown, key=lambda u: u[0])  # on a tie, the src
+        raise ParseError(edges_path, int(lines[row]), f"unknown node id {str(name)!r}")
+    del dst, lines  # before the network's checks allocate
     return InfoNetwork(ids=ids, county=county, alignment=alignment, seed=seed != 0,
                        edge_src=edge_src, edge_dst=edge_dst, edge_weight=weight)

@@ -104,14 +104,15 @@ def load_scenario(counties_path, mobility_path) -> Scenario:
 
     (x, y, v), lines = read_columns(mobility_path, (int, int, float))
     i, j = lookup(fips, x), lookup(fips, y)
-    bad = (i < 0) | (j < 0) | (v < 0)
+    bad = (i < 0) | (j < 0) | (v < 0) | ~np.isfinite(v)
     if bad.any():
         row = int(np.argmax(bad))
         if i[row] < 0 or j[row] < 0:
             raise ParseError(
                 mobility_path, int(lines[row]), f"unknown county in pair ({x[row]}, {y[row]})"
             )
-        raise ValidationError(f"{mobility_path}:{lines[row]}: negative mobility {float(v[row])}")
+        kind = "negative" if v[row] < 0 else "non-finite"
+        raise ValidationError(f"{mobility_path}:{lines[row]}: {kind} mobility {float(v[row])}")
     n = len(fips)
     # A repeated (x, y) pair keeps the value of its last row.
     _, last = np.unique((i * n + j)[::-1], return_index=True)

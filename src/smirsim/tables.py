@@ -40,9 +40,10 @@ from .errors import ParseError
 FLOAT_OR_NAN = "float or NaN"
 # A column kind for ids: int64 if the table is all canonical decimals, else str.
 ID = "id"
-_DTYPE = {str: str, int: np.int64, float: np.float64, FLOAT_OR_NAN: np.float64}
+_DTYPE = {str: str, ID: str, int: np.int64, float: np.float64, FLOAT_OR_NAN: np.float64}
 # Bytes whose cells csv.reader and np.loadtxt split and strip alike.
 _BULK_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n\r"
+_DECIMAL_BYTES = b"0123456789,\r\n"  # of a table body whose every cell is a canonical decimal
 # A non-negative int64 v has one decimal digit more than the entries of _POW10 it reaches.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -60,7 +61,8 @@ _CHUNK_ROWS = 1 << 16
 # csv.writer quotes a cell that holds the delimiter, the quote or a line break.
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
-_CONVERT = {str: str, int: _int64, float: float, FLOAT_OR_NAN: lambda c: float(c) if c else np.nan}
+_CONVERT = {str: str, ID: str, int: _int64, float: float,
+            FLOAT_OR_NAN: lambda c: float(c) if c else np.nan}
 
 
 def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -114,48 +116,51 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
     row with other than ``len(kinds)`` cells, a cell that does not convert
     and text that is not UTF-8 raise ``ParseError``.
     """
-    data = Path(path).read_bytes()
-    for read in (_read_decimal, _read_bulk):
+    data = bytearray(Path(path).read_bytes())
+    for read in (_read_decimal, _read_bulk):  # each clears `data` to parse
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                columns = read(path, data, kinds)
+                columns = read(path, data or bytearray(Path(path).read_bytes()), kinds)
             if columns:
                 return columns
         except (ValueError, TypeError, OverflowError, Warning):
             pass  # the row path names the row at fault, or reads what the bulk parse cannot
-        kinds = [str if kind == ID else kind for kind in kinds]  # ids not all int64: text
     return _read_rows(path, kinds)
 
 
-def _read_decimal(path, data: bytes, kinds: Sequence):
-    """The int64 columns of a table of ``ID`` and ``int`` columns, or None. Past
-    the header line the bytes must be digits, commas and line breaks (``\r``
-    only in ``\r\n``), np.loadtxt must parse one row per line, and the bytes
-    must count the values' digits, the commas and the breaks: a leading zero
-    would add a byte, so every cell is a canonical decimal."""
-    header, _, body = data.partition(b"\n")
-    if (set(kinds) - {ID, int} or not body or header.translate(None, _BULK_BYTES)
-            or body.translate(None, b"0123456789,\r\n") or _lone_cr(data)):
+def _read_decimal(path, data: bytearray, kinds: Sequence):
+    """The int64 columns of a table of ``ID`` and ``int`` columns, or None. Past the
+    header line `data`, the bytes at `path`, must be digits, commas and line ends
+    (``\r`` only in ``\r\n``), and count exactly the values' digits, the commas, the
+    ``\r``s and a ``\n`` per row but the last: a leading zero or a blank line would
+    add a byte, so every cell is canonical and every line a row. `data` is
+    cleared before the parse."""
+    start = data.find(b"\n") + 1  # of the body, past the header line
+    header = data[:start]
+    if (set(kinds) - {ID, int} or not 0 < start < len(data) or header.translate(None, _BULK_BYTES)
+            or data.translate(None, _DECIMAL_BYTES) != header.translate(None, _DECIMAL_BYTES)
+            or (crs := data.count(b"\r")) != data.count(b"\r\n")):
         return None
-    raw = np.frombuffer(body, dtype=np.uint8)
-    breaks, crlf = np.count_nonzero(raw == ord("\n")), np.count_nonzero(raw == ord("\r"))
+    size, crs, final_break = len(data) - start, crs - header.count(b"\r"), data.endswith(b"\n")
+    data.clear()
     table = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None, quotechar=None,
                        skiprows=1, ndmin=2, encoding="utf-8")
     powers = _POW10[_POW10 <= table.max(initial=0)]
     digits = table.size + sum(int(np.count_nonzero(table >= p)) for p in powers)
-    if (table.shape != (breaks + (body[-1:] != b"\n"), len(kinds))
-            or len(body) != digits + len(table) * (len(kinds) - 1) + breaks + crlf):
+    if table.shape[1] != len(kinds) or size != digits + table.size - (not final_break) + crs:
         return None
-    return list(np.ascontiguousarray(table.T)), np.arange(2, len(table) + 2, dtype=np.int64)
+    columns = [table[:, k].copy() for k in range(len(kinds))]
+    del table
+    return columns, np.arange(2, len(columns[0]) + 2, dtype=np.int64)
 
 
-def _read_bulk(path, data: bytes, kinds: Sequence):
-    """np.loadtxt of `data`, the bytes at `path`; None (the row path) when they are
-    empty, hold a byte outside ``_BULK_BYTES`` or a lone ``\r``, or have a line so
-    long that cells as wide would take far more memory than the text, or that a
-    cell may pass csv's field size limit."""
-    if not data or data.translate(None, _BULK_BYTES) or _lone_cr(data):
+def _read_bulk(path, data: bytearray, kinds: Sequence):
+    """np.loadtxt of the table at `path` once `data`, its bytes, is cleared; None
+    when they are empty, hold a byte outside ``_BULK_BYTES`` or a lone ``\r``, or
+    have a line whose width as cells would take far more memory than the text or
+    pass csv's field size limit. ``FLOAT_OR_NAN`` is float64, text if a cell is empty."""
+    if not data or data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -167,8 +172,13 @@ def _read_bulk(path, data: bytes, kinds: Sequence):
     line_numbers, width = np.flatnonzero(~blank[1:]) + 2, max(int(lengths[1:].max(initial=1)), 1)
     if len(line_numbers) * width > 8 * len(data) or width > csv.field_size_limit():
         return None
-    dtype = [(f"c{k}", f"S{width}" if kind in (str, FLOAT_OR_NAN) else _DTYPE[kind])
-             for k, kind in enumerate(kinds)]
+    comma = raw == ord(",")  # beside a comma, \r, \n (or \t) or the file's end: an empty cell
+    bound = comma | (raw <= ord("\r"))
+    empty_cell = comma[-1] or np.any(comma[:-1] & bound[1:]) or np.any(bound[:-1] & comma[1:])
+    del raw, ends, starts, lengths, blank, comma, bound
+    data.clear()
+    dtype = [(f"c{k}", f"S{width}" if _DTYPE[kind] is str or kind == FLOAT_OR_NAN and empty_cell
+              else _DTYPE[kind]) for k, kind in enumerate(kinds)]
     table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
                        skiprows=1, ndmin=1, encoding="utf-8")
     if len(table) != len(line_numbers):
@@ -177,23 +187,16 @@ def _read_bulk(path, data: bytes, kinds: Sequence):
     columns = []
     for k, kind in enumerate(kinds):
         column = table[f"c{k}"]
-        if kind is str:  # ASCII bytes to code points
+        if _DTYPE[kind] is str:  # ASCII bytes to code points
             start = table.dtype.fields[f"c{k}"][1]
             codes = rows[:, start : start + width]
             cells = int(np.flatnonzero(codes.any(axis=0)).max(initial=0)) + 1
             column = codes[:, :cells].astype(np.uint32).view(f"<U{cells}").ravel()
-        elif kind == FLOAT_OR_NAN:
+        elif kind == FLOAT_OR_NAN and empty_cell:
             known, column = column != b"", np.full(len(table), np.nan)
             column[known] = table[f"c{k}"][known].astype(np.float64)
         columns.append(np.ascontiguousarray(column))
     return columns, line_numbers
-
-
-def _lone_cr(data: bytes) -> bool:
-    """Whether `data` holds a ``\r`` not followed by ``\n``."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cr = raw == ord("\r")
-    return np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == ord("\n")))
 
 
 def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
@@ -219,7 +222,7 @@ def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
             line_numbers.append(line_no)
     except csv.Error as e:  # such as a cell beyond csv's field size limit
         raise ParseError(path, reader.line_num, str(e)) from e
-    for c in (c for c, kind in zip(cells, kinds) if kind is str and c):
+    for c in (c for c, kind in zip(cells, kinds) if _DTYPE[kind] is str and c):
         row = max(range(len(c)), key=lambda r: len(c[r]))
         if 4 * len(c[row]) * len(c) > max(16 * len(data), 2**28):  # bytes as a <U array
             raise ParseError(path, line_numbers[row], f"a {len(c[row])}-character cell makes "
@@ -241,6 +244,8 @@ def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     ints, canonical = _decimal(values)
     if canonical.all():  # a key that is no canonical decimal, as "007", equals no value
         key_ints, key_canonical = _decimal(keys)
+        if key_canonical.all():
+            return _find(key_ints, ints)
         where = np.append(np.flatnonzero(key_canonical), -1)  # index -1 (absent) stays -1
         return where[_find(key_ints[where[:-1]], ints)]
     if keys.dtype.kind == values.dtype.kind == "U" and values.itemsize > keys.itemsize:
@@ -257,7 +262,10 @@ def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         if hi - lo < 4 * (len(keys) + len(values)):  # a dense table: table[key - lo] = index
             table = np.full(hi - lo + 1, -1, dtype=np.int64)
             table[keys[::-1] - lo] = np.arange(len(keys) - 1, -1, -1)  # the first of a repeat last
-            index = table[np.clip(values, lo, hi) - lo]  # at most two arrays of len(values)
+            index = np.clip(values, lo, hi)
+            index -= lo
+            for block in np.split(index, range(_CHUNK_ROWS, len(index), _CHUNK_ROWS)):
+                block[:] = table[block]  # in place: one array of len(values)
             index[(values < lo) | (values > hi)] = -1
             return index
     by_key = np.argsort(keys, kind="stable")

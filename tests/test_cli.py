@@ -881,7 +881,8 @@ BAD_INPUTS = {
         ["pipeline", "--scenario-dir", "{d}/users_negative"],
         "twitter user counts must be nonnegative"),
     "mobility value inf": (
-        ["pipeline", "--scenario-dir", "{d}/mobility_inf"], "mobility entries must be finite"),
+        ["pipeline", "--scenario-dir", "{d}/mobility_inf"],
+        "mobility.csv:2: non-finite mobility inf"),
     "mobility value negative": (
         ["pipeline", "--scenario-dir", "{d}/mobility_negative"],
         "mobility.csv:2: negative mobility"),
@@ -907,6 +908,7 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
     argv, expected, *code = BAD_INPUTS[case]

@@ -433,13 +433,27 @@ def test_mixed_canonical_and_text_ids(tmp_path, nodes, edges):
     assert_loads_as_the_oracle(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
+EDGES = b"src,dst,weight\n7,8,1\n8,7,2\n"
+
+
 @pytest.mark.parametrize("edges", [
     b"src,dst,weight\n7,8,1\n\r8,9,1\r\n",  # a lone \r is a line break to csv
     b"src,dst,weight\r\r\n7,8,1\r\n8,9,1\r\n",
     b"src,dst,weight\n\n7,8,1\n8,9,1",
+    b"src,dst,weight\r\n7,8,1\n8,7,2\n",  # a \r in the header line only
+    b"src,dst,weight\n7,8,1\n8,7,2",  # a last line with no line break
+    b"src,dst,weight\n7,8,1\n8,7,2\r",  # a trailing lone \r
+    b"src,dst,weight\n7,8,\n",  # an empty last cell
+    # (node table, edge table): an empty cell first in a line, an empty alignment
+    # mid-table, one on a last line with no line break, and no empty cell at all
+    (b"h\n,1000,0.5,1\n7,1000,-0.5,0\n8,1000,1,0\n", EDGES),
+    (b"h\n7,1000,0.5,0\n9,1000,,1\n8,1000,1,0\n", EDGES),
+    (b"h\r\n7,1000,0.5,0\r\n8,1000,,0", EDGES),
+    (b"h\n7,1000,0.5,0\n8,1000,-1e-3,0", EDGES),
 ])
 def test_edge_lines_are_counted_as_csv_counts_them(tmp_path, edges):
-    write_table(tmp_path / "nodes.csv", [["7", "1000", "", "0"], ["8", "1000", "", "0"]])
+    nodes, edges = edges if isinstance(edges, tuple) else (b"h\n7,1000,,0\n8,1000,,0\n", edges)
+    (tmp_path / "nodes.csv").write_bytes(nodes)
     (tmp_path / "edges.csv").write_bytes(edges)
     assert_loads_as_the_oracle(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
@@ -462,3 +476,20 @@ def test_default_scenario_edges_take_the_int_path(tmp_path):
     for name, array in want.items():
         assert getattr(got, name).dtype == array.dtype, name
         assert getattr(got, name).tobytes() == array.tobytes(), name
+
+
+def test_load_infonet_peaks_below_twice_what_it_keeps(tmp_path):
+    """The traced peak of loading the default scenario's network is at most
+    twice the bytes of the arrays the network keeps."""
+    _, net = scenario.generate_scenario(scenario.ScenarioConfig(seed=1))
+    nodes, edges = tmp_path / "infonet_nodes.csv", tmp_path / "infonet_edges.csv"
+    infonet.save_infonet(net, nodes, edges)
+    del net
+    tracemalloc.start()
+    try:
+        got = infonet.load_infonet(nodes, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(got, f.name).nbytes for f in dataclasses.fields(got))
+    assert peak <= 2 * kept, f"peak {peak} bytes, keeps {kept}"
