@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contactnet import ContactNetwork
-from .errors import InsufficientMisinformedError, ValidationError
+from .errors import ValidationError
 from .scenario import derive_seed
 from .tables import write_columns
 
@@ -157,7 +157,10 @@ def seed_infection(
     """Infect exactly cfg.initial_infected uniformly chosen misinformed nodes."""
     candidates = np.flatnonzero(net.misinformed)
     if len(candidates) < cfg.initial_infected:
-        raise InsufficientMisinformedError(len(candidates), cfg.initial_infected)
+        raise ValidationError(
+            f"cannot seed {cfg.initial_infected} infections: "
+            f"only {len(candidates)} misinformed nodes"
+        )
     chosen = rng.choice(candidates, size=cfg.initial_infected, replace=False)
     compartment = np.zeros(net.n_nodes, dtype=np.uint8)
     compartment[chosen] = I

@@ -48,6 +48,9 @@ _STREAM_ABM = 12
 _STREAM_NET_REP = 1000  # + repetition, when --regen-network
 _STREAM_ABM_REP = 2000
 
+# NumPy's ValueError texts for an array whose shape or bytes no address space holds.
+_TOO_BIG = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded", "array is too big")
+
 
 def _progress(msg: str) -> None:
     # One write per line, so lines from parallel sweep rows do not interleave.
@@ -63,7 +66,7 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _out_of_memory(e: MemoryError) -> str:
+def _out_of_memory(e: MemoryError | ValueError) -> str:
     return f"out of memory ({e})" if str(e) else "out of memory"
 
 
@@ -120,7 +123,9 @@ class _Run(AbstractContextManager):
             yield
         except NumericError as e:
             raise NumericError(f"stage {name}: {e}") from e
-        except MemoryError as e:
+        except (MemoryError, ValueError) as e:
+            if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
+                raise
             raise NumericError(f"stage {name}: {_out_of_memory(e)}") from e
         except (InputError, OSError) as e:
             raise InputError(f"stage {name}: {e}") from e

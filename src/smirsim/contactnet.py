@@ -38,13 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    MissingPartyPoolError,
-    RetryBudgetError,
-    SaturationError,
-    ValidationError,
-    ZeroMobilityError,
-)
+from .errors import NumericError, ValidationError
 from .infonet import DEMOCRAT, REPUBLICAN, PARTY_NAMES, InfoNetwork
 from .scenario import Scenario
 from .tables import lookup
@@ -91,7 +85,7 @@ def sample_population(
     count rounds to zero contributes no nodes.
 
     Raises:
-        MissingPartyPoolError: a county needs a draw from a party with no
+        ValidationError: a county needs a draw from a party with no
             persona in that county.
     """
     if not (0 < sample_fraction <= 1):
@@ -124,8 +118,9 @@ def sample_population(
             key = ci * 3 + party_code + 1
             pool = order[bounds[key]:bounds[key + 1]]
             if len(pool) == 0:
-                raise MissingPartyPoolError(
-                    int(scenario.county_ids[ci]), PARTY_NAMES[party_code]
+                raise ValidationError(
+                    f"county {int(scenario.county_ids[ci])} has no "
+                    f"{PARTY_NAMES[party_code]} node to sample from"
                 )
             src_out.append(pool[rng.integers(0, len(pool), size=n_party)])
 
@@ -159,7 +154,7 @@ def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarr
     upper = np.triu(mobility)
     total_mobility = upper.sum()
     if total_mobility <= 0:
-        raise ZeroMobilityError("mobility matrix sums to zero")
+        raise ValidationError("mobility matrix sums to zero")
     return upper * (k_bar * n_nodes / 2.0 / total_mobility)
 
 
@@ -281,7 +276,7 @@ def _place_county_edges(
         stuck = np.flatnonzero((have < count) & (drawn >= budget))
         if len(stuck):
             b = stuck[0]
-            raise RetryBudgetError(
+            raise NumericError(
                 f"county pair ({int(nodes.county_ids[x])}, {int(nodes.county_ids[hi_county[b]])})"
                 f" exhausted {budget[b]} draws for {count[b]} edges ({have[b]} placed); "
                 "blocks this dense need a larger node pool"
@@ -331,9 +326,9 @@ def build_contact_network(
     edge list in order, with no global sort.
 
     Raises:
-        SaturationError: the edge budget, or a block's allocation, exceeds
-            the distinct node pairs there are.
-        RetryBudgetError: rejection sampling exceeded 100x a block's count.
+        NumericError: the edge budget, or a block's allocation, exceeds
+            the distinct node pairs there are, or rejection sampling
+            exceeded 100x a block's count.
     """
     _check_k_bar(k_bar)
     n = len(nodes.county_index)
@@ -351,11 +346,11 @@ def build_contact_network(
     empty = sizes == 0
     weights[empty[xs] | empty[ys]] = 0.0
     if weights.sum() <= 0:
-        raise ZeroMobilityError("no county pair with positive expected edges has nodes")
+        raise ValidationError("no county pair with positive expected edges has nodes")
 
     total_edges = int(round(k_bar * n / 2.0))
     if total_edges > n * (n - 1) // 2:  # before the draw: multinomial overflows on a huge budget
-        raise SaturationError(f"k_bar {k_bar} asks for more edges than {n} nodes have pairs")
+        raise NumericError(f"k_bar {k_bar} asks for more edges than {n} nodes have pairs")
     alloc_rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0]))
     counts = alloc_rng.multinomial(total_edges, weights / weights.sum())
 
@@ -367,7 +362,7 @@ def build_contact_network(
     over = counts > capacity
     if np.any(over):
         b = int(np.flatnonzero(over)[0])
-        raise SaturationError(
+        raise NumericError(
             f"county pair ({int(nodes.county_ids[xs[b]])}, {int(nodes.county_ids[ys[b]])}) "
             f"allocated {counts[b]} edges but holds at most {capacity[b]}"
         )

@@ -18,10 +18,6 @@ class NumericError(SmirError):
     """A simulation failed numerically or structurally (CLI exit code 3)."""
 
 
-class InvalidParamsError(InputError):
-    pass
-
-
 class ParseError(InputError):
     """A file could not be parsed; carries the offending line number."""
 
@@ -32,44 +28,4 @@ class ParseError(InputError):
 
 
 class ValidationError(InputError):
-    """Parsed data violates an invariant; the message names it."""
-
-
-class NoScoredNodesError(InputError):
-    """Alignment propagation needs at least one node with a known score."""
-
-
-class MissingPartyPoolError(InputError):
-    """A county has no information-network node of a party that sampling requires."""
-
-    def __init__(self, county, party):
-        super().__init__(f"county {county} has no {party} node to sample from")
-        self.county = county
-        self.party = party
-
-
-class ZeroMobilityError(InputError):
-    """Mobility matrix sums to zero; edge allocation is undefined."""
-
-
-class InsufficientMisinformedError(InputError):
-    """Fewer misinformed nodes than requested initial infections."""
-
-    def __init__(self, available, requested):
-        super().__init__(
-            f"cannot seed {requested} infections: only {available} misinformed nodes"
-        )
-        self.available = available
-        self.requested = requested
-
-
-class NonfiniteStateError(NumericError):
-    """An ODE trajectory left [0, 1] by more than tolerance (step-size or parameter pathology)."""
-
-
-class SaturationError(NumericError):
-    """A county block was allocated more edges than a simple graph can hold."""
-
-
-class RetryBudgetError(NumericError):
-    """Rejection sampling of simple edges exhausted its retry budget."""
+    """Parameters or parsed data violate an invariant; the message names it."""

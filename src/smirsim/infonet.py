@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NoScoredNodesError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .tables import FLOAT_OR_NAN, ID, has_duplicates, lookup, read_columns, write_columns
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ class InfoNetwork:
     """Retweet graph with per-node county, alignment, and seed attributes.
 
     Attributes:
-        ids: unique opaque node identifiers, shape (n,).
+        ids: unique node identifiers, shape (n,); int64, or text if any is no canonical decimal.
         county: county id per node, shape (n,), int64.
         alignment: political alignment score per node, NaN where unknown.
         seed: True for accounts that empirically shared misinformation.
@@ -143,7 +143,7 @@ def propagate_alignment(net: InfoNetwork, max_rounds: int = 100) -> InfoNetwork:
     score = net.alignment.astype(float).copy()
     scored = ~np.isnan(score)
     if not scored.any():
-        raise NoScoredNodesError("no node has an alignment score to propagate")
+        raise ValidationError("no node has an alignment score to propagate")
     w = net.edge_weight.astype(float)
     for _ in range(max_rounds):
         num = np.zeros(net.n_nodes)
@@ -301,7 +301,7 @@ def load_infonet(nodes_path, edges_path) -> InfoNetwork:
     Node rows: id, county_fips, alignment (may be empty), misinformed_seed.
     Edge rows: src, dst, weight, referring to node ids.
     """
-    (ids, county, alignment, seed), _ = read_columns(nodes_path, (str, int, FLOAT_OR_NAN, int))
+    (ids, county, alignment, seed), _ = read_columns(nodes_path, (ID, int, FLOAT_OR_NAN, int))
     (src, dst, weight), lines = read_columns(edges_path, (ID, ID, int))
     edge_src = lookup(ids, src)  # one id column at a time, each dropped once looked up
     unknown = [(row, src[row]) for row in np.flatnonzero(edge_src < 0)[:1]]

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, NonfiniteStateError
+from .errors import NumericError, ValidationError
 
 # Tolerated excursion outside [0, 1] before a trajectory is declared broken.
 _BOUND_TOL = 1e-9
@@ -73,17 +73,17 @@ class MeanFieldParams:
 
     def __post_init__(self):
         if not (0 < self.beta_o < np.inf):
-            raise InvalidParamsError(f"beta_o must be finite and > 0, got {self.beta_o}")
+            raise ValidationError(f"beta_o must be finite and > 0, got {self.beta_o}")
         if not (0 < self.gamma < np.inf):
-            raise InvalidParamsError(f"gamma must be finite and > 0, got {self.gamma}")
+            raise ValidationError(f"gamma must be finite and > 0, got {self.gamma}")
         if not (1 <= self.lam < np.inf):
-            raise InvalidParamsError(f"lambda must be finite and >= 1, got {self.lam}")
+            raise ValidationError(f"lambda must be finite and >= 1, got {self.lam}")
         if not (0.5 <= self.alpha <= 1):
-            raise InvalidParamsError(f"alpha must be in [0.5, 1], got {self.alpha}")
+            raise ValidationError(f"alpha must be in [0.5, 1], got {self.alpha}")
         if not (0 <= self.mu <= 1):
-            raise InvalidParamsError(f"mu must be in [0, 1], got {self.mu}")
+            raise ValidationError(f"mu must be in [0, 1], got {self.mu}")
         if not (0 <= self.epsilon < 1):
-            raise InvalidParamsError(f"epsilon must be in [0, 1), got {self.epsilon}")
+            raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
 
     @property
     def beta_m(self) -> float:
@@ -126,7 +126,7 @@ def initial_state(params: MeanFieldParams) -> MeanFieldState:
     s_o = mu - eps / 2
     s_m = 1.0 - mu - eps / 2
     if s_o < 0 or s_m < 0:
-        raise InvalidParamsError(
+        raise ValidationError(
             f"epsilon={eps} overdraws a group: mu-eps/2={s_o}, 1-mu-eps/2={s_m}"
         )
     return MeanFieldState(s_o, eps / 2, 0.0, s_m, eps / 2, 0.0)
@@ -218,16 +218,16 @@ class Trajectory:
 
 def _resolve_step(dt: float | None, method: str) -> tuple[float, int]:
     if method not in _DEFAULT_DT:
-        raise InvalidParamsError(f"unknown method {method!r}; use 'euler' or 'rk4'")
+        raise ValidationError(f"unknown method {method!r}; use 'euler' or 'rk4'")
     if dt is None:
         dt = _DEFAULT_DT[method]
     if not (dt > 0):
-        raise InvalidParamsError(f"dt must be > 0, got {dt}")
+        raise ValidationError(f"dt must be > 0, got {dt}")
     if dt < 1e-4:  # 100x finer than rk4's default; a smaller dt would run for hours
-        raise InvalidParamsError(f"dt={dt} is below 1e-4, more than 10000 steps per day")
+        raise ValidationError(f"dt={dt} is below 1e-4, more than 10000 steps per day")
     steps_per_day = round(1.0 / dt)
     if steps_per_day < 1 or abs(steps_per_day * dt - 1.0) > 1e-9:
-        raise InvalidParamsError(f"dt={dt} does not divide one day evenly")
+        raise ValidationError(f"dt={dt} does not divide one day evenly")
     return dt, steps_per_day
 
 
@@ -252,15 +252,16 @@ def integrate_many(
         method: "euler" (daily map, reference configuration) or "rk4".
 
     Raises:
-        NonfiniteStateError: if any compartment leaves [0, 1] by more than
+        ValidationError: no parameter sets, a horizon below 1, or a bad method or dt.
+        NumericError: if any compartment leaves [0, 1] by more than
             1e-9, which signals a step-size or parameter pathology; the
             message names the first offending row's parameters.
     """
     params_seq = list(params_seq)
     if not params_seq:
-        raise InvalidParamsError("no parameter sets to integrate")
+        raise ValidationError("no parameter sets to integrate")
     if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     dt, steps_per_day = _resolve_step(dt, method)
     initial = np.array([initial_state(p) for p in params_seq], dtype=float)
     states = np.empty((len(params_seq), horizon + 1, 6))
@@ -303,7 +304,7 @@ def integrate_many(
         in_bounds = (np.isfinite(y) & (y >= -_BOUND_TOL) & (y <= 1 + _BOUND_TOL)).all(axis=(0, 1))
         if not in_bounds.all():
             row = int(np.argmin(in_bounds))
-            raise NonfiniteStateError(
+            raise NumericError(
                 f"compartment left [0, 1] on day {day} for {params_seq[row]} "
                 f"(method={method}, dt={dt}); reduce dt or check parameters"
             )
@@ -373,10 +374,10 @@ SWEEPABLE = tuple(_SWEPT_FIELDS)
 
 def apply_param(params: MeanFieldParams, name: str, value: float) -> MeanFieldParams:
     if name not in _SWEPT_FIELDS:
-        raise InvalidParamsError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
+        raise ValidationError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
     if name == "tau":
         if value <= 0:
-            raise InvalidParamsError(f"tau must be > 0, got {value}")
+            raise ValidationError(f"tau must be > 0, got {value}")
         value = 1.0 / value
     return replace(params, **{_SWEPT_FIELDS[name]: value})
 

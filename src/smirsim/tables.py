@@ -16,12 +16,12 @@ no very long line, is parsed in bulk by NumPy's C reader instead, where
 ``csv`` and that reader split cells alike; any error or warning from the
 bulk parse sends the file to the row path, which accepts or rejects it, so
 the bulk parse never widens what a table may hold. An ``ID`` column holds
-ids: when every cell of its table is a canonical decimal (digits, no sign,
-space or leading zero, within int64), the table is parsed once as int64,
-else the ids are text. ``lookup`` (where is each id) and ``has_duplicates``
-(is an id repeated) match canonical decimal ids as integers, through a dense
-table where they span a small range, and any other id as text, so "007" is
-never "7".
+ids: int64 when every cell of the column is a canonical decimal (digits, no
+sign, space or leading zero, within int64), else text; a table whose every
+cell is one is parsed once as int64. ``lookup`` (where is each id) matches
+ints with ints, through a dense table where they span a small range, and
+text with text; an int matched against text is its decimal text, so "007"
+is never 7.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
 
     `kinds` gives each column's kind: ``str`` (the cell text, a ``<U``
     array as wide as its longest cell), ``int`` (int64), ``float`` or
-    ``FLOAT_OR_NAN`` (float64), or ``ID`` (int64 if the table has only ``ID``
-    and ``int`` columns and every cell is a canonical decimal, else ``str``).
+    ``FLOAT_OR_NAN`` (float64), or ``ID`` (int64 if every cell of the column
+    is a canonical decimal, else ``str``).
     The line numbers let callers name the line of a row that fails a later
     check. The header row is required and skipped; blank rows are skipped; a
     row with other than ``len(kinds)`` cells, a cell that does not convert
@@ -121,12 +121,17 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                columns = read(path, data or bytearray(Path(path).read_bytes()), kinds)
-            if columns:
-                return columns
+                table = read(path, data or bytearray(Path(path).read_bytes()), kinds)
+            if table:
+                break
         except (ValueError, TypeError, OverflowError, Warning):
             pass  # the row path names the row at fault, or reads what the bulk parse cannot
-    return _read_rows(path, kinds)
+    else:
+        table = _read_rows(path, kinds)
+    columns, line_numbers = table
+    for k in (k for k, kind in enumerate(kinds) if kind == ID and columns[k].dtype.kind == "U"):
+        columns[k] = _canonical_ints(columns[k])
+    return columns, line_numbers
 
 
 def _read_decimal(path, data: bytearray, kinds: Sequence):
@@ -233,30 +238,21 @@ def _read_rows(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
 
 def has_duplicates(values: np.ndarray) -> bool:
     """True when some entry of `values` occurs more than once."""
-    ints, canonical = _decimal(values)
-    ordered = np.sort(ints if canonical.all() else values)
+    ordered = np.sort(values)
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index in `keys` of each entry of `values` (the first, if it repeats), -1 if absent;
-    as int64 when every value is an integer or canonical decimal, else as text."""
-    ints, canonical = _decimal(values)
-    if canonical.all():  # a key that is no canonical decimal, as "007", equals no value
-        key_ints, key_canonical = _decimal(keys)
-        if key_canonical.all():
-            return _find(key_ints, ints)
-        where = np.append(np.flatnonzero(key_canonical), -1)  # index -1 (absent) stays -1
-        return where[_find(key_ints[where[:-1]], ints)]
-    if keys.dtype.kind == values.dtype.kind == "U" and values.itemsize > keys.itemsize:
+    """Index in `keys` of each entry of `values` (the first, if it repeats), -1 if absent.
+    Ints match ints and text text; against text, an int side is its decimal text."""
+    if (keys.dtype.kind == "U") != (values.dtype.kind == "U"):  # the int side as decimal text,
+        ints = values if keys.dtype.kind == "U" else keys  # as wide as its widest entry
+        text = ints.astype(f"<U{max(len(str(ints.min(initial=0))), len(str(ints.max(initial=0))))}")
+        keys, values = (keys, text) if ints is values else (text, values)
+    if keys.dtype.kind == "U" and values.itemsize > keys.itemsize:  # so values are text too
         # A value longer than every key matches none; searchsorted would widen the keys to it.
         too_long = np.char.str_len(values) > keys.itemsize // 4
         return np.where(too_long, -1, lookup(keys, values.astype(keys.dtype)))
-    return _find(keys, values)
-
-
-def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``lookup`` of values in keys that compare as they are."""
     if keys.dtype == values.dtype == np.int64 and len(keys):
         lo, hi = int(keys.min()), int(keys.max())
         if hi - lo < 4 * (len(keys) + len(values)):  # a dense table: table[key - lo] = index
@@ -279,19 +275,19 @@ def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return index
 
 
-def _decimal(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry of `column` as int64, and whether it is one: all of an int
-    column, the canonical decimals of a str column (whose code points past a
-    string's end are U+0000, as a ``<U`` string never ends in one)."""
-    if column.dtype.kind != "U":
-        return column, np.ones(len(column), dtype=bool)
-    codes = np.ascontiguousarray(column).view(np.uint32).reshape(-1, column.itemsize // 4).T.copy()
-    digits = codes - np.uint32(ord("0"))
-    is_digit = digits < 10
+def _canonical_ints(column: np.ndarray) -> np.ndarray:
+    """The ``<U`` array `column`, as wide as its longest entry, as int64 if every entry
+    is a canonical decimal, else `column` itself (at once if wider than 19 characters).
+    Code points past a string's end are U+0000, as a ``<U`` string never ends in one."""
+    if column.itemsize > 19 * 4:
+        return column
+    codes = np.ascontiguousarray(column).view(np.uint32).reshape(-1, column.itemsize // 4).T
+    is_digit = (codes >= ord("0")) & (codes <= ord("9"))
     value = np.zeros(len(column), dtype=np.uint64)
     for k in range(min(len(codes), 19)):  # 19 digits fit in uint64
-        value = np.where(is_digit[k], value * 10 + digits[k], value)
+        value = np.where(is_digit[k], value * 10 + (codes[k] - ord("0")), value)
     length = is_digit.sum(axis=0)
     canonical = ((is_digit | (codes == 0)).all(axis=0) & (is_digit[:-1] >= is_digit[1:]).all(axis=0)
-                 & (length > 0) & (length < 20) & (value < 2**63) & ((digits[0] > 0) | (length == 1)))
-    return value.astype(np.int64), canonical
+                 & (length > 0) & (length < 20) & (value < 2**63)
+                 & ((codes[0] > ord("0")) | (length == 1)))  # no leading zero
+    return value.view(np.int64) if canonical.all() else column

@@ -17,7 +17,7 @@ import numpy as np
 from smirsim import abm, infonet
 from smirsim import meanfield as mf
 from smirsim.contactnet import ContactNetwork
-from smirsim.errors import NonfiniteStateError, ParseError, ValidationError
+from smirsim.errors import NumericError, ParseError, ValidationError
 from smirsim.scenario import Scenario, derive_seed
 
 
@@ -247,7 +247,7 @@ def reference_rhs(y: np.ndarray, beta_o, beta_m, gamma, alpha) -> np.ndarray:
 def reference_integrate(params_seq, horizon: int, dt: float, method: str) -> np.ndarray:
     """States (rows, horizon + 1, 6) of a lockstep batch, stepped with fresh
     arrays per stage from the packed layout: the integrator `integrate_many`
-    must match bit for bit. Raises the same NonfiniteStateError on the same
+    must match bit for bit. Raises the same NumericError on the same
     row and day."""
     y = np.array([mf.initial_state(p) for p in params_seq], dtype=float)
     rates = np.array([(p.beta_o, p.beta_m, p.gamma, p.alpha) for p in params_seq]).T
@@ -267,7 +267,7 @@ def reference_integrate(params_seq, horizon: int, dt: float, method: str) -> np.
         in_bounds = np.isfinite(y) & (y >= -1e-9) & (y <= 1 + 1e-9)
         if not in_bounds.all():
             row = int(np.argmin(in_bounds.all(axis=1)))
-            raise NonfiniteStateError(
+            raise NumericError(
                 f"compartment left [0, 1] on day {day + 1} for {params_seq[row]} "
                 f"(method={method}, dt={dt}); reduce dt or check parameters"
             )
@@ -473,7 +473,9 @@ def _reference_int(path, line_no, cell):
 
 def reference_load_infonet(nodes_path, edges_path) -> dict[str, np.ndarray]:
     """The arrays the row-by-row infonet loader built, by name; or the
-    ParseError or ValidationError it raised."""
+    ParseError or ValidationError it raised. The ids are int64 when each is
+    a canonical decimal (ASCII digits, no leading zero, below 2**63), else
+    text; an edge end names the node whose id has the same text."""
     ids, county, alignment, seed = [], [], [], []
     for line_no, row in _reference_rows(nodes_path, 4):
         ids.append(row[0])
@@ -501,8 +503,10 @@ def reference_load_infonet(nodes_path, edges_path) -> dict[str, np.ndarray]:
         raise ValidationError("edge weights must be >= 1")
     if len(set(zip(src, dst))) < len(src):
         raise ValidationError("duplicate directed edges are not allowed")
+    canonical = all(s.isascii() and s.isdigit() and str(int(s)) == s and int(s) < 2**63
+                    for s in ids)
     return {
-        "ids": np.asarray(ids),
+        "ids": np.asarray([int(s) for s in ids], dtype=np.int64) if canonical else np.asarray(ids),
         "county": np.asarray(county, dtype=np.int64),
         "alignment": np.asarray(alignment, dtype=float),
         "seed": np.asarray(seed, dtype=bool),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smirsim import abm
-from smirsim.errors import InsufficientMisinformedError, ValidationError
+from smirsim.errors import ValidationError
 
 from oracles import (
     adjacency,
@@ -48,7 +48,7 @@ class TestSeedInfection:
     def test_no_misinformed_nodes_raises(self):
         net = stacked_network([(0, 1)], [False, False], copies=50)
         cfg = abm.AbmConfig(initial_infected=100)
-        with pytest.raises(InsufficientMisinformedError):
+        with pytest.raises(ValidationError, match="cannot seed 100 infections: only 0 misinformed"):
             abm.seed_infection(net, cfg, np.random.default_rng(0))
 
     def test_exhaustive_draw_infects_every_misinformed(self):

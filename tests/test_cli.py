@@ -575,6 +575,14 @@ class TestRunRecord:
         assert err.endswith("numeric failure: stage generate_scenario: "
                             "out of memory (Unable to allocate 7.45 GiB)\n")
 
+    def test_other_value_error_in_a_stage_is_not_out_of_memory(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("Maximum allowed size is a bug here")
+
+        monkeypatch.setattr(scenario, "generate_scenario", broken)
+        with pytest.raises(ValueError, match="a bug here"):
+            run_cli("gen-scenario", "--seed", "1", "--out", str(tmp_path / "g"))
+
     def test_out_of_memory_outside_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError()
@@ -905,6 +913,23 @@ BAD_INPUTS = {
     # two ranges of 1001 values each: rejected before any cell is integrated
     "meanfield --grid 10^6 cells": (
         ["meanfield", "--sweep", "alpha=0:1:0.001", "--grid", "beta-o=0:1:0.001"], "cells"),
+    # counts whose arrays NumPy refuses to shape: out of memory, as a MemoryError is
+    "meanfield --horizon 10^20": (
+        ["meanfield", "--horizon", "100000000000000000000"], "stage integrate: out of memory", 3),
+    "meanfield --horizon 2^62": (
+        ["meanfield", "--horizon", "4611686018427387904"], "stage integrate: out of memory", 3),
+    "pipeline --steps 10^20": (
+        ["pipeline", "--synthetic", "--counties", "3", "--steps", "100000000000000000000"],
+        "stage abm: out of memory", 3),
+    "pipeline --reps 10^20": (
+        ["pipeline", "--synthetic", "--counties", "3", "--reps", "100000000000000000000"],
+        "stage abm: out of memory", 3),
+    "pipeline --counties 10^20": (
+        ["pipeline", "--synthetic", "--counties", "100000000000000000000"],
+        "stage generate_scenario: out of memory", 3),
+    "gen-scenario --counties 10^20": (
+        ["gen-scenario", "--counties", "100000000000000000000"],
+        "stage generate_scenario: out of memory", 3),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from smirsim import infonet as inet
 from smirsim import scenario as scen
-from smirsim.errors import NoScoredNodesError, ParseError, ValidationError
+from smirsim.errors import ParseError, ValidationError
 
 from conftest import build_infonet, build_scenario
 from oracles import brute_force_misinformed, reference_account_layout, reference_infonet
@@ -160,7 +160,7 @@ class TestAlignmentPropagation:
 
     def test_requires_some_score(self):
         net = build_infonet(2, [(0, 1, 1)], alignment=[np.nan, np.nan])
-        with pytest.raises(NoScoredNodesError):
+        with pytest.raises(ValidationError, match="no node has an alignment score"):
             inet.propagate_alignment(net)
 
     def test_scores_stay_within_convex_hull(self, rng):
@@ -315,11 +315,20 @@ class TestRoundTrip:
         )
         inet.save_infonet(net, tmp_path / "n.csv", tmp_path / "e.csv")
         back = inet.load_infonet(tmp_path / "n.csv", tmp_path / "e.csv")
-        assert [str(i) for i in net.ids] == list(back.ids)
+        assert back.ids.dtype == np.int64 and np.array_equal(back.ids, net.ids)
         assert np.array_equal(back.county, net.county)
         assert np.array_equal(back.alignment, net.alignment, equal_nan=True)
         assert np.array_equal(back.seed, net.seed)
         assert np.array_equal(back.edge_weight, net.edge_weight)
+
+    def test_generated_network_round_trips_array_for_array(self, tmp_path):
+        _, net = scen.generate_scenario(scen.ScenarioConfig(county_count=4, seed=3))
+        inet.save_infonet(net, tmp_path / "n.csv", tmp_path / "e.csv")
+        back = inet.load_infonet(tmp_path / "n.csv", tmp_path / "e.csv")
+        for name in ("ids", "county", "alignment", "seed", "edge_src", "edge_dst", "edge_weight"):
+            want, got = getattr(net, name), getattr(back, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want, equal_nan=name == "alignment"), name
 
     def test_parse_error_reports_line(self, tmp_path):
         (tmp_path / "n.csv").write_text("id,county_fips,alignment,misinformed_seed\nu1,1000,0.5,0\nu2,oops,,1\n")

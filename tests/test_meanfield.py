@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import reference_integrate, reference_rhs
 
 from smirsim import meanfield as mf
-from smirsim.errors import InvalidParamsError, NonfiniteStateError
+from smirsim.errors import NumericError, ValidationError
 
 FIG2 = dict(beta_o=0.3, gamma=0.2, mu=0.5, alpha=0.5, epsilon=0.001)
 
@@ -31,19 +31,19 @@ class TestParams:
         assert p.tau == pytest.approx(5.0)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs",  # the rejected parameter first
         [
             dict(beta_o=0.0, gamma=0.2),
-            dict(beta_o=0.3, gamma=0.0),
-            dict(beta_o=0.3, gamma=0.2, lam=0.5),
-            dict(beta_o=0.3, gamma=0.2, alpha=0.4),
-            dict(beta_o=0.3, gamma=0.2, alpha=1.1),
-            dict(beta_o=0.3, gamma=0.2, mu=-0.1),
-            dict(beta_o=0.3, gamma=0.2, epsilon=1.5),
+            dict(gamma=0.0, beta_o=0.3),
+            dict(lam=0.5, beta_o=0.3, gamma=0.2),
+            dict(alpha=0.4, beta_o=0.3, gamma=0.2),
+            dict(alpha=1.1, beta_o=0.3, gamma=0.2),
+            dict(mu=-0.1, beta_o=0.3, gamma=0.2),
+            dict(epsilon=1.5, beta_o=0.3, gamma=0.2),
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))}.* must be"):
             mf.MeanFieldParams(**kwargs)
 
     def test_r0(self):
@@ -70,7 +70,7 @@ class TestInitialState:
         assert s == pytest.approx((0.0, 0.0, 0.0, 0.998, 0.002, 0.0))
 
     def test_overdrawn_group_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="overdraws a group"):
             mf.initial_state(mf.MeanFieldParams(beta_o=0.3, gamma=0.2, mu=0.0001, epsilon=0.001))
 
 
@@ -165,13 +165,13 @@ class TestIntegrate:
 
     def test_rejects_bad_steps(self):
         p = mf.MeanFieldParams(**FIG2)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="dt=0.3 does not divide one day"):
             mf.integrate(p, dt=0.3)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="horizon must be >= 1"):
             mf.integrate(p, horizon=0)
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="unknown method 'leapfrog'"):
             mf.integrate(p, method="leapfrog")
-        with pytest.raises(InvalidParamsError, match="dt=1e-05"):  # 100,000 steps a day
+        with pytest.raises(ValidationError, match="dt=1e-05"):  # 100,000 steps a day
             mf.integrate(p, horizon=1, dt=1e-5)
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -187,11 +187,11 @@ class TestIntegrate:
             assert np.array_equal(traj.states, mf.integrate(p, 30, method=method).states)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="no parameter sets"):
             mf.integrate_many([])
 
     def test_euler_blowup_raises(self):
-        with pytest.raises(NonfiniteStateError):
+        with pytest.raises(NumericError, match=r"compartment left \[0, 1\]"):
             mf.integrate(mf.MeanFieldParams(beta_o=2.0, gamma=0.2), horizon=50, method="euler")
 
 
@@ -212,7 +212,7 @@ def integrated_or_error(integrate, batch, horizon, dt, method):
     """The (rows, horizon + 1, 6) states as uint64 bits, or the error text."""
     try:
         return integrate(batch, horizon, dt, method).view(np.uint64).tolist()
-    except NonfiniteStateError as e:
+    except NumericError as e:
         return str(e)
 
 
@@ -238,9 +238,9 @@ class TestAgainstReferenceLoop:
         diverging = mf.MeanFieldParams(beta_o=2.0, gamma=0.2, lam=data.draw(st.floats(1.0, 3.0)))
         batch = list(stable)
         batch.insert(data.draw(st.integers(0, len(batch))), diverging)
-        with pytest.raises(NonfiniteStateError) as got:
+        with pytest.raises(NumericError, match="compartment left") as got:
             mf.integrate_many(batch, 50, 1.0, "euler")
-        with pytest.raises(NonfiniteStateError) as expected:
+        with pytest.raises(NumericError, match="compartment left") as expected:
             reference_integrate(batch, 50, 1.0, "euler")
         assert str(got.value) == str(expected.value)
         assert f"for {diverging} " in str(got.value)
@@ -336,11 +336,11 @@ class TestSweep:
 
     def test_sweep_error_names_value(self):
         p = mf.MeanFieldParams(**FIG2)
-        with pytest.raises(NonfiniteStateError, match="beta_o=4"):
+        with pytest.raises(NumericError, match="compartment left .*beta_o=4"):
             mf.sweep(p, "beta_o", [0.3, 4.0])
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match="cannot sweep 'gamma'"):
             mf.sweep(mf.MeanFieldParams(**FIG2), "gamma", [0.1])
 
 

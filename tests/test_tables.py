@@ -261,9 +261,11 @@ class TestLookup:
             assert got.tolist() == [index.get(v, -1) for v in names]
 
     def test_int_values_match_canonical_keys_only(self):
-        keys = np.array(["007", "+7", "7", "08", "8", "7"])
-        values = np.array([7, 8, 0, -7, 2**63 - 1])
-        assert tables.lookup(keys, values).tolist() == [2, 4, -1, -1, -1]
+        text = np.array(["007", "+7", " 7", "7", "08", "8", "7"])
+        ints = np.array([7, 8, 0, -7, 2**63 - 1])
+        assert tables.lookup(text, ints).tolist() == [3, 5, -1, -1, -1]
+        # and the reverse: int keys match the canonical text values only
+        assert tables.lookup(ints, text).tolist() == [-1, -1, -1, 0, -1, 1, 0]
 
     @pytest.mark.parametrize("spread", [1, 10**15])  # a dense table, and the sorted path
     def test_int_keys_first_of_a_repeat(self, spread):
@@ -471,7 +473,7 @@ def test_default_scenario_edges_take_the_int_path(tmp_path):
     with mock.patch.object(tables, "_read_bulk", read_node_text), \
             mock.patch.object(tables, "_read_rows", side_effect=AssertionError("row path")):
         got = infonet.load_infonet(nodes, edges)
-    assert got.ids.dtype == np.dtype("<U6")
+    assert got.ids.dtype == np.int64
     want = reference_load_infonet(nodes, edges)
     for name, array in want.items():
         assert getattr(got, name).dtype == array.dtype, name
