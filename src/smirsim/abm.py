@@ -31,6 +31,7 @@ the state is absorbing and the remaining days are not stepped.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -282,37 +283,45 @@ class EpidemicResult:
         return float(self.per_rep["cum"][:, -1].std())
 
 
-def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult:
+def _rep_counts(net: ContactNetwork, cfg: AbmConfig, master_seed: int, rep: int) -> np.ndarray:
+    """The daily counts of repetition `rep`, laid out as `run` keeps each one's."""
+    mis = net.misinformed
+    counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
+    rep_key = derive_seed(master_seed, rep)
+    state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
+    for day in range(cfg.steps + 1):
+        if day:
+            state = step(state, net, cfg, day_key(rep_key, day))
+        for k, nodes in enumerate((state.infected, state.newly_infected)):
+            on_mis = np.count_nonzero(mis[nodes])
+            counts[k, :, day] = len(nodes) - on_mis, on_mis
+        if not len(state.infected):
+            # Absorbing: no one can be infected or recover again. Each day
+            # has its own key, so skipping days changes nothing later.
+            break
+    return counts
+
+
+def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int, map=map) -> EpidemicResult:
     """Run cfg.repetitions independent epidemics and aggregate per day.
 
     The network is fixed; each repetition reseeds the initial infections with
-    its own derived key. Identical inputs give identical results, bit for
-    bit.
+    its own derived key and depends on nothing else, so `map` (the builtin, or
+    any that returns results in order) may run them anywhere. Identical inputs
+    give identical results, bit for bit.
     """
-    mis = net.misinformed
-    t = cfg.steps + 1
     # counts[k, j, rep, day]: (infected, newly infected)[k] x (ordinary, misinformed)[j]
-    counts = np.zeros((2, 2, cfg.repetitions, t), dtype=np.int64)
-    for rep in range(cfg.repetitions):
-        rep_key = derive_seed(master_seed, rep)
-        state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
-        for day in range(t):
-            if day:
-                state = step(state, net, cfg, day_key(rep_key, day))
-            for k, nodes in enumerate((state.infected, state.newly_infected)):
-                on_mis = np.count_nonzero(mis[nodes])
-                counts[k, :, rep, day] = len(nodes) - on_mis, on_mis
-            if not len(state.infected):
-                # Absorbing: no one can be infected or recover again. Each day
-                # has its own key, so skipping days changes nothing later.
-                break
-
+    counts = np.zeros((2, 2, cfg.repetitions, cfg.steps + 1), dtype=np.int64)
+    net.adjacency  # built once, before `map` starts any worker that shares it
+    for rep, rep_counts in enumerate(map(partial(_rep_counts, net, cfg, master_seed),
+                                         range(cfg.repetitions))):
+        counts[:, :, rep] = rep_counts
     per_rep = {}
     by_label = {"": counts.sum(axis=1), "_ord": counts[:, 0], "_mis": counts[:, 1]}
     for suffix, (prev, new) in by_label.items():
         per_rep["new_inf" + suffix], per_rep["prev_I" + suffix] = new, prev
         per_rep["cum" + suffix] = new.cumsum(axis=1)
-    return EpidemicResult(days=np.arange(t), per_rep=per_rep)
+    return EpidemicResult(days=np.arange(cfg.steps + 1), per_rep=per_rep)
 
 
 def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:

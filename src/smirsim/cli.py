@@ -51,11 +51,46 @@ _STREAM_ABM_REP = 2000
 # NumPy's ValueError texts for an array whose shape or bytes no address space holds.
 _TOO_BIG = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded", "array is too big")
 
+# Fewest contact-network edges at which a pipeline's repetitions fan out to forked
+# workers: below it a repetition is too short to pay for a worker's start (on a
+# 2-vCPU VM forking lost at 125k edges and won from 137k).
+_FORK_MIN_EDGES = 150_000
+
 
 def _progress(msg: str) -> None:
     # One write per line, so lines from parallel sweep rows do not interleave.
     sys.stderr.write(msg + "\n")
     sys.stderr.flush()
+
+
+_forked = None  # what _fork_map's workers apply, set before they fork
+
+
+def _call_forked(item):
+    return _forked(item)
+
+
+def _fork_map(fn, items, workers: int | None = None, what: str = "repetition") -> list:
+    """``list(map(fn, items))``, in min(`workers` or CPUs, items) forked processes; serial
+    where that is one, where fork is unsafe, and inside such a worker, so at most
+    max(workers, CPUs) run. `fn` reaches the workers through fork: only items and
+    results are pickled."""
+    global _forked
+    safe = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not Windows, macOS
+    workers = min(workers or len(os.sched_getaffinity(0)), len(items)) if safe else 1
+    if workers < 2 or _forked is not None:
+        return list(map(fn, items))
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    _forked = fn
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_call_forked, items, chunksize=1))
+    except BrokenExecutor as e:  # a worker was killed
+        raise NumericError(f"a {what} worker died (killed, or out of memory)") from e
+    finally:
+        _forked = None
 
 
 def _sha256(path) -> str:
@@ -131,8 +166,9 @@ class _Run(AbstractContextManager):
             raise InputError(f"stage {name}: {e}") from e
         wall = time.monotonic() - started
         _progress(f"stage {name} done in {wall:.3f}s")
-        # ru_maxrss: the process's peak RSS so far (KiB on Linux, bytes on macOS)
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # ru_maxrss: peak RSS so far of this process or its largest reaped worker (KiB; B on macOS)
+        peak = max(resource.getrusage(who).ru_maxrss
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
         self.stages.append({"name": name, "wall_s": round(wall, 3), "max_rss_mb": round(peak_mb, 1)})
 
@@ -397,9 +433,10 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
                   svg=False) -> list[dict]:
     """Spread -> sample -> build -> simulate on the scenario `sc` and its infonet
     `net` for rows ``(run, config)`` that differ only in phi and mode: they share
-    one sample and each network, recorded in the first row's run. Each row saves
-    contactnet.bin and result.csv (and summary.json and epidemic.svg, if asked)
-    as outputs of its run; returns the rows' summaries."""
+    one sample and each network, recorded in the first row's run; a large
+    network's repetitions run in forked workers. Each row saves contactnet.bin and
+    result.csv (and summary.json and epidemic.svg, if asked) as outputs of its
+    run; returns the rows' summaries."""
     labels = []
     for run, cfg in rows:
         with run.stage("spread_misinformation"):
@@ -427,10 +464,12 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
                 nodes, e_matrix, cfg.k_bar, scenario.derive_seed(cfg.seed, net_stream)
             )
         cnets = []
+        rep_map = _fork_map if graph.n_edges >= _FORK_MIN_EDGES else map
         for (run, _), misinformed, part in zip(rows, labels, parts):
             with run.stage(f"abm{suffix}"):
                 cnets.append(graph.relabel(misinformed[nodes.source]))
-                part.append(abm.run(cnets[-1], run_cfg, scenario.derive_seed(cfg.seed, abm_stream)))
+                part.append(abm.run(cnets[-1], run_cfg, scenario.derive_seed(cfg.seed, abm_stream),
+                                    map=rep_map))
     summaries = []
     for (run, _), cnet, part in zip(rows, cnets, parts):
         result = abm.merge_results(part)
@@ -506,17 +545,7 @@ def cmd_sweep(args) -> int:
         k = min(args.jobs, len(values)) if args.vary == "phi" else len(values)
         shares = [values[i * len(values) // k:(i + 1) * len(values) // k] for i in range(k)]
         share = partial(_sweep_share, cfg, sc, net, args.vary, run.out)
-        workers = min(args.jobs, len(shares))
-        if workers > 1:
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    done = list(pool.map(share, shares))
-            except BrokenExecutor as e:  # a worker was killed
-                raise NumericError("a sweep worker died (killed, or out of memory)") from e
-        else:
-            done = [share(chunk) for chunk in shares]
+        done = _fork_map(share, shares, args.jobs, "sweep")
         summaries = [s for share_summaries, _, _ in done for s in share_summaries]
         run.stages += [s for _, stages, _ in done for s in stages]
         run.outputs += [o for _, _, outputs in done for o in outputs]

@@ -20,8 +20,8 @@ ids: int64 when every cell of the column is a canonical decimal (digits, no
 sign, space or leading zero, within int64), else text; a table whose every
 cell is one is parsed once as int64. ``lookup`` (where is each id) matches
 ints with ints, through a dense table where they span a small range, and
-text with text; an int matched against text is its decimal text, so "007"
-is never 7.
+text with text; text matched against ints is the int it is the canonical
+decimal of, and otherwise matches none, so "007" is never 7.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def _int64(cell: str) -> int:
 
 # Rows per write of write_columns: about 1 MB of text in an edge table.
 _CHUNK_ROWS = 1 << 16
+_BLOCK_BYTES = 1 << 20  # of a byte scan
 
 # csv.writer quotes a cell that holds the delimiter, the quote or a line break.
 _NEEDS_QUOTES = frozenset(',"\r\n')
@@ -104,7 +105,7 @@ def utf8_text(path, data: bytes) -> str:
         raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
 
 
-def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
+def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], Sequence[int]]:
     """Read the table at `path` as one array per column, and each row's line.
 
     `kinds` gives each column's kind: ``str`` (the cell text, a ``<U``
@@ -130,7 +131,9 @@ def read_columns(path, kinds: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
         table = _read_rows(path, kinds)
     columns, line_numbers = table
     for k in (k for k, kind in enumerate(kinds) if kind == ID and columns[k].dtype.kind == "U"):
-        columns[k] = _canonical_ints(columns[k])
+        if columns[k].itemsize <= 19 * 4:  # else too wide to be all canonical decimals
+            value, canonical = _decimals(columns[k])
+            columns[k] = value if canonical.all() else columns[k]
     return columns, line_numbers
 
 
@@ -145,7 +148,7 @@ def _read_decimal(path, data: bytearray, kinds: Sequence):
     header = data[:start]
     if (set(kinds) - {ID, int} or not 0 < start < len(data) or header.translate(None, _BULK_BYTES)
             or data.translate(None, _DECIMAL_BYTES) != header.translate(None, _DECIMAL_BYTES)
-            or (crs := data.count(b"\r")) != data.count(b"\r\n")):
+            or (crs := _crlf_count(data)) is None):
         return None
     size, crs, final_break = len(data) - start, crs - header.count(b"\r"), data.endswith(b"\n")
     data.clear()
@@ -157,7 +160,21 @@ def _read_decimal(path, data: bytearray, kinds: Sequence):
         return None
     columns = [table[:, k].copy() for k in range(len(kinds))]
     del table
-    return columns, np.arange(2, len(columns[0]) + 2, dtype=np.int64)
+    return columns, range(2, len(columns[0]) + 2)  # every line a row
+
+
+def _crlf_count(data: bytearray) -> int | None:
+    """The number of ``\r\n`` in `data`, or None if some ``\r`` is not one's; counted in
+    blocks of about 1 MB, so that no transient holds a bool per byte of `data`."""
+    raw, pairs = np.frombuffer(data, dtype=np.uint8), 0
+    for start in range(0, len(raw), _BLOCK_BYTES):
+        block = raw[start : start + _BLOCK_BYTES + 1]  # and the next block's first byte
+        cr = block[:_BLOCK_BYTES] == ord("\r")
+        crlf = np.count_nonzero(cr[: len(block) - 1] & (block[1:] == ord("\n")))
+        if crlf != np.count_nonzero(cr):
+            return None
+        pairs += crlf
+    return pairs
 
 
 def _read_bulk(path, data: bytearray, kinds: Sequence):
@@ -165,7 +182,7 @@ def _read_bulk(path, data: bytearray, kinds: Sequence):
     when they are empty, hold a byte outside ``_BULK_BYTES`` or a lone ``\r``, or
     have a line whose width as cells would take far more memory than the text or
     pass csv's field size limit. ``FLOAT_OR_NAN`` is float64, text if a cell is empty."""
-    if not data or data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+    if not data or data.translate(None, _BULK_BYTES) or _crlf_count(data) is None:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -244,11 +261,15 @@ def has_duplicates(values: np.ndarray) -> bool:
 
 def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index in `keys` of each entry of `values` (the first, if it repeats), -1 if absent.
-    Ints match ints and text text; against text, an int side is its decimal text."""
-    if (keys.dtype.kind == "U") != (values.dtype.kind == "U"):  # the int side as decimal text,
-        ints = values if keys.dtype.kind == "U" else keys  # as wide as its widest entry
-        text = ints.astype(f"<U{max(len(str(ints.min(initial=0))), len(str(ints.max(initial=0))))}")
-        keys, values = (keys, text) if ints is values else (text, values)
+    Ints match ints and text text; against ints, text matches as the int it is the
+    canonical decimal of (an int's decimal text always is one), and otherwise not."""
+    if keys.dtype.kind == "U" and values.dtype.kind != "U":
+        ints, canonical = _decimals(keys)
+        at = np.append(np.flatnonzero(canonical), -1)  # at[-1]: where no key is found
+        return at[lookup(ints[at[:-1]], values)]
+    if values.dtype.kind == "U" and keys.dtype.kind != "U":
+        ints, canonical = _decimals(values)
+        return np.where(canonical, lookup(keys, ints), -1)
     if keys.dtype.kind == "U" and values.itemsize > keys.itemsize:  # so values are text too
         # A value longer than every key matches none; searchsorted would widen the keys to it.
         too_long = np.char.str_len(values) > keys.itemsize // 4
@@ -275,12 +296,10 @@ def lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return index
 
 
-def _canonical_ints(column: np.ndarray) -> np.ndarray:
-    """The ``<U`` array `column`, as wide as its longest entry, as int64 if every entry
-    is a canonical decimal, else `column` itself (at once if wider than 19 characters).
-    Code points past a string's end are U+0000, as a ``<U`` string never ends in one."""
-    if column.itemsize > 19 * 4:
-        return column
+def _decimals(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, canonical) per entry of the ``<U`` array `column`: whether it is a
+    canonical decimal within int64, and if so its int64 value. Code points past a
+    string's end are U+0000, as a ``<U`` string never ends in one."""
     codes = np.ascontiguousarray(column).view(np.uint32).reshape(-1, column.itemsize // 4).T
     is_digit = (codes >= ord("0")) & (codes <= ord("9"))
     value = np.zeros(len(column), dtype=np.uint64)
@@ -290,4 +309,4 @@ def _canonical_ints(column: np.ndarray) -> np.ndarray:
     canonical = ((is_digit | (codes == 0)).all(axis=0) & (is_digit[:-1] >= is_digit[1:]).all(axis=0)
                  & (length > 0) & (length < 20) & (value < 2**63)
                  & ((codes[0] > ord("0")) | (length == 1)))  # no leading zero
-    return value.view(np.int64) if canonical.all() else column
+    return value.view(np.int64), canonical

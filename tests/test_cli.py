@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
+import os
 import re
+import resource
 import sys
 import warnings
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smirsim import contactnet, meanfield, scenario
+from smirsim import abm, cli, contactnet, meanfield, scenario
 from smirsim.cli import _Run, main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
 
@@ -392,7 +395,7 @@ class FakePool:
     """A ProcessPoolExecutor stand-in that starts no process: it records each
     pool's max_workers and the shares it is given, and maps them serially."""
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, mp_context=None):
         self.calls.append({"max_workers": max_workers})
 
     def __enter__(self):
@@ -401,7 +404,7 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, shares):
+    def map(self, fn, shares, chunksize=1):
         self.calls[-1]["shares"] = list(shares)
         return map(fn, self.calls[-1]["shares"])
 
@@ -479,7 +482,7 @@ class TestSweepShares:
     def test_dead_worker_exits_3(self, tmp_path, fake_pool, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
 
-        def broken_map(self, fn, shares):
+        def broken_map(self, fn, shares, chunksize=1):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
         monkeypatch.setattr(fake_pool, "map", broken_map)
@@ -489,6 +492,112 @@ class TestSweepShares:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "numeric failure: a sweep worker died (killed, or out of memory)"
         assert not (out / "manifest.json").exists()
+
+
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                reason="repetitions fan out only where the platform forks safely")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs this process may use to range(k) and lets a network of any
+    size fan its repetitions out."""
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@needs_fork
+class TestForkedRepetitions:
+    """A pipeline's repetitions run in forked workers, one per CPU it may use,
+    with the same artifacts and exit codes as a serial run, and no worker left."""
+
+    @pytest.mark.parametrize("command, files", [
+        ([*PIPELINE_BASE, "--reps", "3"], ["result.csv", "summary.json", "contactnet.bin"]),
+        (["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi", "--values", "1,3",
+          "--jobs", "1"],
+         ["sweep_summary.csv", *(f"rows/phi_{phi}/{name}" for phi in (1, 3)
+                                 for name in ("result.csv", "contactnet.bin"))]),
+    ], ids=["pipeline", "phi_sweep"])
+    def test_artifacts_equal_for_any_worker_count(self, tmp_path, cpus, command, files):
+        artifacts = []
+        for k in (1, 2, 3):
+            cpus(k)
+            out = tmp_path / str(k)
+            assert run_cli(*command, "--out", str(out)) == 0
+            artifacts.append({name: (out / name).read_bytes() for name in files})
+            assert multiprocessing.active_children() == []
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_workers_capped_at_the_repetitions(self, tmp_path, cpus, fake_pool):
+        cpus(64)
+        assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(tmp_path / "p")) == 0
+        assert fake_pool.calls == [{"max_workers": 3, "shares": [0, 1, 2]}]
+
+    @pytest.mark.parametrize("jobs, calls", [
+        ("1", [{"max_workers": 3, "shares": [0, 1, 2]}] * 2),  # each row fans out
+        ("2", [{"max_workers": 2, "shares": [[1], [3]]}]),  # rows in workers stay serial
+    ])
+    def test_sweep_rows_fan_out_only_in_its_own_process(self, tmp_path, cpus, fake_pool, jobs,
+                                                        calls):
+        cpus(64)
+        assert run_cli("sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi",
+                       "--values", "1,3", "--jobs", jobs, "--out", str(tmp_path / "s")) == 0
+        assert fake_pool.calls == calls
+
+    def test_small_network_stays_serial(self, tmp_path, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(tmp_path / "p")) == 0
+        assert fake_pool.calls == []
+
+    def test_no_fork_runs_serially(self, tmp_path, cpus, fake_pool, monkeypatch):
+        cpus(64)
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(tmp_path / "p")) == 0
+        assert fake_pool.calls == []
+
+    def test_worker_input_error_exits_2_as_serial(self, tmp_path, cpus, capsys):
+        lines = []
+        for k in (1, 2):
+            cpus(k)
+            assert run_cli(*PIPELINE_BASE, "--initial-infected", "100000",
+                           "--out", str(tmp_path / str(k))) == 2
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+            assert multiprocessing.active_children() == []
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("error: stage abm: cannot seed 100000 infections")
+
+    def test_killed_worker_exits_3(self, tmp_path, cpus, capsys, monkeypatch):
+        rep_counts = abm._rep_counts
+
+        def dies_on_rep_1(net, cfg, master_seed, rep):
+            if rep == 1:
+                os._exit(1)
+            return rep_counts(net, cfg, master_seed, rep)
+
+        monkeypatch.setattr(abm, "_rep_counts", dies_on_rep_1)
+        cpus(2)
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(out)) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == ("numeric failure: stage abm: a repetition worker died "
+                        "(killed, or out of memory)")
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+
+    def test_stage_rss_covers_reaped_workers(self, tmp_path, monkeypatch):
+        getrusage = resource.getrusage
+
+        def large_children(who):
+            usage = getrusage(who)
+            if who != resource.RUSAGE_CHILDREN:
+                return usage
+            return type("Usage", (), {"ru_maxrss": 1 << 30})  # KiB: 1 TiB
+
+        monkeypatch.setattr(resource, "getrusage", large_children)
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--out", str(out)) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert {s["max_rss_mb"] for s in stages} == {(1 << 30) / 1024}
 
 
 MANIFEST_KEYS = {

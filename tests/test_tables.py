@@ -22,7 +22,7 @@ def outcome(read):
         columns, lines = read()
     except ParseError as e:
         return ("error", e.line_no)
-    return ("ok", [(c.dtype.str, c.shape, c.tobytes()) for c in columns], lines.tolist())
+    return ("ok", [(c.dtype.str, c.shape, c.tobytes()) for c in columns], list(lines))
 
 
 def row_path(path, kinds):
@@ -268,6 +268,23 @@ class TestLookup:
         assert tables.lookup(ints, text).tolist() == [-1, -1, -1, 0, -1, 1, 0]
 
     @pytest.mark.parametrize("spread", [1, 10**15])  # a dense table, and the sorted path
+    def test_text_keys_with_one_non_canonical_id_against_ints(self, spread):
+        # Node ids canonical but for one ("x"), so they stay text; edge ids all ints.
+        rng = np.random.default_rng(3)
+        ids = [str(int(v) * spread) for v in rng.permutation(2000)] + ["x", "0012", "12"]
+        values = np.append(rng.integers(0, 2100, 500) * spread, [12, 0, 2**63 - 1])
+        index = {}
+        for i, v in enumerate(ids):
+            index.setdefault(v, i)
+        expected = [index.get(str(v), -1) for v in values.tolist()]
+        assert tables.lookup(np.asarray(ids), values).tolist() == expected
+        # and the reverse: int keys against the text ids
+        first = {}
+        for i, v in enumerate(values.tolist()):
+            first.setdefault(str(v), i)
+        assert tables.lookup(values, np.asarray(ids)).tolist() == [first.get(v, -1) for v in ids]
+
+    @pytest.mark.parametrize("spread", [1, 10**15])  # a dense table, and the sorted path
     def test_int_keys_first_of_a_repeat(self, spread):
         keys = np.array([5, 3, 5, 9, 3], dtype=np.int64) * spread
         values = np.append(np.array([3, 5, 9, 4]) * spread, [-(2**63), 2**63 - 1])
@@ -313,6 +330,14 @@ class TestLoaders:
         with pytest.raises(ParseError, match="unknown node id '007'") as e:
             infonet.load_infonet(*paths)
         assert e.value.line_no == 3
+
+    def test_unknown_id_names_its_line_on_the_int_path(self, tmp_path):
+        nodes, edges = write_infonet(tmp_path, ["7,1000,,1", "8,1000,0.5,0"],
+                                     ["7,8,1", "8,7,1", "8,9,2", "9,7,1"])
+        with mock.patch.object(tables, "_read_rows", side_effect=AssertionError("row path")), \
+                pytest.raises(ParseError) as e:
+            infonet.load_infonet(nodes, edges)
+        assert str(e.value) == f"{edges}:4: unknown node id '9'"
 
     @pytest.mark.parametrize("rows", [1, 5000])  # bulk path, and the row path for a wide table
     def test_edge_id_longer_than_every_node_id(self, tmp_path, rows):
@@ -458,6 +483,21 @@ def test_edge_lines_are_counted_as_csv_counts_them(tmp_path, edges):
     (tmp_path / "nodes.csv").write_bytes(nodes)
     (tmp_path / "edges.csv").write_bytes(edges)
     assert_loads_as_the_oracle(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+
+
+@pytest.mark.parametrize("block", [3, 4, 5, 1 << 20])
+@pytest.mark.parametrize("data, crlfs", [
+    (b"ab\r\ncd\r\n", 2),  # with a 4-byte block, the first \r\n ends a block
+    (b"abc\r\nd\r\n", 2),  # and with a 4-byte block this one straddles two
+    (b"abc\rxd\r\n", None),  # a lone \r at a block's end
+    (b"ab\r\ncd\r", None),  # a trailing lone \r
+    (b"\r\r\n", None),
+    (b"abcdefgh", 0),
+    (b"", 0),
+])
+def test_crlf_count_in_blocks(monkeypatch, block, data, crlfs):
+    monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+    assert tables._crlf_count(bytearray(data)) == crlfs
 
 
 def test_default_scenario_edges_take_the_int_path(tmp_path):
