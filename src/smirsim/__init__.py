@@ -23,7 +23,6 @@ from .infonet import (
     InfoNetwork,
     generate_synthetic_infonet,
     load_infonet,
-    propagate_alignment,
     save_infonet,
     spread_misinformation,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "ContactNetwork", "SampledNodes", "build_contact_network", "expected_edges",
     "load_contact_network", "sample_population", "save_contact_network",
     "InfoGenConfig", "InfoNetwork", "generate_synthetic_infonet",
-    "load_infonet", "propagate_alignment", "save_infonet", "spread_misinformation",
+    "load_infonet", "save_infonet", "spread_misinformation",
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",
     "sweep", "sweep_grid",

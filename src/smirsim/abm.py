@@ -31,7 +31,6 @@ the state is absorbing and the remaining days are not stepped.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -283,11 +282,10 @@ class EpidemicResult:
         return float(self.per_rep["cum"][:, -1].std())
 
 
-def _rep_counts(net: ContactNetwork, cfg: AbmConfig, master_seed: int, rep: int) -> np.ndarray:
-    """The daily counts of repetition `rep`, laid out as `run` keeps each one's."""
+def rep_counts(net: ContactNetwork, cfg: AbmConfig, rep_key: int) -> np.ndarray:
+    """Daily counts of repetition `rep_key`: (infected, new) x (ordinary, misinformed) x day."""
     mis = net.misinformed
     counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
-    rep_key = derive_seed(master_seed, rep)
     state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
     for day in range(cfg.steps + 1):
         if day:
@@ -302,41 +300,28 @@ def _rep_counts(net: ContactNetwork, cfg: AbmConfig, master_seed: int, rep: int)
     return counts
 
 
-def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int, map=map) -> EpidemicResult:
-    """Run cfg.repetitions independent epidemics and aggregate per day.
-
-    The network is fixed; each repetition reseeds the initial infections with
-    its own derived key and depends on nothing else, so `map` (the builtin, or
-    any that returns results in order) may run them anywhere. Identical inputs
-    give identical results, bit for bit.
-    """
-    # counts[k, j, rep, day]: (infected, newly infected)[k] x (ordinary, misinformed)[j]
-    counts = np.zeros((2, 2, cfg.repetitions, cfg.steps + 1), dtype=np.int64)
-    net.adjacency  # built once, before `map` starts any worker that shares it
-    for rep, rep_counts in enumerate(map(partial(_rep_counts, net, cfg, master_seed),
-                                         range(cfg.repetitions))):
-        counts[:, :, rep] = rep_counts
+def result(counts: np.ndarray) -> EpidemicResult:
+    """The nine measures of `rep_counts` stacked in repetition order: ``counts[k, j, rep, day]``."""
     per_rep = {}
     by_label = {"": counts.sum(axis=1), "_ord": counts[:, 0], "_mis": counts[:, 1]}
     for suffix, (prev, new) in by_label.items():
         per_rep["new_inf" + suffix], per_rep["prev_I" + suffix] = new, prev
         per_rep["cum" + suffix] = new.cumsum(axis=1)
-    return EpidemicResult(days=np.arange(cfg.steps + 1), per_rep=per_rep)
+    return EpidemicResult(days=np.arange(counts.shape[-1]), per_rep=per_rep)
 
 
-def merge_results(parts: list[EpidemicResult]) -> EpidemicResult:
-    """Stack single-network results into one multi-repetition result.
+def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult:
+    """Run cfg.repetitions independent epidemics and aggregate per day.
 
-    Used when every repetition rebuilds its own contact network; the parts
-    must agree on their day range.
+    The network is fixed; repetition r reseeds the initial infections with
+    key ``derive_seed(master_seed, r)`` and depends on nothing else, so a
+    caller may run `rep_counts` for each r anywhere and stack them into
+    `result`. Identical inputs give identical results, bit for bit.
     """
-    days = parts[0].days
-    if any(len(p.days) != len(days) for p in parts):
-        raise ValidationError("cannot merge results with different day ranges")
-    per_rep = {
-        name: np.concatenate([p.per_rep[name] for p in parts]) for name in MEASURES
-    }
-    return EpidemicResult(days=days, per_rep=per_rep)
+    counts = np.zeros((2, 2, cfg.repetitions, cfg.steps + 1), dtype=np.int64)
+    for rep in range(cfg.repetitions):
+        counts[:, :, rep] = rep_counts(net, cfg, derive_seed(master_seed, rep))
+    return result(counts)
 
 
 def write_result_csv(result: EpidemicResult, path) -> None:

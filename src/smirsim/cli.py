@@ -13,9 +13,11 @@ resolved parameters, input hashes, seed, outputs and ``stages``: each
 pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
 the process that ran it (a high-water mark, never falling within a process;
 a sweep has one scenario, at its top level, and names its rows' stages
-``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample
-and each network, recorded under the first row sharing them). Re-running with
-the same parameters reproduces every CSV and binary artifact byte for byte.
+``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample,
+each network and each repetition, recorded under the first row sharing them;
+a network rebuilt per repetition is recorded inside ``abm``, with the peak RSS
+of the worker that built it). Re-running with the same parameters reproduces
+every CSV and binary artifact byte for byte.
 Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
 
@@ -433,10 +435,9 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
                   svg=False) -> list[dict]:
     """Spread -> sample -> build -> simulate on the scenario `sc` and its infonet
     `net` for rows ``(run, config)`` that differ only in phi and mode: they share
-    one sample and each network, recorded in the first row's run; a large
-    network's repetitions run in forked workers. Each row saves contactnet.bin and
-    result.csv (and summary.json and epidemic.svg, if asked) as outputs of its
-    run; returns the rows' summaries."""
+    one sample, each network and each repetition, recorded in the first row's run.
+    Each row saves contactnet.bin and result.csv (and summary.json and epidemic.svg,
+    if asked) as outputs of its run; returns the rows' summaries."""
     labels = []
     for run, cfg in rows:
         with run.stage("spread_misinformation"):
@@ -446,39 +447,54 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
         nodes = contactnet.sample_population(
             sc, net, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
         )
+    n = len(nodes.source)
     with first.stage("expected_edges"):
-        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, len(nodes.source))
+        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, n)
     abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
                             initial_infected=cfg.initial_infected, steps=cfg.steps,
                             repetitions=cfg.reps)
-    # (stage suffix, network stream, epidemic stream, config) per network built
-    if cfg.regen_network:
-        builds = [(f"[rep={rep}]", _STREAM_NET_REP + rep, _STREAM_ABM_REP + rep,
-                   replace(abm_cfg, repetitions=1)) for rep in range(cfg.reps)]
-    else:
-        builds = [("", _STREAM_NET, _STREAM_ABM, abm_cfg)]
-    parts = [[] for _ in rows]
-    for suffix, net_stream, abm_stream, run_cfg in builds:
-        with first.stage(f"build_contact_network{suffix}"):
-            graph = contactnet.build_contact_network(
-                nodes, e_matrix, cfg.k_bar, scenario.derive_seed(cfg.seed, net_stream)
-            )
-        cnets = []
-        rep_map = _fork_map if graph.n_edges >= _FORK_MIN_EDGES else map
-        for (run, _), misinformed, part in zip(rows, labels, parts):
-            with run.stage(f"abm{suffix}"):
-                cnets.append(graph.relabel(misinformed[nodes.source]))
-                part.append(abm.run(cnets[-1], run_cfg, scenario.derive_seed(cfg.seed, abm_stream),
-                                    map=rep_map))
+    n_edges = contactnet.edge_budget(cfg.k_bar, n)  # what every build places
+    workers = None if n_edges >= _FORK_MIN_EDGES else 1  # repetitions fan out to forked workers
+    build = partial(contactnet.build_contact_network, nodes, e_matrix, cfg.k_bar)
+    if not cfg.regen_network:
+        with first.stage("build_contact_network"):
+            shared = build(scenario.derive_seed(cfg.seed, _STREAM_NET))
+            shared.adjacency  # built once, before any worker forks
+    abm_seed = scenario.derive_seed(cfg.seed, _STREAM_ABM)
+    with first.stage("abm"):
+        labels = [misinformed[nodes.source] for misinformed in labels]
+        paths = [run.output("contactnet.bin") for run, _ in rows]
+
+        def repetition(rep):
+            """Each row's counts of repetition `rep`, and the stages it recorded."""
+            record = _Run(first.out)
+            if cfg.regen_network:
+                with record.stage(f"build_contact_network[rep={rep}]"):
+                    graph = build(scenario.derive_seed(cfg.seed, _STREAM_NET_REP + rep))
+                key = scenario.derive_seed(scenario.derive_seed(cfg.seed, _STREAM_ABM_REP + rep), 0)
+            else:
+                graph, key = shared, scenario.derive_seed(abm_seed, rep)
+            cnets = [graph.relabel(misinformed) for misinformed in labels]
+            if rep == cfg.reps - 1:  # the last repetition's networks are the rows' artifacts
+                for cnet, path in zip(cnets, paths):
+                    contactnet.save_contact_network(cnet, path)
+            return [abm.rep_counts(cnet, abm_cfg, key) for cnet in cnets], record.stages
+
+        # counts[row, k, j, rep, day]; a shape no memory holds fails here, before any work.
+        counts = np.empty((len(rows), 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
+        for rep, (rep_counts, stages) in enumerate(_fork_map(repetition, range(cfg.reps), workers)):
+            counts[:, :, :, rep] = rep_counts
+            first.stages += stages
     summaries = []
-    for (run, _), cnet, part in zip(rows, cnets, parts):
-        result = abm.merge_results(part)
+    for (run, _), misinformed, row_counts in zip(rows, labels, counts):
+        result = abm.result(row_counts)
+        misinformed_nodes = int(np.count_nonzero(misinformed))
         summary = {
-            "n_nodes": cnet.n_nodes,
-            "n_edges": cnet.n_edges,
-            "mean_degree": round(cnet.mean_degree, 6),
-            "misinformed_nodes": cnet.misinformed_count,
-            "misinformed_fraction": round(cnet.misinformed_count / cnet.n_nodes, 9),
+            "n_nodes": n,
+            "n_edges": n_edges,
+            "mean_degree": round(2.0 * n_edges / n, 6),
+            "misinformed_nodes": misinformed_nodes,
+            "misinformed_fraction": round(misinformed_nodes / n, 9),
             "peak_day_mean": result.peak_day_mean,
             "peak_height_mean": result.peak_height_mean,
             "cumulative_final_mean": result.cumulative_final_mean,
@@ -486,7 +502,6 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
         }
         summaries.append(summary)
         with run.stage("write_outputs"):
-            contactnet.save_contact_network(cnet, run.output("contactnet.bin"))
             abm.write_result_csv(result, run.output("result.csv"))
             if summary_json:
                 text = json.dumps(summary, indent=2, sort_keys=True) + "\n"

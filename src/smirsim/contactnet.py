@@ -139,6 +139,11 @@ def _check_k_bar(k_bar: float) -> None:
         raise ValidationError(f"k_bar must be finite and > 0, got {k_bar}")
 
 
+def edge_budget(k_bar: float, n_nodes: int) -> int:
+    """The edge count of every network `build_contact_network` makes: round(k_bar * N / 2)."""
+    return int(round(k_bar * n_nodes / 2.0))
+
+
 def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
     """Expected edge counts per unordered county pair, incl. the diagonal.
 
@@ -348,7 +353,7 @@ def build_contact_network(
     if weights.sum() <= 0:
         raise ValidationError("no county pair with positive expected edges has nodes")
 
-    total_edges = int(round(k_bar * n / 2.0))
+    total_edges = edge_budget(k_bar, n)
     if total_edges > n * (n - 1) // 2:  # before the draw: multinomial overflows on a huge budget
         raise NumericError(f"k_bar {k_bar} asks for more edges than {n} nodes have pairs")
     alloc_rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0]))

@@ -6,19 +6,17 @@ accounts ``j`` retweeted, i.e. the accounts whose content reaches ``j``.
 Exposure to misinformation flows along that direction, from the retweeted
 account to the retweeter.
 
-Three operations live here: a single-pass linear-threshold conversion of
-ordinary nodes into misinformed ones, label propagation of political
-alignment scores over the retweet graph, and a synthetic generator that
+Two operations live here: a single-pass linear-threshold conversion of
+ordinary nodes into misinformed ones, and a synthetic generator that
 stands in for real retweet data (heavy-tailed in-degrees via directed
 preferential attachment, party homophily, per-party misinformation seeding).
 
-Networks are immutable after construction; operations return new value
-objects.
+Networks are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,38 +126,6 @@ def spread_misinformation(
     weight = 1 if mode == DISTINCT_FRIENDS else net.edge_weight[from_seed]
     np.add.at(exposure, net.edge_dst[from_seed], weight)
     return net.seed | (exposure >= phi)
-
-
-def propagate_alignment(net: InfoNetwork, max_rounds: int = 100) -> InfoNetwork:
-    """Fill in missing alignment scores by weighted label propagation.
-
-    Each round, every unscored node whose neighbor set (union of in- and
-    out-neighbors) contains at least one scored node receives the
-    retweet-weight-weighted average of its scored neighbors' scores. Updates
-    are synchronous: scores gained in a round only propagate in the next one.
-    Rounds stop when no unscored node can gain a score or after
-    ``max_rounds``. Nodes unreachable from any scored node stay unscored.
-    """
-    score = net.alignment.astype(float).copy()
-    scored = ~np.isnan(score)
-    if not scored.any():
-        raise ValidationError("no node has an alignment score to propagate")
-    w = net.edge_weight.astype(float)
-    for _ in range(max_rounds):
-        num = np.zeros(net.n_nodes)
-        den = np.zeros(net.n_nodes)
-        take = scored[net.edge_src] & ~scored[net.edge_dst]
-        np.add.at(num, net.edge_dst[take], score[net.edge_src[take]] * w[take])
-        np.add.at(den, net.edge_dst[take], w[take])
-        give = scored[net.edge_dst] & ~scored[net.edge_src]
-        np.add.at(num, net.edge_src[give], score[net.edge_dst[give]] * w[give])
-        np.add.at(den, net.edge_src[give], w[give])
-        gained = ~scored & (den > 0)
-        if not gained.any():
-            break
-        score[gained] = num[gained] / den[gained]
-        scored |= gained
-    return replace(net, alignment=score)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smirsim import abm
 from smirsim.errors import ValidationError
+from smirsim.scenario import derive_seed
 
 from oracles import (
     adjacency,
@@ -250,19 +250,19 @@ class TestRun:
         assert np.all(res.per_rep["cum"][:, 0] == 6)
         assert np.all(res.per_rep["cum_mis"][:, 0] == 6)  # seeds are misinformed
 
-    def test_merge_results_stacks_repetitions(self):
+    def test_result_of_stacked_rep_counts_equals_run(self):
         net = self.small_net()
         cfg = abm.AbmConfig(p_o=0.2, p_m=1.0, gamma=0.2, initial_infected=5,
-                            steps=10, repetitions=1)
-        parts = [abm.run(net, cfg, master_seed=s) for s in (1, 2, 3)]
-        merged = abm.merge_results(parts)
-        assert merged.per_rep["cum"].shape == (3, 11)
-        assert merged.peak_day.shape == (3,)
+                            steps=10, repetitions=3)
+        parts = [abm.rep_counts(net, cfg, derive_seed(4, rep)) for rep in range(3)]
+        assert all(part.shape == (2, 2, 11) for part in parts)
+        stacked = abm.result(np.stack(parts, axis=2))
+        ran = abm.run(net, cfg, master_seed=4)
+        assert np.array_equal(stacked.days, ran.days)
+        assert stacked.per_rep.keys() == ran.per_rep.keys() == set(abm.MEASURES)
         for name in abm.MEASURES:
-            assert np.array_equal(merged.per_rep[name][1], parts[1].per_rep[name][0])
-        shorter = abm.run(net, replace(cfg, steps=5), master_seed=4)
-        with pytest.raises(ValidationError, match="day ranges"):
-            abm.merge_results([*parts, shorter])
+            assert stacked.per_rep[name].shape == (3, 11)
+            assert np.array_equal(stacked.per_rep[name], ran.per_rep[name]), name
 
     def test_result_csv_schema(self, tmp_path):
         net = self.small_net()

@@ -343,3 +343,60 @@ def test_criterion_10_scale_smoke(desk_scenario):
         f"{cnet.n_nodes} nodes, {cnet.n_edges} edges, {elapsed:.0f}s, "
         f"peak RSS {peak_rss_gb:.2f} GB",
     )
+
+
+# (alpha, lambda = p_m / p_o, p_o, gamma): homophily and contrast both varied,
+# since alpha = 0.5 with lambda = 1 agrees even with the groups swapped.
+LEVEL_CASES = [
+    (0.5, 1, 0.0075, 0.2),
+    (0.5, 2, 0.006, 0.2),
+    (0.75, 2, 0.006, 0.2),
+    (0.9, 3, 0.005, 0.2),
+    (0.75, 4, 0.004, 0.25),
+]
+
+
+def test_criterion_11_abm_matches_mean_field():
+    """Two counties of 20,000, one ordinary and one misinformed (mu = 0.5);
+    the mobility [[1, b], [b, 1]] with b = 2 (1 - alpha) / alpha gives every
+    node a within-county share alpha of its contacts, the mean-field homophily.
+    One edge transmits over an infectious period with T(p) = p / (p + gamma -
+    p gamma), so the daily Euler map runs at beta_o = k_bar gamma T(p_o) and
+    lambda = T(p_m) / T(p_o) (p_m / p_o would ignore that an infected node
+    retries the same neighbor, and reads 3-8% high)."""
+    started = time.monotonic()
+    half, k_bar, seeds = 20_000, 40.0, 50
+    n = 2 * half
+    nodes = sm.SampledNodes(
+        county_ids=np.array([1, 2], dtype=np.int64),
+        county_index=np.repeat(np.arange(2, dtype=np.int32), half),
+        source=np.arange(n, dtype=np.int64),
+    )
+    gaps, peak_gaps = [], []
+    for alpha, lam, p_o, gamma in LEVEL_CASES:
+        b = 2 * (1 - alpha) / alpha
+        e_matrix = sm.expected_edges(np.array([[1.0, b], [b, 1.0]]), k_bar, n)
+        cnet = sm.build_contact_network(nodes, e_matrix, k_bar, rng_seed=5).relabel(
+            nodes.county_index == 1)
+        cfg = abm.AbmConfig(p_o=p_o, p_m=lam * p_o, gamma=gamma, initial_infected=seeds,
+                            steps=250, repetitions=8)
+        result = abm.run(cnet, cfg, master_seed=9)
+
+        def t(p):
+            return p / (p + gamma - p * gamma)
+
+        params = mf.MeanFieldParams(beta_o=k_bar * gamma * t(p_o), gamma=gamma,
+                                    lam=t(lam * p_o) / t(p_o), mu=0.5, alpha=alpha,
+                                    epsilon=seeds / n)
+        s = mf.summarize(mf.integrate(params, horizon=250))
+        gaps.append(max(abs(result.mean("cum_ord")[-1] / half - s.total_infected_ordinary / 0.5),
+                        abs(result.mean("cum_mis")[-1] / half - s.total_infected_misinformed / 0.5)))
+        peak_gaps.append(abs(result.peak_day_mean - s.peak_day))
+    elapsed = time.monotonic() - started
+    ok = max(gaps) <= 0.02 and max(peak_gaps) <= 4
+    report(
+        "criterion 11: ABM attack rates and peak days match the mean-field",
+        ok,
+        f"per-group attack-rate gaps {[round(float(g), 3) for g in gaps]} (<= 0.02), "
+        f"peak-day gaps {[round(float(g), 1) for g in peak_gaps]} (<= 4), {elapsed:.1f}s",
+    )

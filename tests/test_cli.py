@@ -457,8 +457,12 @@ class TestSweepShares:
             f"{row}/build_contact_network{b}" for row in firsts for b in builds]
         assert [n for n in names if "spread_misinformation" in n] == [
             f"phi_{phi}/spread_misinformation" for phi in (1, 3, 5)]
-        assert [n for n in names if "/abm" in n] == [
-            f"phi_{phi}/abm{b}" for phi in (1, 3, 5) for b in builds]
+        # One abm stage per share; a regenerated network's build is recorded inside it.
+        assert [n for n in names if "/abm" in n] == [f"{row}/abm" for row in firsts]
+        for row in firsts:
+            at = names.index(f"{row}/abm")
+            assert names[at - len(builds):at] == [
+                f"{row}/build_contact_network{b}" for b in builds]
 
     @pytest.mark.parametrize("vary, values, jobs, shares", [
         ("phi", "1,3,5", "2", [[1], [3, 5]]),
@@ -511,22 +515,30 @@ class TestForkedRepetitions:
     """A pipeline's repetitions run in forked workers, one per CPU it may use,
     with the same artifacts and exit codes as a serial run, and no worker left."""
 
+    PIPELINE_FILES = ["result.csv", "summary.json", "contactnet.bin"]
+    SWEEP = ["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi", "--values", "1,3",
+             "--jobs", "1"]
+    SWEEP_FILES = ["sweep_summary.csv", *(f"rows/phi_{phi}/{name}" for phi in (1, 3)
+                                          for name in ("result.csv", "contactnet.bin"))]
+
     @pytest.mark.parametrize("command, files", [
-        ([*PIPELINE_BASE, "--reps", "3"], ["result.csv", "summary.json", "contactnet.bin"]),
-        (["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi", "--values", "1,3",
-          "--jobs", "1"],
-         ["sweep_summary.csv", *(f"rows/phi_{phi}/{name}" for phi in (1, 3)
-                                 for name in ("result.csv", "contactnet.bin"))]),
-    ], ids=["pipeline", "phi_sweep"])
+        ([*PIPELINE_BASE, "--reps", "3"], PIPELINE_FILES),
+        (SWEEP, SWEEP_FILES),
+        ([*PIPELINE_BASE, "--reps", "3", "--regen-network"], PIPELINE_FILES),
+        ([*SWEEP, "--regen-network"], SWEEP_FILES),
+    ], ids=["pipeline", "phi_sweep", "regen_pipeline", "regen_phi_sweep"])
     def test_artifacts_equal_for_any_worker_count(self, tmp_path, cpus, command, files):
-        artifacts = []
+        artifacts, names = [], []
         for k in (1, 2, 3):
             cpus(k)
             out = tmp_path / str(k)
             assert run_cli(*command, "--out", str(out)) == 0
             artifacts.append({name: (out / name).read_bytes() for name in files})
+            stages = json.loads((out / "manifest.json").read_text())["stages"]
+            names.append([s["name"] for s in stages])  # a worker's records come back in order
             assert multiprocessing.active_children() == []
         assert artifacts[0] == artifacts[1] == artifacts[2]
+        assert names[0] == names[1] == names[2]
 
     def test_workers_capped_at_the_repetitions(self, tmp_path, cpus, fake_pool):
         cpus(64)
@@ -534,7 +546,7 @@ class TestForkedRepetitions:
         assert fake_pool.calls == [{"max_workers": 3, "shares": [0, 1, 2]}]
 
     @pytest.mark.parametrize("jobs, calls", [
-        ("1", [{"max_workers": 3, "shares": [0, 1, 2]}] * 2),  # each row fans out
+        ("1", [{"max_workers": 3, "shares": [0, 1, 2]}]),  # the share's rows fan out together
         ("2", [{"max_workers": 2, "shares": [[1], [3]]}]),  # rows in workers stay serial
     ])
     def test_sweep_rows_fan_out_only_in_its_own_process(self, tmp_path, cpus, fake_pool, jobs,
@@ -567,14 +579,16 @@ class TestForkedRepetitions:
         assert lines[0].startswith("error: stage abm: cannot seed 100000 infections")
 
     def test_killed_worker_exits_3(self, tmp_path, cpus, capsys, monkeypatch):
-        rep_counts = abm._rep_counts
+        rep_counts = abm.rep_counts
+        seed = int(PIPELINE_BASE[PIPELINE_BASE.index("--seed") + 1])
+        rep_1 = scenario.derive_seed(scenario.derive_seed(seed, cli._STREAM_ABM), 1)
 
-        def dies_on_rep_1(net, cfg, master_seed, rep):
-            if rep == 1:
+        def dies_on_rep_1(net, cfg, rep_key):
+            if rep_key == rep_1:
                 os._exit(1)
-            return rep_counts(net, cfg, master_seed, rep)
+            return rep_counts(net, cfg, rep_key)
 
-        monkeypatch.setattr(abm, "_rep_counts", dies_on_rep_1)
+        monkeypatch.setattr(abm, "rep_counts", dies_on_rep_1)
         cpus(2)
         out = tmp_path / "p"
         assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(out)) == 3
@@ -616,7 +630,11 @@ class TestRunRecord:
         done = re.findall(r"^stage (\S+) done in \d+\.\d{3}s$", capsys.readouterr().err, re.M)
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert [s["name"] for s in stages] == done
-        assert ("build_contact_network[rep=1]" in done) == bool(extra)
+        # A regenerated network is built inside the abm stage, once per repetition.
+        builds = ([f"build_contact_network[rep={rep}]" for rep in (0, 1)] if extra
+                  else ["build_contact_network"])
+        assert done == ["generate_scenario", "save_scenario", "spread_misinformation",
+                        "sample_population", "expected_edges", *builds, "abm", "write_outputs"]
         rss = [s["max_rss_mb"] for s in stages]
         assert rss == sorted(rss) and rss[0] > 0  # a high-water mark never falls
         assert all(s.keys() == {"name", "wall_s", "max_rss_mb"} for s in stages)

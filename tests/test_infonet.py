@@ -116,73 +116,6 @@ class TestSpread:
                     assert got == want
 
 
-class TestAlignmentPropagation:
-    def test_fully_scored_network_is_fixed_point(self):
-        net = build_infonet(3, [(0, 1, 2), (1, 2, 1)], alignment=[0.5, -0.5, 0.2])
-        out = inet.propagate_alignment(net)
-        assert np.array_equal(out.alignment, net.alignment)
-
-    def test_path_propagates_one_hop_per_round(self):
-        net = build_infonet(3, [(0, 1, 1), (1, 2, 1)], alignment=[1.0, np.nan, np.nan])
-        one = inet.propagate_alignment(net, max_rounds=1)
-        assert one.alignment[1] == pytest.approx(1.0)
-        assert np.isnan(one.alignment[2])
-        two = inet.propagate_alignment(net, max_rounds=2)
-        assert two.alignment[2] == pytest.approx(1.0)
-
-    def test_star_weighted_average(self):
-        # center 0 unscored; leaves +1 (w=3) and -1 (w=1)
-        net = build_infonet(
-            3, [(1, 0, 3), (2, 0, 1)], alignment=[np.nan, 1.0, -1.0]
-        )
-        out = inet.propagate_alignment(net)
-        assert out.alignment[0] == pytest.approx(0.5)
-
-    def test_neighbors_include_both_directions(self):
-        # 0 scored; 1 unscored connected only by an edge 1 -> 0
-        net = build_infonet(2, [(1, 0, 2)], alignment=[0.8, np.nan])
-        out = inet.propagate_alignment(net)
-        assert out.alignment[1] == pytest.approx(0.8)
-
-    def test_unreachable_node_stays_unscored(self):
-        net = build_infonet(3, [(0, 1, 1)], alignment=[1.0, np.nan, np.nan])
-        out = inet.propagate_alignment(net)
-        assert np.isnan(out.alignment[2])
-        assert out.party[2] == inet.NO_PARTY
-
-    def test_zero_average_gives_no_party(self):
-        net = build_infonet(
-            3, [(1, 0, 2), (2, 0, 2)], alignment=[np.nan, 1.0, -1.0]
-        )
-        out = inet.propagate_alignment(net)
-        assert out.alignment[0] == pytest.approx(0.0)
-        assert out.party[0] == inet.NO_PARTY
-
-    def test_requires_some_score(self):
-        net = build_infonet(2, [(0, 1, 1)], alignment=[np.nan, np.nan])
-        with pytest.raises(ValidationError, match="no node has an alignment score"):
-            inet.propagate_alignment(net)
-
-    def test_scores_stay_within_convex_hull(self, rng):
-        for trial in range(15):
-            n = int(rng.integers(4, 25))
-            pairs = set()
-            for _ in range(3 * n):
-                a, b = rng.integers(0, n, size=2)
-                if a != b:
-                    pairs.add((int(a), int(b)))
-            edges = [(a, b, int(rng.integers(1, 7))) for a, b in pairs]
-            scores = np.where(rng.random(n) < 0.4, rng.uniform(-2, 3, n), np.nan)
-            if not np.any(~np.isnan(scores)):
-                scores[0] = 1.0
-            net = build_infonet(n, edges, alignment=scores)
-            out = inet.propagate_alignment(net)
-            known = scores[~np.isnan(scores)]
-            filled = out.alignment[~np.isnan(out.alignment)]
-            assert filled.min() >= known.min() - 1e-12
-            assert filled.max() <= known.max() + 1e-12
-
-
 class TestGenerator:
     def scenario(self):
         return build_scenario(
