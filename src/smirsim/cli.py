@@ -521,6 +521,7 @@ def cmd_pipeline(args) -> int:
     cfg = _pipeline_config(args)
     with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+        net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
         [summary] = _run_pipeline([(run, cfg)], sc, net, summary_json=True, svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -556,6 +557,7 @@ def cmd_sweep(args) -> int:
     with _Run(args.out, "sweep", params, cfg.seed) as run:
         # No varied field (phi, k-bar, sample) changes the scenario.
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+        net = infonet.seed_edges(net)  # before any --jobs worker forks
         # Phi rows share a sample and networks in min(jobs, rows) contiguous shares.
         k = min(args.jobs, len(values)) if args.vary == "phi" else len(values)
         shares = [values[i * len(values) // k:(i + 1) * len(values) // k] for i in range(k)]

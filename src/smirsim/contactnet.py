@@ -22,10 +22,10 @@ in ascending order, over all blocks (x, y >= x) at once. Every key of such a
 pass has its lo end in x's node range, so the passes emit the canonical edge
 list (each edge as (lo, hi), rows sorted) in order, without a global sort.
 Arrays use 32-bit indices: the edge list costs 8 bytes per edge plus ~5
-bytes per node, and building it raises the process's peak RSS by ~11 bytes
-per edge (2M nodes and 25M edges: 151 -> 411 MB). The ``adjacency`` index,
-built on first use, keeps ~4 more bytes per edge plus 16 per node; building
-it peaks at ~13 bytes per edge, its uint64 sort keys included (411 -> 683 MB).
+bytes per node, and building it raises the process's peak RSS by ~12 bytes
+per edge (2M nodes and 25M edges: 86 -> 363 MB). The ``adjacency`` index,
+built on first use, keeps ~4 more bytes per edge plus 16 per node in its
+sort keys' buffer; building it allocates at most ~10 per edge (363 -> 531 MB).
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ RETRY_FACTOR = 100
 MAGIC = b"SMIRCNET2\n"
 # Node count, edge count, k_bar, seed, county count.
 _HEADER = struct.Struct("<QQdQI")
-# Edge rows per block of the network's sortedness check.
-_CHECK_ROWS = 1 << 16
+# Edge rows per block of the blocked passes: the sortedness check, the adjacency's hi half.
+_BLOCK_ROWS = 1 << 16
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -126,10 +126,10 @@ def sample_population(
 
     if not src_out:
         raise ValidationError("no county sampled any nodes; increase sample_fraction")
-    source = np.concatenate(src_out).astype(np.int64)
+    source = np.concatenate(src_out).astype(np.int64, copy=False)
     return SampledNodes(
         county_ids=scenario.county_ids,
-        county_index=county_of_net[source].astype(np.int32),  # each draw's pool's county
+        county_index=county_of_net.astype(np.int32)[source],  # each draw's pool's county
         source=source,
     )
 
@@ -197,8 +197,8 @@ class ContactNetwork:
         # rows at a time, so the bool temporaries stay small (no key array):
         # lo < hi, lo never decreases, and where lo repeats, hi strictly
         # increases. Consecutive blocks share a row.
-        for start in range(0, len(e), _CHECK_ROWS):
-            block = e[start:start + _CHECK_ROWS + 1]
+        for start in range(0, len(e), _BLOCK_ROWS):
+            block = e[start:start + _BLOCK_ROWS + 1]
             lo, hi = block[:, 0], block[:, 1]
             if np.any(lo >= hi):
                 raise ValidationError("edges must be canonical (lo < hi), no self-loops")
@@ -242,9 +242,9 @@ class ContactNetwork:
         the first half holds each edge's hi end under its lo end, the second
         its lo end under its hi end, so v's neighbors are the union of its
         two rows. The first half's neighbors are a view of ``edges``, which
-        is already sorted by lo; only the second needs an index of its own.
-        Built once per graph, shared by its relabeled copies, and freed with
-        the last of them.
+        is sorted by lo; the second's, 4 bytes per edge, fill the front of
+        the buffer that sorted them. Built once per graph, shared by its
+        relabeled copies, and freed with the last of them.
         """
         n = self.n_nodes
         lo, hi = self.edges[:, 0], self.edges[:, 1]
@@ -252,15 +252,21 @@ class ContactNetwork:
         # sorted, with queries of the searched dtype: a bincount would cast
         # a whole uint32 column to an int64 temporary (8 bytes per edge).
         lo_ptr = np.searchsorted(lo, np.arange(n + 1, dtype=np.uint32))
-        # Edges sorted by (hi, lo): the low 32 bits of the sorted keys are
-        # the lo ends in hi order (edges are unique, so no stable sort is
-        # needed, and sorting keys is ~10x faster than argsort).
+        # Edges sorted by (hi, lo): the low 32 bits of the sorted keys are the lo ends in hi
+        # order (edges are unique, so no stable sort is needed, and sorting keys is ~10x faster
+        # than argsort). They are moved to the front of the keys, which then shrink to them.
         keys = hi.astype(np.uint64)
         keys <<= np.uint64(32)
         keys |= lo
         keys.sort()
         hi_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.uint64) << np.uint64(32))
-        return (lo_ptr, hi), (hi_ptr, keys.astype(np.uint32))
+        m = len(keys)
+        low = keys.view(np.uint32)[int(not np.little_endian)::2]
+        for start in range(0, m, _BLOCK_ROWS):  # only block 0 overlaps its source: NumPy buffers it
+            keys.view(np.uint32)[start:min(start + _BLOCK_ROWS, m)] = low[start:start + _BLOCK_ROWS]
+        del low  # no view may outlive the resize
+        keys.resize((m + 1) // 2, refcheck=False)
+        return (lo_ptr, hi), (hi_ptr, keys.view(np.uint32)[:m])
 
 
 def _place_county_edges(

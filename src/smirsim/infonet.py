@@ -6,16 +6,17 @@ accounts ``j`` retweeted, i.e. the accounts whose content reaches ``j``.
 Exposure to misinformation flows along that direction, from the retweeted
 account to the retweeter.
 
-Two operations live here: a single-pass linear-threshold conversion of
-ordinary nodes into misinformed ones, and a synthetic generator that
-stands in for real retweet data (heavy-tailed in-degrees via directed
-preferential attachment, party homophily, per-party misinformation seeding).
+Its operations: a single-pass linear-threshold conversion of ordinary nodes into
+misinformed ones, ``seed_edges`` (the edges it reads), the CSV contract's save and
+load, and a synthetic generator standing in for real retweet data (heavy-tailed
+in-degrees by directed preferential attachment, party homophily, per-party seeding).
 
 Networks are immutable after construction.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -122,10 +123,18 @@ def spread_misinformation(
     if mode not in (DISTINCT_FRIENDS, RETWEET_WEIGHTED):
         raise ValidationError(f"unknown exposure mode {mode!r}")
     exposure = np.zeros(net.n_nodes, dtype=np.int64)
-    from_seed = net.seed[net.edge_src]
-    weight = 1 if mode == DISTINCT_FRIENDS else net.edge_weight[from_seed]
-    np.add.at(exposure, net.edge_dst[from_seed], weight)
+    net = seed_edges(net)
+    np.add.at(exposure, net.edge_dst, 1 if mode == DISTINCT_FRIENDS else net.edge_weight)
     return net.seed | (exposure >= phi)
+
+
+def seed_edges(net: InfoNetwork) -> InfoNetwork:
+    """`net` with only its seed-sourced edges, in order: all a spread of it reads."""
+    keep = net.seed[net.edge_src]
+    out = copy.copy(net)  # sharing the nodes: a subset of checked edges needs no re-check
+    for name in ("edge_src", "edge_dst", "edge_weight"):
+        object.__setattr__(out, name, getattr(net, name)[keep])
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smirsim import abm, cli, contactnet, meanfield, scenario
+from smirsim import abm, cli, contactnet, infonet, meanfield, scenario
 from smirsim.cli import _Run, main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
 
@@ -171,6 +171,34 @@ class TestPipelineCommand:
         assert summary["n_nodes"] > 1000
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
+
+    @pytest.mark.parametrize("argv, samples", [
+        (PIPELINE_BASE, 1),
+        (["sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3", "--jobs", "1"], 1),
+        (["sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3", "--jobs", "2"], 2),
+    ], ids=["pipeline", "sweep_jobs_1", "sweep_jobs_2"])
+    def test_sampling_sees_only_seed_sourced_edges(self, tmp_path, fake_pool, monkeypatch, argv,
+                                                   samples):
+        # The fake pool runs the --jobs 2 shares in this process, where the patch holds.
+        seen, sample = [], contactnet.sample_population
+
+        def recording_sample(sc, net, *args):
+            seen.append(net)
+            return sample(sc, net, *args)
+
+        monkeypatch.setattr(contactnet, "sample_population", recording_sample)
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 0
+        assert len(seen) == samples  # once per share
+        assert all(net.n_edges and net.seed[net.edge_src].all() for net in seen)
+
+    def test_synthetic_run_saves_every_retweet_edge(self, tmp_path):
+        pipe, gen = tmp_path / "p", tmp_path / "g"
+        assert run_cli(*PIPELINE_BASE, "--out", str(pipe)) == 0
+        assert run_cli("gen-scenario", "--counties", "4", "--seed", "7", "--out", str(gen)) == 0
+        for name in SCENARIO_FILES:
+            assert (pipe / name).read_bytes() == (gen / name).read_bytes(), name
+        net = infonet.load_infonet(pipe / "infonet_nodes.csv", pipe / "infonet_edges.csv")
+        assert not net.seed[net.edge_src].all()  # edges from non-seeds are saved too
 
     def test_stages_report_their_time_on_stderr(self, tmp_path, capsys):
         assert run_cli(*PIPELINE_BASE, "--out", str(tmp_path / "p")) == 0

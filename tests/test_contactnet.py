@@ -291,12 +291,36 @@ class TestAdjacency:
         for ptr, nbr in net.adjacency:
             assert len(nbr) == 0 and ptr.tolist() == [0] * 6
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 2 * cn._BLOCK_ROWS + 1])
+    def test_edge_counts_against_neighbor_sets(self, m):
+        # An odd count leaves half a key past the hi half; the last spans blocks.
+        n = 600
+        lo, hi = np.triu_indices(n, 1)  # every pair, sorted
+        pick = np.sort(np.random.default_rng(m).choice(len(lo), size=m, replace=False))
+        net = cn.ContactNetwork(
+            county_ids=np.array([1000]),
+            county_index=np.zeros(n, dtype=np.int32),
+            misinformed=np.zeros(n, dtype=bool),
+            edges=np.column_stack([lo[pick], hi[pick]]).astype(np.uint32),
+            k_bar=1.0,
+            seed=0,
+        )
+        want = [set() for _ in range(n)]
+        for u, v in net.edges.tolist():
+            want[u].add(v)
+            want[v].add(u)
+        assert self.neighbor_sets(net) == want
+        nbr = net.adjacency[1][1]
+        assert nbr.dtype == np.uint32 and nbr.flags.c_contiguous
+        assert nbr.base.nbytes == 8 * ((m + 1) // 2)  # the shrunk sort keys
+
     def test_memory_peak_per_edge(self, large_net):
-        # Two uint32 neighbor halves (one a view of edges) plus the uint64
-        # sort keys, with no int64 copy of a whole column on the side.
+        # The uint64 sort keys, whose front becomes the hi half's uint32
+        # neighbors (the lo half is a view of edges), with no int64 copy of
+        # a whole column and no second uint32 buffer on the side.
         net = replace(large_net)  # a fresh index, whatever ran before
         peak = traced_peak(lambda: net.adjacency)
-        assert peak <= 16 * net.n_edges
+        assert peak <= 11 * net.n_edges
 
     def test_built_once_per_network(self):
         nodes = sampled([1], [30])

@@ -237,6 +237,47 @@ class TestGeneratorMatchesLoop:
         assert_same_network(net, expected)
 
 
+class TestSeedEdges:
+    """A network pruned to its seed-sourced edges spreads as the full one does."""
+
+    def networks(self):
+        sc = build_scenario([100] * 4, shares=[0.9, 0.3, 0.5, 0.0], users=[40, 25, 0, 35])
+        cfg = inet.InfoGenConfig(seed_rate_republican=0.3, seed_rate_democrat=0.1)
+        return [inet.generate_synthetic_infonet(sc, cfg, seed) for seed in range(5)]
+
+    def test_every_spread_is_unchanged(self):
+        for net in self.networks():
+            pruned = inet.seed_edges(net)
+            assert 0 < pruned.n_edges < net.n_edges
+            for phi in (1, 2, 3, 7):
+                for mode in (inet.DISTINCT_FRIENDS, inet.RETWEET_WEIGHTED):
+                    assert np.array_equal(inet.spread_misinformation(pruned, phi, mode),
+                                          inet.spread_misinformation(net, phi, mode))
+
+    def test_keeps_exactly_the_seed_sourced_edges_in_order(self):
+        for net in self.networks():
+            pruned = inet.seed_edges(net)
+            edges = zip(net.edge_src.tolist(), net.edge_dst.tolist(), net.edge_weight.tolist())
+            kept = zip(pruned.edge_src.tolist(), pruned.edge_dst.tolist(),
+                       pruned.edge_weight.tolist())
+            assert list(kept) == [e for e in edges if net.seed[e[0]]]
+            for name in NETWORK_FIELDS:
+                assert getattr(pruned, name).dtype == getattr(net, name).dtype, name
+            for name in ("ids", "county", "alignment", "seed"):
+                assert getattr(pruned, name) is getattr(net, name), name
+
+    def test_pruning_twice_is_pruning_once(self):
+        for net in self.networks():
+            once = inet.seed_edges(net)
+            assert_same_network(inet.seed_edges(once), once)
+
+    def test_no_seeds_keeps_no_edges(self):
+        net = build_infonet(4, [(0, 1, 2), (2, 3, 1), (3, 0, 5)])
+        pruned = inet.seed_edges(net)
+        assert pruned.n_edges == 0
+        assert not inet.spread_misinformation(pruned, 1).any()
+
+
 class TestRoundTrip:
     def test_csv_round_trip(self, tmp_path):
         net = build_infonet(
