@@ -13,11 +13,11 @@ resolved parameters, input hashes, seed, outputs and ``stages``: each
 pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
 the process that ran it (a high-water mark, never falling within a process;
 a sweep has one scenario, at its top level, and names its rows' stages
-``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample,
-each network and each repetition, recorded under the first row sharing them;
-a network rebuilt per repetition is recorded inside ``abm``, with the peak RSS
-of the worker that built it). Re-running with the same parameters reproduces
-every CSV and binary artifact byte for byte.
+``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample and
+each network, recorded under the first row; a network rebuilt per repetition
+is recorded inside ``abm``, with the peak RSS of the forked worker that built
+it). Re-running with the same parameters reproduces every CSV and binary
+artifact byte for byte.
 Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
 
@@ -60,7 +60,7 @@ _FORK_MIN_EDGES = 150_000
 
 
 def _progress(msg: str) -> None:
-    # One write per line, so lines from parallel sweep rows do not interleave.
+    # One write per line, so lines from forked workers do not interleave.
     sys.stderr.write(msg + "\n")
     sys.stderr.flush()
 
@@ -72,15 +72,14 @@ def _call_forked(item):
     return _forked(item)
 
 
-def _fork_map(fn, items, workers: int | None = None, what: str = "repetition") -> list:
+def _fork_map(fn, items, workers: int | None = None) -> list:
     """``list(map(fn, items))``, in min(`workers` or CPUs, items) forked processes; serial
-    where that is one, where fork is unsafe, and inside such a worker, so at most
-    max(workers, CPUs) run. `fn` reaches the workers through fork: only items and
-    results are pickled."""
+    where that is one or where fork is unsafe. `fn` reaches the workers through fork:
+    only items and results are pickled."""
     global _forked
     safe = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not Windows, macOS
     workers = min(workers or len(os.sched_getaffinity(0)), len(items)) if safe else 1
-    if workers < 2 or _forked is not None:
+    if workers < 2:
         return list(map(fn, items))
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -90,7 +89,7 @@ def _fork_map(fn, items, workers: int | None = None, what: str = "repetition") -
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
             return list(pool.map(_call_forked, items, chunksize=1))
     except BrokenExecutor as e:  # a worker was killed
-        raise NumericError(f"a {what} worker died (killed, or out of memory)") from e
+        raise NumericError("a repetition worker died (killed, or out of memory)") from e
     finally:
         _forked = None
 
@@ -435,7 +434,9 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
                   svg=False) -> list[dict]:
     """Spread -> sample -> build -> simulate on the scenario `sc` and its infonet
     `net` for rows ``(run, config)`` that differ only in phi and mode: they share
-    one sample, each network and each repetition, recorded in the first row's run.
+    one sample and each network, recorded in the first row's run. The work items,
+    a run's one parallel layer, are ``(rep, rows)``: one per repetition and row, or
+    under --regen-network one per repetition with every row, as its build serves all.
     Each row saves contactnet.bin and result.csv (and summary.json and epidemic.svg,
     if asked) as outputs of its run; returns the rows' summaries."""
     labels = []
@@ -465,8 +466,9 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
         labels = [misinformed[nodes.source] for misinformed in labels]
         paths = [run.output("contactnet.bin") for run, _ in rows]
 
-        def repetition(rep):
-            """Each row's counts of repetition `rep`, and the stages it recorded."""
+        def repetition(item):
+            """The counts of repetition `rep` on each row of `at`, and the stages it recorded."""
+            rep, at = item
             record = _Run(first.out)
             if cfg.regen_network:
                 with record.stage(f"build_contact_network[rep={rep}]"):
@@ -474,16 +476,18 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
                 key = scenario.derive_seed(scenario.derive_seed(cfg.seed, _STREAM_ABM_REP + rep), 0)
             else:
                 graph, key = shared, scenario.derive_seed(abm_seed, rep)
-            cnets = [graph.relabel(misinformed) for misinformed in labels]
+            cnets = [graph.relabel(labels[row]) for row in at]
             if rep == cfg.reps - 1:  # the last repetition's networks are the rows' artifacts
-                for cnet, path in zip(cnets, paths):
-                    contactnet.save_contact_network(cnet, path)
+                for cnet, row in zip(cnets, at):
+                    contactnet.save_contact_network(cnet, paths[row])
             return [abm.rep_counts(cnet, abm_cfg, key) for cnet in cnets], record.stages
 
         # counts[row, k, j, rep, day]; a shape no memory holds fails here, before any work.
         counts = np.empty((len(rows), 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
-        for rep, (rep_counts, stages) in enumerate(_fork_map(repetition, range(cfg.reps), workers)):
-            counts[:, :, :, rep] = rep_counts
+        row_sets = [list(range(len(rows)))] if cfg.regen_network else [[r] for r in range(len(rows))]
+        items = [(rep, at) for rep in range(cfg.reps) for at in row_sets]
+        for (rep, at), (rep_counts, stages) in zip(items, _fork_map(repetition, items, workers)):
+            counts[at, :, :, rep] = rep_counts
             first.stages += stages
     summaries = []
     for (run, _), misinformed, row_counts in zip(rows, labels, counts):
@@ -536,36 +540,24 @@ def _parse_values(text: str, vary: str) -> list:
         raise InputError(f"bad --values {text!r}: {e}") from e
 
 
-def _sweep_share(cfg: PipelineConfig, sc, net, vary: str, out: Path, values: list):
-    """The sweep rows of `values`, in one `_run_pipeline` call (in the sweep's
-    process or a --jobs worker). Returns (summaries, stages, outputs), each
-    stage named under its row's directory."""
-    field = vary.replace("-", "_")
-    rows = [(_Run(out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v})) for v in values]
-    summaries = _run_pipeline(rows, sc, net)
-    stages = [{**s, "name": f"{run.out.name}/{s['name']}"} for run, _ in rows for s in run.stages]
-    return summaries, stages, [o for run, _ in rows for o in run.outputs]
-
-
 def cmd_sweep(args) -> int:
     cfg = _pipeline_config(args)
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    params = {**asdict(cfg), "vary": args.vary, "values": values, "jobs": args.jobs}
+    params = {**asdict(cfg), "vary": args.vary, "values": values}
     with _Run(args.out, "sweep", params, cfg.seed) as run:
         # No varied field (phi, k-bar, sample) changes the scenario.
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        net = infonet.seed_edges(net)  # before any --jobs worker forks
-        # Phi rows share a sample and networks in min(jobs, rows) contiguous shares.
-        k = min(args.jobs, len(values)) if args.vary == "phi" else len(values)
-        shares = [values[i * len(values) // k:(i + 1) * len(values) // k] for i in range(k)]
-        share = partial(_sweep_share, cfg, sc, net, args.vary, run.out)
-        done = _fork_map(share, shares, args.jobs, "sweep")
-        summaries = [s for share_summaries, _, _ in done for s in share_summaries]
-        run.stages += [s for _, stages, _ in done for s in stages]
-        run.outputs += [o for _, _, outputs in done for o in outputs]
+        net = infonet.seed_edges(net)
+        field = args.vary.replace("-", "_")
+        rows = [(_Run(run.out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v}))
+                for v in values]
+        # Phi rows share one sample and its networks; a k-bar or sample row has its own.
+        groups = [rows] if args.vary == "phi" else [[row] for row in rows]
+        summaries = [s for group in groups for s in _run_pipeline(group, sc, net)]
+        run.stages += [{**s, "name": f"{row.out.name}/{s['name']}"} for row, _ in rows
+                       for s in row.stages]
+        run.outputs += [o for row, _ in rows for o in row.outputs]
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.
@@ -704,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_args(p)
     p.add_argument("--vary", choices=["phi", "k-bar", "sample"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--jobs", type=int, default=1, help="parallel rows")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen-scenario", help="write synthetic scenario files")

@@ -127,6 +127,7 @@ def sample_population(
     if not src_out:
         raise ValidationError("no county sampled any nodes; increase sample_fraction")
     source = np.concatenate(src_out).astype(np.int64, copy=False)
+    del src_out  # the per-pool draws, freed before the county gather
     return SampledNodes(
         county_ids=scenario.county_ids,
         county_index=county_of_net.astype(np.int32)[source],  # each draw's pool's county

@@ -174,12 +174,10 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize("argv, samples", [
         (PIPELINE_BASE, 1),
-        (["sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3", "--jobs", "1"], 1),
-        (["sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3", "--jobs", "2"], 2),
-    ], ids=["pipeline", "sweep_jobs_1", "sweep_jobs_2"])
-    def test_sampling_sees_only_seed_sourced_edges(self, tmp_path, fake_pool, monkeypatch, argv,
-                                                   samples):
-        # The fake pool runs the --jobs 2 shares in this process, where the patch holds.
+        (["sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3"], 1),
+        (["sweep", *PIPELINE_BASE[1:], "--vary", "k-bar", "--values", "6,10"], 2),
+    ], ids=["pipeline", "phi_sweep", "k_bar_sweep"])
+    def test_sampling_sees_only_seed_sourced_edges(self, tmp_path, monkeypatch, argv, samples):
         seen, sample = [], contactnet.sample_population
 
         def recording_sample(sc, net, *args):
@@ -188,7 +186,7 @@ class TestPipelineCommand:
 
         monkeypatch.setattr(contactnet, "sample_population", recording_sample)
         assert run_cli(*argv, "--out", str(tmp_path / "o")) == 0
-        assert len(seen) == samples  # once per share
+        assert len(seen) == samples  # phi rows share one sample; a k-bar row has its own
         assert all(net.n_edges and net.seed[net.edge_src].all() for net in seen)
 
     def test_synthetic_run_saves_every_retweet_edge(self, tmp_path):
@@ -209,7 +207,7 @@ class TestPipelineCommand:
         assert {"generate_scenario", "build_contact_network", "abm"} <= set(done)
 
     def test_each_stderr_line_is_one_write(self, tmp_path, monkeypatch):
-        # Parallel sweep rows share stderr: a line written in two calls can
+        # Forked workers share stderr: a line written in two calls can
         # have another process's output land between its text and newline.
         writes = []
 
@@ -358,7 +356,22 @@ class TestSweepCommand:
             == (pipe_out / "result.csv").read_bytes()
         )
 
-    def test_parallel_rows_match_serial(self, tmp_path):
+    def test_from_manifest_reads_an_old_sweep_manifest(self, tmp_path):
+        # Sweeps once recorded "jobs", the count of processes their rows were split over.
+        old, new = tmp_path / "old", tmp_path / "new"
+        argv = ["--vary", "phi", "--values", "1,3"]
+        assert run_cli("sweep", *PIPELINE_BASE[1:], *argv, "--out", str(old)) == 0
+        manifest = json.loads((old / "manifest.json").read_text())
+        assert "jobs" not in manifest["parameters"]
+        manifest["parameters"]["jobs"] = 2
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("sweep", "--from-manifest", str(old / "manifest.json"), *argv,
+                       "--out", str(new)) == 0
+        for name in ["sweep_summary.csv", *(f"rows/phi_{phi}/{f}" for phi in (1, 3)
+                                            for f in ("result.csv", "contactnet.bin"))]:
+            assert (old / name).read_bytes() == (new / name).read_bytes(), name
+
+    def test_parallel_rows_match_serial(self, tmp_path, cpus):
         serial, par = tmp_path / "ser", tmp_path / "par"
         argv = [
             "sweep", "--synthetic", "--counties", "3", "--sample", "0.04",
@@ -366,8 +379,10 @@ class TestSweepCommand:
             "--initial-infected", "5", "--seed", "2",
             "--vary", "phi", "--values", "1,4",
         ]
+        cpus(1)
         assert run_cli(*argv, "--out", str(serial)) == 0
-        assert run_cli(*argv, "--jobs", "2", "--out", str(par)) == 0
+        cpus(2)  # the two rows' items run in two workers
+        assert run_cli(*argv, "--out", str(par)) == 0
         row_files = [f"{row}/{name}" for row in ("phi_1", "phi_4")
                      for name in ("contactnet.bin", "result.csv")]
         for out in (serial, par):
@@ -421,7 +436,7 @@ SMALL_SWEEP = [
 
 class FakePool:
     """A ProcessPoolExecutor stand-in that starts no process: it records each
-    pool's max_workers and the shares it is given, and maps them serially."""
+    pool's max_workers and the work items it is given, and maps them serially."""
 
     def __init__(self, max_workers=None, mp_context=None):
         self.calls.append({"max_workers": max_workers})
@@ -432,9 +447,9 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, shares, chunksize=1):
-        self.calls[-1]["shares"] = list(shares)
-        return map(fn, self.calls[-1]["shares"])
+    def map(self, fn, items, chunksize=1):
+        self.calls[-1]["items"] = list(items)
+        return map(fn, self.calls[-1]["items"])
 
 
 @pytest.fixture
@@ -448,9 +463,17 @@ def fake_pool(monkeypatch):
     return pool
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs this process may use to range(k) and lets a network of any
+    size fan its repetitions out."""
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
 class TestSweepShares:
-    """Phi rows share one sample and each network built; --jobs splits a
-    sweep's rows into contiguous shares, at most one worker per share."""
+    """Phi rows share one sample and each network built; a sweep's repetitions
+    and rows fan out as (rep, rows) work items of one pool per sample."""
 
     @pytest.fixture(scope="class")
     def lone_runs(self, tmp_path_factory):
@@ -466,76 +489,74 @@ class TestSweepShares:
                                           for name in ("contactnet.bin", "result.csv")}
         return runs
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("k", [1, 2])  # CPUs, with the items forked at 2
     @pytest.mark.parametrize("regen", [[], ["--regen-network"]], ids=["one_network", "regen"])
-    def test_rows_equal_lone_pipelines(self, tmp_path, lone_runs, jobs, regen):
+    def test_rows_equal_lone_pipelines(self, tmp_path, lone_runs, cpus, k, regen):
+        cpus(k)
         out = tmp_path / "s"
         assert run_cli("sweep", *PIPELINE_BASE[1:], *regen, "--vary", "phi", "--values", "1,3,5",
-                       "--jobs", jobs, "--out", str(out)) == 0
+                       "--out", str(out)) == 0
+        assert multiprocessing.active_children() == []
         for phi in (1, 3, 5):
             for name, data in lone_runs[bool(regen), phi].items():
                 assert (out / "rows" / f"phi_{phi}" / name).read_bytes() == data, (phi, name)
         names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
-        # One share at --jobs 1; at --jobs 2 the shares are [1] and [3, 5].
-        firsts = ["phi_1"] if jobs == "1" else ["phi_1", "phi_3"]
-        builds = ["[rep=0]", "[rep=1]"] if regen else [""]
-        assert [n for n in names if "sample_population" in n] == [
-            f"{row}/sample_population" for row in firsts]
-        assert [n for n in names if "build_contact_network" in n] == [
-            f"{row}/build_contact_network{b}" for row in firsts for b in builds]
+        builds = [f"phi_1/build_contact_network{b}"
+                  for b in (["[rep=0]", "[rep=1]"] if regen else [""])]
+        assert [n for n in names if "sample_population" in n] == ["phi_1/sample_population"]
+        assert [n for n in names if "build_contact_network" in n] == builds
         assert [n for n in names if "spread_misinformation" in n] == [
             f"phi_{phi}/spread_misinformation" for phi in (1, 3, 5)]
-        # One abm stage per share; a regenerated network's build is recorded inside it.
-        assert [n for n in names if "/abm" in n] == [f"{row}/abm" for row in firsts]
-        for row in firsts:
-            at = names.index(f"{row}/abm")
-            assert names[at - len(builds):at] == [
-                f"{row}/build_contact_network{b}" for b in builds]
+        # One abm stage; a regenerated network's build is recorded inside it.
+        assert [n for n in names if "/abm" in n] == ["phi_1/abm"]
+        at = names.index("phi_1/abm")
+        assert names[at - len(builds):at] == builds
 
-    @pytest.mark.parametrize("vary, values, jobs, shares", [
-        ("phi", "1,3,5", "2", [[1], [3, 5]]),
-        ("phi", "1,3,5", "16", [[1], [3], [5]]),
-        ("phi", "1,2,3,4,5", "3", [[1], [2, 3], [4, 5]]),
-        ("k-bar", "4,5,6", "2", [[4.0], [5.0], [6.0]]),
-        ("sample", "0.03,0.04", "16", [[0.03], [0.04]]),
-    ])
-    def test_workers_capped_at_the_share_count(self, tmp_path, fake_pool, vary, values, jobs,
-                                               shares):
-        assert run_cli(*SMALL_SWEEP, "--vary", vary, "--values", values, "--jobs", jobs,
+    @pytest.mark.parametrize("vary, extra, calls", [
+        # one item per (repetition, row) on the rows' one network
+        ("phi", [], [[(rep, [row]) for rep in range(3) for row in (0, 1)]]),
+        # one item per repetition, as its one build serves both rows
+        ("phi", ["--regen-network"], [[(rep, [0, 1]) for rep in range(3)]]),
+        # a k-bar row samples and builds its own network: one pool per row
+        ("k-bar", [], [[(rep, [0]) for rep in range(3)]] * 2),
+    ], ids=["phi", "regen_phi", "k_bar"])
+    def test_work_items(self, tmp_path, cpus, fake_pool, vary, extra, calls):
+        cpus(64)
+        assert run_cli(*SMALL_SWEEP, "--reps", "3", *extra, "--vary", vary,
+                       "--values", "4,6", "--out", str(tmp_path / "s")) == 0
+        assert fake_pool.calls == [{"max_workers": len(items), "items": items} for items in calls]
+
+    def test_small_network_sweep_starts_no_pool(self, tmp_path, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert run_cli(*SMALL_SWEEP, "--reps", "3", "--vary", "phi", "--values", "4,6",
                        "--out", str(tmp_path / "s")) == 0
-        workers = min(int(jobs), len(shares))
-        assert fake_pool.calls == [{"max_workers": workers, "shares": shares}]
+        assert fake_pool.calls == []
 
-    def test_one_job_starts_no_pool(self, tmp_path, fake_pool):
+    def test_one_job_starts_no_pool(self, tmp_path, cpus, fake_pool):
+        # At --reps 1 each k-bar row is one work item, which runs in this process.
+        cpus(64)
         assert run_cli(*SMALL_SWEEP, "--vary", "k-bar", "--values", "4,6",
                        "--out", str(tmp_path / "s")) == 0
         assert fake_pool.calls == []
 
-    def test_dead_worker_exits_3(self, tmp_path, fake_pool, monkeypatch, capsys):
+    def test_dead_worker_exits_3(self, tmp_path, cpus, fake_pool, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
 
-        def broken_map(self, fn, shares, chunksize=1):
+        def broken_map(self, fn, items, chunksize=1):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
         monkeypatch.setattr(fake_pool, "map", broken_map)
+        cpus(2)
         out = tmp_path / "s"
-        assert run_cli(*SMALL_SWEEP, "--vary", "phi", "--values", "1,3", "--jobs", "2",
-                       "--out", str(out)) == 3
+        assert run_cli(*SMALL_SWEEP, "--vary", "phi", "--values", "1,3", "--out", str(out)) == 3
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == "numeric failure: a sweep worker died (killed, or out of memory)"
+        assert last == ("numeric failure: stage abm: a repetition worker died "
+                        "(killed, or out of memory)")
         assert not (out / "manifest.json").exists()
 
 
 needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
                                 reason="repetitions fan out only where the platform forks safely")
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets the CPUs this process may use to range(k) and lets a network of any
-    size fan its repetitions out."""
-    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
-    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 @needs_fork
@@ -544,9 +565,12 @@ class TestForkedRepetitions:
     with the same artifacts and exit codes as a serial run, and no worker left."""
 
     PIPELINE_FILES = ["result.csv", "summary.json", "contactnet.bin"]
-    SWEEP = ["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi", "--values", "1,3",
-             "--jobs", "1"]
+    SWEEP = ["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi", "--values", "1,3"]
     SWEEP_FILES = ["sweep_summary.csv", *(f"rows/phi_{phi}/{name}" for phi in (1, 3)
+                                          for name in ("result.csv", "contactnet.bin"))]
+    K_BAR_SWEEP = ["sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "k-bar",
+                   "--values", "6,10"]
+    K_BAR_FILES = ["sweep_summary.csv", *(f"rows/k_bar_{k}/{name}" for k in (6, 10)
                                           for name in ("result.csv", "contactnet.bin"))]
 
     @pytest.mark.parametrize("command, files", [
@@ -554,7 +578,8 @@ class TestForkedRepetitions:
         (SWEEP, SWEEP_FILES),
         ([*PIPELINE_BASE, "--reps", "3", "--regen-network"], PIPELINE_FILES),
         ([*SWEEP, "--regen-network"], SWEEP_FILES),
-    ], ids=["pipeline", "phi_sweep", "regen_pipeline", "regen_phi_sweep"])
+        (K_BAR_SWEEP, K_BAR_FILES),
+    ], ids=["pipeline", "phi_sweep", "regen_pipeline", "regen_phi_sweep", "k_bar_sweep"])
     def test_artifacts_equal_for_any_worker_count(self, tmp_path, cpus, command, files):
         artifacts, names = [], []
         for k in (1, 2, 3):
@@ -571,18 +596,7 @@ class TestForkedRepetitions:
     def test_workers_capped_at_the_repetitions(self, tmp_path, cpus, fake_pool):
         cpus(64)
         assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(tmp_path / "p")) == 0
-        assert fake_pool.calls == [{"max_workers": 3, "shares": [0, 1, 2]}]
-
-    @pytest.mark.parametrize("jobs, calls", [
-        ("1", [{"max_workers": 3, "shares": [0, 1, 2]}]),  # the share's rows fan out together
-        ("2", [{"max_workers": 2, "shares": [[1], [3]]}]),  # rows in workers stay serial
-    ])
-    def test_sweep_rows_fan_out_only_in_its_own_process(self, tmp_path, cpus, fake_pool, jobs,
-                                                        calls):
-        cpus(64)
-        assert run_cli("sweep", *PIPELINE_BASE[1:], "--reps", "3", "--vary", "phi",
-                       "--values", "1,3", "--jobs", jobs, "--out", str(tmp_path / "s")) == 0
-        assert fake_pool.calls == calls
+        assert fake_pool.calls == [{"max_workers": 3, "items": [(rep, [0]) for rep in range(3)]}]
 
     def test_small_network_stays_serial(self, tmp_path, fake_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -668,28 +682,33 @@ class TestRunRecord:
         assert all(s.keys() == {"name", "wall_s", "max_rss_mb"} for s in stages)
         assert all(s["wall_s"] >= 0 for s in stages)
 
-    def test_parallel_sweep_lists_every_row_stage(self, tmp_path):
+    def test_parallel_sweep_lists_every_row_stage(self, tmp_path, cpus):
+        # Each k-bar row samples and builds its own network; its repetitions fork.
+        cpus(2)
         out = tmp_path / "s"
         assert run_cli(
-            "sweep", *PIPELINE_BASE[1:], "--vary", "phi", "--values", "1,3",
-            "--jobs", "2", "--out", str(out),
+            "sweep", *PIPELINE_BASE[1:], "--vary", "k-bar", "--values", "6,10",
+            "--out", str(out),
         ) == 0
         names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
         row = ["spread_misinformation", "sample_population", "expected_edges",
                "build_contact_network", "abm", "write_outputs"]
         assert names == ["generate_scenario", "save_scenario",
-                         *(f"phi_1/{n}" for n in row), *(f"phi_3/{n}" for n in row),
+                         *(f"k_bar_6/{n}" for n in row), *(f"k_bar_10/{n}" for n in row),
                          "write_outputs"]
         assert not list((out / "rows").rglob("manifest.json"))
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_manifest_lists_row_outputs(self, tmp_path, jobs):
+    @pytest.mark.parametrize("k", [1, 2])  # CPUs; at 2 the rows' items save in workers
+    def test_sweep_manifest_lists_row_outputs(self, tmp_path, cpus, k):
+        cpus(k)
         out = tmp_path / "s"
         assert run_cli(
             "sweep", *PIPELINE_BASE[1:], "--reps", "1", "--vary", "phi", "--values", "1,3",
-            "--jobs", jobs, "--out", str(out),
+            "--out", str(out),
         ) == 0
-        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "jobs" not in manifest["parameters"]
+        outputs = manifest["outputs"]
         written = sorted(str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
         assert outputs == written
         assert str(out / "rows" / "phi_3" / "contactnet.bin") in outputs
@@ -1022,10 +1041,6 @@ BAD_INPUTS = {
         ["meanfield", "--sweep", "lambda=1:1.000002:0.000001"], "1.000001"),
     "sweep --values 1,1": (
         ["sweep", "--synthetic", "--vary", "phi", "--values", "1,1"], "--values"),
-    "sweep --jobs 0": (
-        ["sweep", "--synthetic", "--vary", "phi", "--values", "1", "--jobs", "0"], "--jobs"),
-    "sweep --jobs -2": (
-        ["sweep", "--synthetic", "--vary", "phi", "--values", "1", "--jobs", "-2"], "--jobs"),
     "empty mobility file": (
         ["pipeline", "--scenario-dir", "{d}/empty_mobility"], "mobility.csv"),
     "empty infonet edges file": (
@@ -1079,6 +1094,11 @@ BAD_INPUTS = {
     "pipeline --reps 10^20": (
         ["pipeline", "--synthetic", "--counties", "3", "--reps", "100000000000000000000"],
         "stage abm: out of memory", 3),
+    # counts are shaped before the work items are listed, one per repetition and row
+    "sweep --reps 10^20": (
+        ["sweep", "--synthetic", "--counties", "3", "--reps", "100000000000000000000",
+         "--vary", "phi", "--values", "1,2"],
+        "stage abm: out of memory", 3),
     "pipeline --counties 10^20": (
         ["pipeline", "--synthetic", "--counties", "100000000000000000000"],
         "stage generate_scenario: out of memory", 3),
@@ -1100,6 +1120,18 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert main(argv) == code
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: " if code == 2 else "numeric failure: ") and expected in last
+
+
+def test_sweep_jobs_is_an_unknown_flag(tmp_path, capsys):
+    # A sweep's rows fan out as its pipelines' work items; there is no --jobs.
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--synthetic", "--vary", "phi", "--values", "1", "--jobs", "2",
+              "--out", str(tmp_path / "out")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", [c for c in BAD_INPUTS if "non-finite" in c])
