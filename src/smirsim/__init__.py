@@ -19,7 +19,6 @@ from .contactnet import (
     save_contact_network,
 )
 from .infonet import (
-    InfoGenConfig,
     InfoNetwork,
     generate_synthetic_infonet,
     load_infonet,
@@ -54,7 +53,7 @@ __all__ = [
     "AbmConfig", "AbmState", "EpidemicResult", "run", "seed_infection", "step",
     "ContactNetwork", "SampledNodes", "build_contact_network", "expected_edges",
     "load_contact_network", "sample_population", "save_contact_network",
-    "InfoGenConfig", "InfoNetwork", "generate_synthetic_infonet",
+    "InfoNetwork", "generate_synthetic_infonet",
     "load_infonet", "save_infonet", "spread_misinformation",
     "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",

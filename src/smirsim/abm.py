@@ -79,10 +79,9 @@ class AbmConfig:
             )
         if not (0.0 <= self.gamma <= 1.0):
             raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.initial_infected < 1:
-            raise ValidationError("initial_infected must be >= 1")
-        if self.steps < 1 or self.repetitions < 1:
-            raise ValidationError("steps and repetitions must be >= 1")
+        for name in ("initial_infected", "steps", "repetitions"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -391,14 +391,18 @@ def _manifest_parameters(path) -> dict:
     return values
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """The flags as a PipelineConfig, overridden by --from-manifest when given."""
+def _pipeline_config(args) -> tuple[PipelineConfig, abm.AbmConfig]:
+    """The flags as a PipelineConfig, overridden by --from-manifest when given, and
+    its ABM parameters, checked here so that bad ones fail before any stage runs."""
     values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.from_manifest:
         values.update(_manifest_parameters(args.from_manifest))
     elif not args.synthetic and not args.scenario_dir:
         raise InputError("choose a scenario source: --synthetic or --scenario-dir")
-    return PipelineConfig(**values)
+    cfg = PipelineConfig(**values)
+    return cfg, abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
+                              initial_infected=cfg.initial_infected, steps=cfg.steps,
+                              repetitions=cfg.reps)
 
 
 _SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
@@ -430,10 +434,10 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
     return sc, net
 
 
-def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json=False,
-                  svg=False) -> list[dict]:
-    """Spread -> sample -> build -> simulate on the scenario `sc` and its infonet
-    `net` for rows ``(run, config)`` that differ only in phi and mode: they share
+def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm.AbmConfig,
+                  summary_json=False, svg=False) -> list[dict]:
+    """Spread -> sample -> build -> simulate, with `abm_cfg`, on the scenario `sc` and its
+    infonet `net` for rows ``(run, config)`` that differ only in phi and mode: they share
     one sample and each network, recorded in the first row's run. The work items,
     a run's one parallel layer, are ``(rep, rows)``: one per repetition and row, or
     under --regen-network one per repetition with every row, as its build serves all.
@@ -451,9 +455,6 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
     n = len(nodes.source)
     with first.stage("expected_edges"):
         e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, n)
-    abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
-                            initial_infected=cfg.initial_infected, steps=cfg.steps,
-                            repetitions=cfg.reps)
     n_edges = contactnet.edge_budget(cfg.k_bar, n)  # what every build places
     workers = None if n_edges >= _FORK_MIN_EDGES else 1  # repetitions fan out to forked workers
     build = partial(contactnet.build_contact_network, nodes, e_matrix, cfg.k_bar)
@@ -522,11 +523,11 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, summary_json
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg, abm_cfg = _pipeline_config(args)
     with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
         net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
-        [summary] = _run_pipeline([(run, cfg)], sc, net, summary_json=True, svg=args.svg)
+        [summary] = _run_pipeline([(run, cfg)], sc, net, abm_cfg, summary_json=True, svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -541,7 +542,7 @@ def _parse_values(text: str, vary: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg, abm_cfg = _pipeline_config(args)  # no varied field is an ABM one, so rows share it
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
     params = {**asdict(cfg), "vary": args.vary, "values": values}
@@ -554,7 +555,7 @@ def cmd_sweep(args) -> int:
                 for v in values]
         # Phi rows share one sample and its networks; a k-bar or sample row has its own.
         groups = [rows] if args.vary == "phi" else [[row] for row in rows]
-        summaries = [s for group in groups for s in _run_pipeline(group, sc, net)]
+        summaries = [s for group in groups for s in _run_pipeline(group, sc, net, abm_cfg)]
         run.stages += [{**s, "name": f"{row.out.name}/{s['name']}"} for row, _ in rows
                        for s in row.stages]
         run.outputs += [o for row, _ in rows for o in row.outputs]
@@ -649,12 +650,13 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                    default=infonet.DISTINCT_FRIENDS, help="exposure counting mode")
     p.add_argument("--sample", type=float, default=0.01, help="per-county sampling fraction")
     p.add_argument("--k-bar", dest="k_bar", type=float, default=25.0, help="target mean degree")
-    p.add_argument("--p-o", dest="p_o", type=float, default=0.01)
-    p.add_argument("--p-m", dest="p_m", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.2, help="daily recovery probability")
-    p.add_argument("--initial-infected", type=int, default=100)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--p-o", dest="p_o", type=float, default=abm.AbmConfig.p_o)
+    p.add_argument("--p-m", dest="p_m", type=float, default=abm.AbmConfig.p_m)
+    p.add_argument("--gamma", type=float, default=abm.AbmConfig.gamma,
+                   help="daily recovery probability")
+    p.add_argument("--initial-infected", type=int, default=abm.AbmConfig.initial_infected)
+    p.add_argument("--steps", type=int, default=abm.AbmConfig.steps)
+    p.add_argument("--reps", type=int, default=abm.AbmConfig.repetitions)
     p.add_argument("--regen-network", action="store_true",
                    help="rebuild the contact network for every repetition")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -675,10 +677,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meanfield", help="integrate the mean-field system")
     p.add_argument("--beta-o", dest="beta_o", type=float, default=0.3)
     p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.001)
+    p.add_argument("--lambda", dest="lam", type=float, default=meanfield.MeanFieldParams.lam)
+    p.add_argument("--mu", type=float, default=meanfield.MeanFieldParams.mu)
+    p.add_argument("--alpha", type=float, default=meanfield.MeanFieldParams.alpha)
+    p.add_argument("--epsilon", type=float, default=meanfield.MeanFieldParams.epsilon)
     p.add_argument("--horizon", type=int, default=meanfield.DEFAULT_HORIZON)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--method", choices=["euler", "rk4"], default=meanfield.DEFAULT_METHOD)

@@ -26,7 +26,7 @@ from .errors import ParseError, ValidationError
 from .tables import FLOAT_OR_NAN, ID, has_duplicates, lookup, read_columns, write_columns
 
 if TYPE_CHECKING:
-    from .scenario import Scenario
+    from .scenario import Scenario, ScenarioConfig
 
 REPUBLICAN = 1
 DEMOCRAT = -1
@@ -137,39 +137,8 @@ def seed_edges(net: InfoNetwork) -> InfoNetwork:
     return out
 
 
-@dataclass(frozen=True)
-class InfoGenConfig:
-    """Knobs of the synthetic retweet-network generator.
-
-    Attributes:
-        edges_per_node: retweeter links attached per arriving account; targets
-            are drawn preferentially by in-degree, which makes in-degrees
-            heavy-tailed.
-        homophily: probability that a new edge connects same-party accounts.
-        seed_rate_republican / seed_rate_democrat: per-party probability that
-            an account is an empirical misinformation seed.
-        retweet_weight_p: geometric-distribution parameter of edge weights.
-    """
-
-    edges_per_node: int = 5
-    homophily: float = 0.7
-    seed_rate_republican: float = 0.08
-    seed_rate_democrat: float = 0.02
-    retweet_weight_p: float = 0.5
-
-    def __post_init__(self):
-        if self.edges_per_node < 1:
-            raise ValidationError("edges_per_node must be >= 1")
-        for name in ("homophily", "seed_rate_republican", "seed_rate_democrat"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        if not (0.0 < self.retweet_weight_p <= 1.0):
-            raise ValidationError("retweet_weight_p must be in (0, 1]")
-
-
 def generate_synthetic_infonet(
-    scenario: "Scenario", cfg: InfoGenConfig, rng_seed: int
+    scenario: "Scenario", cfg: "ScenarioConfig", rng_seed: int
 ) -> InfoNetwork:
     """Generate a synthetic county-attributed retweet network.
 

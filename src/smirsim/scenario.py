@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .infonet import InfoGenConfig, InfoNetwork, generate_synthetic_infonet
+from .infonet import InfoNetwork, generate_synthetic_infonet
 from .tables import has_duplicates, lookup, read_columns, utf8_text, write_columns
 
 # Stream indices for hierarchical seed derivation from the master seed.
@@ -156,10 +156,12 @@ def save_scenario(scenario: Scenario, counties_path, mobility_path) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Shape parameters for synthetic scenario generation.
+    """Shape parameters for synthetic scenario generation; every field but
+    ``seed`` is a config-file key.
 
     Defaults produce 341 counties with at least 200 twitter users each,
     log-normal voter populations, and Beta-distributed republican shares.
+    The last five fields shape the synthetic retweet network.
     """
 
     county_count: int = 341
@@ -170,7 +172,11 @@ class ScenarioConfig:
     twitter_user_rate: float = 0.03
     twitter_users_min: int = 200
     gravity_exponent: float = 2.0
-    info: InfoGenConfig = field(default_factory=InfoGenConfig)
+    edges_per_node: int = 5  # retweeters per arriving account, drawn preferentially by in-degree
+    homophily: float = 0.7  # probability that a new edge connects same-party accounts
+    seed_rate_republican: float = 0.08  # per-party probability that an account is a seed
+    seed_rate_democrat: float = 0.02
+    retweet_weight_p: float = 0.5  # geometric-distribution parameter of edge weights
     seed: int = 0
 
     def __post_init__(self):
@@ -187,23 +193,28 @@ class ScenarioConfig:
             raise ValidationError("twitter_user_rate must be in (0, 1]")
         if self.twitter_users_min < 1:
             raise ValidationError("twitter_users_min must be >= 1")
+        if self.edges_per_node < 1:
+            raise ValidationError("edges_per_node must be >= 1")
+        for name in ("homophily", "seed_rate_republican", "seed_rate_democrat"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+        if not (0.0 < self.retweet_weight_p <= 1.0):
+            raise ValidationError("retweet_weight_p must be in (0, 1]")
 
 
 # Keys accepted by parse_scenario_config, with their coercions: the int and
-# float fields of ScenarioConfig and of InfoGenConfig (annotations are strings).
+# float fields of ScenarioConfig (annotations are strings); seed is refused first.
 _COERCIONS = {"int": int, "float": float}
 _CONFIG_FIELDS = {f.name: _COERCIONS[f.type] for f in fields(ScenarioConfig) if f.type in _COERCIONS}
-_INFO_FIELDS = {f.name: _COERCIONS[f.type] for f in fields(InfoGenConfig) if f.type in _COERCIONS}
 
 
 def parse_scenario_config(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` text file into a ScenarioConfig.
 
-    Information-network keys (edges_per_node, homophily, ...) sit at the same
-    level as scenario keys. Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.
     """
     values: dict = {}
-    info_values: dict = {}
     with open(path, "rb") as f:
         text = utf8_text(path, f.read())
     with io.StringIO(text, newline=None) as f:
@@ -218,17 +229,12 @@ def parse_scenario_config(path) -> ScenarioConfig:
             value = value.strip()
             if key == "seed":  # a run parameter (--seed, in manifest.json), never a config key
                 raise ParseError(path, line_no, "seed is not a config key; give it with --seed")
+            if key not in _CONFIG_FIELDS:
+                raise ParseError(path, line_no, f"unknown config key {key!r}")
             try:
-                if key in _CONFIG_FIELDS:
-                    values[key] = _CONFIG_FIELDS[key](value)
-                elif key in _INFO_FIELDS:
-                    info_values[key] = _INFO_FIELDS[key](value)
-                else:
-                    raise ParseError(path, line_no, f"unknown config key {key!r}")
+                values[key] = _CONFIG_FIELDS[key](value)
             except ValueError as e:
                 raise ParseError(path, line_no, str(e)) from e
-    if info_values:
-        values["info"] = InfoGenConfig(**info_values)
     return ScenarioConfig(**values)
 
 
@@ -239,8 +245,8 @@ LOCAL_DISTANCE = 0.05
 
 def generate_synthetic_mobility(
     voters: np.ndarray,
-    gravity_exponent: float = 2.0,
-    rng_seed: int = 0,
+    gravity_exponent: float,
+    rng_seed: int,
     coordinates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gravity-model mobility matrix of the counties whose populations are `voters`.
@@ -290,5 +296,5 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
     )
     scenario = Scenario(county_ids=county_ids, voters=voters, republican_share=share,
                         twitter_users=users, mobility=mobility)
-    net = generate_synthetic_infonet(scenario, cfg.info, derive_seed(cfg.seed, _STREAM_INFONET))
+    net = generate_synthetic_infonet(scenario, cfg, derive_seed(cfg.seed, _STREAM_INFONET))
     return scenario, net

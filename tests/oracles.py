@@ -18,7 +18,7 @@ from smirsim import abm, infonet
 from smirsim import meanfield as mf
 from smirsim.contactnet import ContactNetwork
 from smirsim.errors import NumericError, ParseError, ValidationError
-from smirsim.scenario import Scenario, derive_seed
+from smirsim.scenario import Scenario, ScenarioConfig, derive_seed
 
 
 def exact_outcome_distribution(
@@ -294,7 +294,7 @@ def reference_account_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray
 
 
 def reference_infonet(
-    scenario: Scenario, cfg: infonet.InfoGenConfig, rng_seed: int
+    scenario: Scenario, cfg: ScenarioConfig, rng_seed: int
 ) -> infonet.InfoNetwork:
     """``infonet.generate_synthetic_infonet`` as a loop over arrivals.
 

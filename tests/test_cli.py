@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -867,6 +868,11 @@ def _write_bad_inputs(d):
         "seed_negative": {"seed": -1},
         "regen_number": {"regen_network": 1},
         "k_bar_nan": {"counties": 3, "k_bar": float("nan")},  # dumped as NaN
+        "gamma_2": {"counties": 3, "gamma": 2.0},
+        "reps_0": {"counties": 3, "reps": 0},
+        "steps_0": {"counties": 3, "steps": 0},
+        "initial_infected_0": {"counties": 3, "initial_infected": 0},
+        "p_m_below_p_o": {"counties": 3, "p_m": 0.001},
         "scenario_dir_nul": {"scenario_dir": "scenario\0"},
     }.items():
         (d / f"{name}.json").write_text(
@@ -917,6 +923,8 @@ def _write_bad_inputs(d):
         "user_rate_2": "twitter_user_rate = 2",
         "users_min_0": "twitter_users_min = 0",
         "retweet_weight_p_0": "retweet_weight_p = 0",
+        "homophily_1.5": "homophily = 1.5",
+        "edges_per_node_0": "edges_per_node = 0",
         "no_equals": "county_count 3",
     }.items():
         (d / f"config_{name}.txt").write_text(line + "\n")
@@ -1007,6 +1015,12 @@ BAD_INPUTS = {
     "scenario config retweet_weight_p 0": (
         ["gen-scenario", "--scenario-config", "{d}/config_retweet_weight_p_0.txt"],
         "retweet_weight_p"),
+    "scenario config homophily 1.5": (
+        ["gen-scenario", "--scenario-config", "{d}/config_homophily_1.5.txt"],
+        "homophily must be in [0, 1], got 1.5"),
+    "scenario config edges_per_node 0": (
+        ["gen-scenario", "--scenario-config", "{d}/config_edges_per_node_0.txt"],
+        "edges_per_node must be >= 1"),
     "scenario config line without =": (
         ["gen-scenario", "--scenario-config", "{d}/config_no_equals.txt"],
         "config_no_equals.txt:1: expected key = value"),
@@ -1076,6 +1090,37 @@ BAD_INPUTS = {
         "stage expected_edges"),
     "manifest k_bar NaN": (
         ["pipeline", "--from-manifest", "{d}/k_bar_nan.json"], "stage expected_edges"),
+    # ABM parameters: rejected before the first stage, from flags or from a manifest
+    "ABM pipeline --gamma 2": (
+        ["pipeline", "--synthetic", "--counties", "3", "--gamma", "2"],
+        "gamma must be in [0, 1], got 2.0"),
+    "ABM pipeline --reps 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--reps", "0"],
+        "repetitions must be >= 1, got 0"),
+    "ABM pipeline --steps 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--steps", "0"], "steps must be >= 1, got 0"),
+    "ABM pipeline --initial-infected 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--initial-infected", "0"],
+        "initial_infected must be >= 1, got 0"),
+    "ABM pipeline --p-m below --p-o": (
+        ["pipeline", "--synthetic", "--counties", "3", "--p-m", "0.001"],
+        "p_m (0.001) must be >= p_o (0.01)"),
+    "ABM sweep --gamma 2": (
+        ["sweep", "--synthetic", "--counties", "3", "--gamma", "2", "--vary", "phi",
+         "--values", "1,2"],
+        "gamma must be in [0, 1], got 2.0"),
+    "ABM manifest gamma 2": (
+        ["pipeline", "--from-manifest", "{d}/gamma_2.json"], "gamma must be in [0, 1], got 2.0"),
+    "ABM manifest reps 0": (
+        ["pipeline", "--from-manifest", "{d}/reps_0.json"], "repetitions must be >= 1, got 0"),
+    "ABM manifest steps 0": (
+        ["pipeline", "--from-manifest", "{d}/steps_0.json"], "steps must be >= 1, got 0"),
+    "ABM manifest initial_infected 0": (
+        ["pipeline", "--from-manifest", "{d}/initial_infected_0.json"],
+        "initial_infected must be >= 1, got 0"),
+    "ABM manifest p_m below p_o": (
+        ["sweep", "--from-manifest", "{d}/p_m_below_p_o.json", "--vary", "phi", "--values", "1"],
+        "p_m (0.001) must be >= p_o (0.01)"),
     # more edges than node pairs: rejected before the multinomial draw overflows
     "pipeline --k-bar 1e300": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e300"],
@@ -1132,6 +1177,29 @@ def test_sweep_jobs_is_an_unknown_flag(tmp_path, capsys):
     assert "unrecognized arguments: --jobs 2" in err.splitlines()[-1]
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.startswith("ABM ")])
+def test_bad_abm_parameter_runs_no_stage(tmp_path, capsys, case):
+    argv, expected = BAD_INPUTS[case]
+    _write_bad_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main([a.format(d=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert not any(line.startswith("stage ") for line in err.splitlines())
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, owner, name", [
+    *(("pipeline", f, abm.AbmConfig, f) for f in ("p_o", "p_m", "gamma", "initial_infected",
+                                                  "steps")),
+    ("pipeline", "reps", abm.AbmConfig, "repetitions"),
+    *(("meanfield", f, meanfield.MeanFieldParams, f) for f in ("lam", "mu", "alpha", "epsilon")),
+])
+def test_flag_defaults_are_the_dataclass_defaults(command, flag, owner, name):
+    [default] = [f.default for f in dataclasses.fields(owner) if f.name == name]
+    assert getattr(cli.build_parser().parse_args([command]), flag) == default
 
 
 @pytest.mark.parametrize("case", [c for c in BAD_INPUTS if "non-finite" in c])

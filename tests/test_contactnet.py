@@ -9,7 +9,7 @@ import pytest
 from smirsim import contactnet as cn
 from smirsim import infonet as inet
 from smirsim.errors import NumericError, ValidationError
-from smirsim.scenario import generate_synthetic_mobility
+from smirsim.scenario import ScenarioConfig, generate_synthetic_mobility
 
 from conftest import build_infonet, build_scenario
 
@@ -105,7 +105,7 @@ class TestSamplePopulation:
 
     def test_misinformed_fraction_non_increasing_in_phi(self):
         scenario = build_scenario([3000, 2000], [0.6, 0.4], users=[200, 150])
-        net = inet.generate_synthetic_infonet(scenario, inet.InfoGenConfig(), rng_seed=21)
+        net = inet.generate_synthetic_infonet(scenario, ScenarioConfig(), rng_seed=21)
         fractions = []
         nodes = cn.sample_population(scenario, net, 0.2, rng_seed=33)
         for phi in (1, 2, 3, 5, 10):
@@ -260,6 +260,15 @@ class TestBuildNetwork:
         nodes = sampled([1000], [3])
         e = np.array([[1.0]])
         with pytest.raises(NumericError, match="asks for more edges than 3 nodes have pairs"):
+            cn.build_contact_network(nodes, e, k_bar=4.0, rng_seed=0)
+
+    def test_block_over_capacity_raises(self):
+        # The budget of 4 * 203 / 2 = 406 edges fits the 203 nodes' pairs, but nearly all
+        # of it falls to the 3-node county, whose block holds 3 pairs.
+        nodes = sampled([1000, 1001], [3, 200])
+        e = np.array([[1.0, 0.0], [0.0, 1e-6]])
+        with pytest.raises(NumericError, match=r"county pair \(1000, 1000\) allocated \d+ edges "
+                                               r"but holds at most 3$"):
             cn.build_contact_network(nodes, e, k_bar=4.0, rng_seed=0)
 
     def test_empty_county_dropped_from_support(self):

@@ -125,7 +125,7 @@ class TestGenerator:
         )
 
     def test_county_counts_and_party_split(self):
-        cfg = inet.InfoGenConfig()
+        cfg = scen.ScenarioConfig()
         net = inet.generate_synthetic_infonet(self.scenario(), cfg, rng_seed=1)
         assert net.n_nodes == 600
         counts = {c: int((net.county == c).sum()) for c in (1000, 1001, 1002)}
@@ -144,47 +144,47 @@ class TestGenerator:
     def test_account_layout_matches_reference(self, counties):
         users, shares = zip(*counties)
         scenario = build_scenario([100] * len(users), shares=shares, users=users)
-        cfg = inet.InfoGenConfig(edges_per_node=1)
+        cfg = scen.ScenarioConfig(edges_per_node=1)
         net = inet.generate_synthetic_infonet(scenario, cfg, rng_seed=0)
         county, party = reference_account_layout(scenario)
         assert np.array_equal(net.county, county) and net.county.dtype == np.int64
         assert np.array_equal(net.party, party)
 
     def test_heavy_tailed_in_degree(self):
-        net = inet.generate_synthetic_infonet(self.scenario(), inet.InfoGenConfig(), 3)
+        net = inet.generate_synthetic_infonet(self.scenario(), scen.ScenarioConfig(), 3)
         in_deg = np.bincount(net.edge_dst, minlength=net.n_nodes)
         assert in_deg.max() > 10 * max(in_deg.mean(), 1)
 
     def test_no_seed_rate_means_no_misinformed(self):
-        cfg = inet.InfoGenConfig(seed_rate_republican=0.0, seed_rate_democrat=0.0)
+        cfg = scen.ScenarioConfig(seed_rate_republican=0.0, seed_rate_democrat=0.0)
         net = inet.generate_synthetic_infonet(self.scenario(), cfg, 5)
         assert net.seed.sum() == 0
         for phi in (1, 3):
             assert not inet.spread_misinformation(net, phi).any()
 
     def test_full_homophily_keeps_edges_within_party(self):
-        cfg = inet.InfoGenConfig(homophily=1.0)
+        cfg = scen.ScenarioConfig(homophily=1.0)
         net = inet.generate_synthetic_infonet(self.scenario(), cfg, 7)
         party = net.party
         assert np.all(party[net.edge_src] == party[net.edge_dst])
 
     def test_same_seed_is_byte_identical(self):
-        cfg = inet.InfoGenConfig()
+        cfg = scen.ScenarioConfig()
         a = inet.generate_synthetic_infonet(self.scenario(), cfg, 11)
         b = inet.generate_synthetic_infonet(self.scenario(), cfg, 11)
         assert_same_network(a, b)
 
     def test_different_seed_differs(self):
-        cfg = inet.InfoGenConfig()
+        cfg = scen.ScenarioConfig()
         a = inet.generate_synthetic_infonet(self.scenario(), cfg, 11)
         b = inet.generate_synthetic_infonet(self.scenario(), cfg, 12)
         assert not np.array_equal(a.edge_dst, b.edge_dst)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValidationError):
-            inet.InfoGenConfig(homophily=1.5)
+            scen.ScenarioConfig(homophily=1.5)
         with pytest.raises(ValidationError):
-            inet.InfoGenConfig(edges_per_node=0)
+            scen.ScenarioConfig(edges_per_node=0)
 
 
 def assert_same_network(a, b):
@@ -201,7 +201,7 @@ class TestGeneratorMatchesLoop:
     @pytest.mark.parametrize("edges_per_node", [1, 5, 20])
     def test_grid(self, shares, homophily, edges_per_node):
         sc = build_scenario([100] * 4, shares=shares, users=[40, 25, 0, 35])
-        cfg = inet.InfoGenConfig(edges_per_node=edges_per_node, homophily=homophily)
+        cfg = scen.ScenarioConfig(edges_per_node=edges_per_node, homophily=homophily)
         for seed in (0, 1, 2):
             assert_same_network(
                 inet.generate_synthetic_infonet(sc, cfg, seed), reference_infonet(sc, cfg, seed)
@@ -217,14 +217,14 @@ class TestGeneratorMatchesLoop:
     def test_random_scenarios(self, counties, edges_per_node, homophily, seed):
         users, shares = zip(*counties)
         sc = build_scenario([100] * len(users), shares=shares, users=users)
-        cfg = inet.InfoGenConfig(edges_per_node=edges_per_node, homophily=homophily)
+        cfg = scen.ScenarioConfig(edges_per_node=edges_per_node, homophily=homophily)
         assert_same_network(
             inet.generate_synthetic_infonet(sc, cfg, seed), reference_infonet(sc, cfg, seed)
         )
 
     def test_single_account(self):
         sc = build_scenario([100], shares=[1.0], users=[1])
-        cfg = inet.InfoGenConfig()
+        cfg = scen.ScenarioConfig()
         net = inet.generate_synthetic_infonet(sc, cfg, 4)
         assert net.n_edges == 0
         assert_same_network(net, reference_infonet(sc, cfg, 4))
@@ -233,7 +233,7 @@ class TestGeneratorMatchesLoop:
         cfg = scen.ScenarioConfig(seed=1)
         sc, net = scen.generate_scenario(cfg)
         assert net.n_nodes == 181_202 and net.n_edges == 870_958
-        expected = reference_infonet(sc, cfg.info, scen.derive_seed(1, scen._STREAM_INFONET))
+        expected = reference_infonet(sc, cfg, scen.derive_seed(1, scen._STREAM_INFONET))
         assert_same_network(net, expected)
 
 
@@ -242,7 +242,7 @@ class TestSeedEdges:
 
     def networks(self):
         sc = build_scenario([100] * 4, shares=[0.9, 0.3, 0.5, 0.0], users=[40, 25, 0, 35])
-        cfg = inet.InfoGenConfig(seed_rate_republican=0.3, seed_rate_democrat=0.1)
+        cfg = scen.ScenarioConfig(seed_rate_republican=0.3, seed_rate_democrat=0.1)
         return [inet.generate_synthetic_infonet(sc, cfg, seed) for seed in range(5)]
 
     def test_every_spread_is_unchanged(self):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -152,19 +153,21 @@ class TestGenerate:
 
 class TestConfigFile:
     def test_parse_flat_key_values(self, tmp_path):
+        values = {
+            "county_count": 12, "pop_median": 8000.0, "pop_sigma": 0.5, "share_alpha": 3.0,
+            "share_beta": 1.5, "twitter_user_rate": 0.05, "twitter_users_min": 50,
+            "gravity_exponent": 1.5, "edges_per_node": 3, "homophily": 0.9,
+            "seed_rate_republican": 0.1, "seed_rate_democrat": 0.04, "retweet_weight_p": 0.25,
+        }
         p = tmp_path / "cfg.txt"
-        p.write_text(
-            "# synthetic run\n"
-            "county_count = 12\n"
-            "pop_median = 8000\n"
-            "homophily = 0.9\n"
-            "edges_per_node = 3\n"
-        )
+        p.write_text("# synthetic run\n" + "".join(f"{k} = {v:g}\n" for k, v in values.items()))
         cfg = sc.parse_scenario_config(p)
-        assert cfg.county_count == 12
-        assert cfg.pop_median == 8000.0
-        assert cfg.info.homophily == 0.9
-        assert cfg.info.edges_per_node == 3
+        # Every field but seed is a key, and each key, set off its default, reaches its field.
+        assert {f.name for f in fields(cfg)} == values.keys() | {"seed"}
+        for key, value in values.items():
+            assert getattr(sc.ScenarioConfig, key) != value, key
+            assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value), key
+        assert cfg.seed == 0
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         p = tmp_path / "cfg.txt"
