@@ -15,22 +15,21 @@ so outcomes are independent of evaluation order and thread count, any (day,
 node) of any repetition can be replayed in isolation, and a day evaluates the
 hash only where a decision is made: at its candidates and its infected nodes.
 
-A day costs in proportion to its changes, not to the node or edge count.
-The state carries the infected nodes and each node's count of infected
-neighbors (8 bytes per node); a day adds the neighbors of its new infections
-to that count and subtracts those of its recoveries, gathered through the
-network's ``adjacency`` index, built once per network (~4 bytes per edge plus
-16 bytes per node), and ``1 - (1 - p)^m`` is evaluated only at the
-susceptibles with m >= 1. A day records four counts of the same changes,
-from which the nine daily measures are derived once per run. What still
-touches every node is a few flat passes: finding the candidates, copying
-the compartment bytes and adding the count updates. Once no node is infected
-the state is absorbing and the remaining days are not stepped.
+A repetition updates its compartment and each node's count m of infected
+neighbors (4 bytes per node) in place. A day adds one to m at each neighbor
+of its new infections and subtracts one at each neighbor of its recoveries,
+gathered through the network's ``adjacency`` index (built once per network,
+~4 bytes per edge plus 16 bytes per node), and evaluates ``1 - (1 - p)^m``
+only at its candidates, which one flat pass over the nodes finds. A day
+records four counts, from which the nine daily measures are derived once per
+run. `step` is the stand-alone one-day API: it derives m from a compartment
+and never changes its input. Once no node is infected the state is
+absorbing and the remaining days are not stepped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,27 +85,14 @@ class AbmConfig:
 
 @dataclass(frozen=True)
 class AbmState:
-    """Compartment byte per node (S=0, I=1, R=2) at the given day, plus what
-    the next day needs carried.
-
-    ``infected`` lists the infected nodes, the ``fresh`` ones infected on this
-    day last; ``pressure`` counts each node's infected neighbors (int64). A
-    state built from a compartment alone gets both when it is first stepped.
-    """
+    """Compartment byte per node (S=0, I=1, R=2) at the given day."""
 
     compartment: np.ndarray
     day: int
-    infected: np.ndarray | None = None
-    pressure: np.ndarray | None = None
-    fresh: int = 0
 
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.compartment, minlength=3)
         return int(c[S]), int(c[I]), int(c[R])
-
-    @property
-    def newly_infected(self) -> np.ndarray:
-        return self.infected[len(self.infected) - self.fresh:]
 
 
 def _mix64(z: int) -> int:
@@ -176,52 +162,45 @@ def _neighbors(ptr: np.ndarray, nbr: np.ndarray, rows: np.ndarray) -> np.ndarray
     return nbr[np.repeat(shift, count) + np.arange(int(count.sum()))]
 
 
-def _pressure_from(net: ContactNetwork, nodes: np.ndarray) -> np.ndarray:
-    """Per-node count of neighbors in `nodes` (int64, one slot per node)."""
-    touched = [_neighbors(ptr, nbr, nodes) for ptr, nbr in net.adjacency]
-    return np.bincount(np.concatenate(touched), minlength=net.n_nodes)
+def _add_neighbors(m: np.ndarray, net: ContactNetwork, nodes: np.ndarray, delta: int) -> None:
+    """Add `delta` to ``m[v]`` (int32) once for each of `nodes` that neighbors v."""
+    for ptr, nbr in net.adjacency:  # an int32 delta: a Python int sends add.at down a slow cast
+        np.add.at(m, _neighbors(ptr, nbr, nodes), np.int32(delta))
 
 
-def _with_carried(state: AbmState, net: ContactNetwork) -> AbmState:
-    """`state` with its carried fields, derived from the compartment when the
-    state was built from one alone (every infected node then counts as fresh)."""
-    if state.pressure is not None:
-        return state
-    infected = np.flatnonzero(state.compartment == I)
-    return replace(
-        state, infected=infected, pressure=_pressure_from(net, infected), fresh=len(infected)
-    )
+def _start(comp: np.ndarray, net: ContactNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The infected nodes of `comp` and each node's count of infected neighbors."""
+    infected = np.flatnonzero(comp == I)
+    m = np.zeros(len(comp), dtype=np.int32)
+    _add_neighbors(m, net, infected, 1)
+    return infected, m
 
 
-def step(state: AbmState, net: ContactNetwork, cfg: AbmConfig, key: int) -> AbmState:
-    """Advance one day synchronously, reading the uniforms of day key `key`.
-
-    Candidates are the susceptibles with infected neighbors; each reads its
-    `INFECT` uniform and each infected node its `RECOVER` uniform. The
-    infected-neighbor counts are carried and updated only around the day's
-    new infections and recoveries.
-    """
-    state = _with_carried(state, net)
-    comp, inf, m = state.compartment, state.infected, state.pressure
+def _day(comp, infected, m, net, cfg, key) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one day in place with the uniforms of day key `key`: each susceptible
+    with infected neighbors reads its `INFECT` uniform, each of the `infected` nodes
+    its `RECOVER` uniform. Updates the compartment `comp` and each node's count of
+    infected neighbors `m`; returns the next day's infected nodes, the new ones
+    last, and the new ones."""
     cand = np.flatnonzero((m > 0) & (comp == S))
     p = np.where(net.misinformed[cand], cfg.p_m, cfg.p_o)
     p_infect = 1.0 - np.power(1.0 - p, m[cand])
     new = cand[uniform(key, cand, INFECT) < p_infect]
-    recovers = uniform(key, inf, RECOVER) < cfg.gamma
-    gone = inf[recovers]
-    nxt = comp.copy()
-    nxt[new] = I
-    nxt[gone] = R
-    pressure = _pressure_from(net, new)
-    pressure += m
-    pressure -= _pressure_from(net, gone)
-    return AbmState(
-        compartment=nxt,
-        day=state.day + 1,
-        infected=np.concatenate([inf[~recovers], new]),
-        pressure=pressure,
-        fresh=len(new),
-    )
+    recovers = uniform(key, infected, RECOVER) < cfg.gamma
+    gone = infected[recovers]
+    comp[new] = I
+    comp[gone] = R
+    _add_neighbors(m, net, new, 1)
+    _add_neighbors(m, net, gone, -1)
+    return np.concatenate([infected[~recovers], new]), new
+
+
+def step(state: AbmState, net: ContactNetwork, cfg: AbmConfig, key: int) -> AbmState:
+    """Advance one day synchronously, reading the uniforms of day key `key`;
+    `state` is left unchanged."""
+    comp = state.compartment.copy()
+    _day(comp, *_start(comp, net), net, cfg, key)
+    return AbmState(compartment=comp, day=state.day + 1)
 
 
 #: Measure names in CSV column order; *_ord / *_mis restrict to one label.
@@ -283,16 +262,17 @@ class EpidemicResult:
 
 def rep_counts(net: ContactNetwork, cfg: AbmConfig, rep_key: int) -> np.ndarray:
     """Daily counts of repetition `rep_key`: (infected, new) x (ordinary, misinformed) x day."""
-    mis = net.misinformed
     counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
-    state = _with_carried(seed_infection(net, cfg, seeding_stream(rep_key)), net)
+    comp = seed_infection(net, cfg, seeding_stream(rep_key)).compartment
+    infected, m = _start(comp, net)
+    new = infected
     for day in range(cfg.steps + 1):
         if day:
-            state = step(state, net, cfg, day_key(rep_key, day))
-        for k, nodes in enumerate((state.infected, state.newly_infected)):
-            on_mis = np.count_nonzero(mis[nodes])
+            infected, new = _day(comp, infected, m, net, cfg, day_key(rep_key, day))
+        for k, nodes in enumerate((infected, new)):
+            on_mis = np.count_nonzero(net.misinformed[nodes])
             counts[k, :, day] = len(nodes) - on_mis, on_mis
-        if not len(state.infected):
+        if not len(infected):
             # Absorbing: no one can be infected or recover again. Each day
             # has its own key, so skipping days changes nothing later.
             break
@@ -317,10 +297,8 @@ def run(net: ContactNetwork, cfg: AbmConfig, master_seed: int) -> EpidemicResult
     caller may run `rep_counts` for each r anywhere and stack them into
     `result`. Identical inputs give identical results, bit for bit.
     """
-    counts = np.zeros((2, 2, cfg.repetitions, cfg.steps + 1), dtype=np.int64)
-    for rep in range(cfg.repetitions):
-        counts[:, :, rep] = rep_counts(net, cfg, derive_seed(master_seed, rep))
-    return result(counts)
+    reps = [rep_counts(net, cfg, derive_seed(master_seed, rep)) for rep in range(cfg.repetitions)]
+    return result(np.stack(reps, axis=2))
 
 
 def write_result_csv(result: EpidemicResult, path) -> None:

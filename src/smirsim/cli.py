@@ -352,6 +352,11 @@ class PipelineConfig:
     regen_network: bool
     seed: int
 
+    def __post_init__(self):  # the ABM parameters are checked by `abm.AbmConfig`
+        infonet.check_spread(self.phi, self.mode)
+        contactnet.check_sample_fraction(self.sample)
+        contactnet.check_k_bar(self.k_bar)
+
 
 # JSON values each PipelineConfig annotation accepts ("X | None" also takes null).
 _MANIFEST_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
@@ -391,18 +396,23 @@ def _manifest_parameters(path) -> dict:
     return values
 
 
-def _pipeline_config(args) -> tuple[PipelineConfig, abm.AbmConfig]:
-    """The flags as a PipelineConfig, overridden by --from-manifest when given, and
-    its ABM parameters, checked here so that bad ones fail before any stage runs."""
+def _pipeline_config(args, rows: int = 1) -> tuple[PipelineConfig, abm.AbmConfig, np.ndarray]:
+    """The flags as a PipelineConfig, overridden by --from-manifest when given, its ABM
+    parameters and the ``counts[row, k, j, rep, day]`` of `rows` rows, all checked or
+    shaped here so that a bad parameter fails before any stage runs."""
     values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.from_manifest:
         values.update(_manifest_parameters(args.from_manifest))
     elif not args.synthetic and not args.scenario_dir:
         raise InputError("choose a scenario source: --synthetic or --scenario-dir")
     cfg = PipelineConfig(**values)
-    return cfg, abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
-                              initial_infected=cfg.initial_infected, steps=cfg.steps,
-                              repetitions=cfg.reps)
+    abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
+                            initial_infected=cfg.initial_infected, steps=cfg.steps,
+                            repetitions=cfg.reps)
+    try:
+        return cfg, abm_cfg, np.empty((rows, 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
+    except (MemoryError, ValueError) as e:  # a shape no memory holds
+        raise NumericError(_out_of_memory(e)) from e
 
 
 _SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
@@ -435,14 +445,14 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
 
 
 def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm.AbmConfig,
-                  summary_json=False, svg=False) -> list[dict]:
+                  counts: np.ndarray, summary_json=False, svg=False) -> list[dict]:
     """Spread -> sample -> build -> simulate, with `abm_cfg`, on the scenario `sc` and its
-    infonet `net` for rows ``(run, config)`` that differ only in phi and mode: they share
-    one sample and each network, recorded in the first row's run. The work items,
-    a run's one parallel layer, are ``(rep, rows)``: one per repetition and row, or
-    under --regen-network one per repetition with every row, as its build serves all.
-    Each row saves contactnet.bin and result.csv (and summary.json and epidemic.svg,
-    if asked) as outputs of its run; returns the rows' summaries."""
+    infonet `net`, into `counts` (see `_pipeline_config`), for rows ``(run, config)`` that differ
+    only in phi and mode: they share one sample and each network, recorded in the first
+    row's run. The work items, a run's one parallel layer, are ``(rep, rows)``: one per
+    repetition and row, or under --regen-network one per repetition with every row, as
+    its build serves all. Each row saves contactnet.bin and result.csv (and summary.json
+    and epidemic.svg, if asked) as outputs of its run; returns the rows' summaries."""
     labels = []
     for run, cfg in rows:
         with run.stage("spread_misinformation"):
@@ -483,8 +493,6 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm
                     contactnet.save_contact_network(cnet, paths[row])
             return [abm.rep_counts(cnet, abm_cfg, key) for cnet in cnets], record.stages
 
-        # counts[row, k, j, rep, day]; a shape no memory holds fails here, before any work.
-        counts = np.empty((len(rows), 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
         row_sets = [list(range(len(rows)))] if cfg.regen_network else [[r] for r in range(len(rows))]
         items = [(rep, at) for rep in range(cfg.reps) for at in row_sets]
         for (rep, at), (rep_counts, stages) in zip(items, _fork_map(repetition, items, workers)):
@@ -523,11 +531,12 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm
 
 
 def cmd_pipeline(args) -> int:
-    cfg, abm_cfg = _pipeline_config(args)
+    cfg, abm_cfg, counts = _pipeline_config(args)
     with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
         net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
-        [summary] = _run_pipeline([(run, cfg)], sc, net, abm_cfg, summary_json=True, svg=args.svg)
+        [summary] = _run_pipeline([(run, cfg)], sc, net, abm_cfg, counts, summary_json=True,
+                                  svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -542,20 +551,21 @@ def _parse_values(text: str, vary: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg, abm_cfg = _pipeline_config(args)  # no varied field is an ABM one, so rows share it
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
-    params = {**asdict(cfg), "vary": args.vary, "values": values}
-    with _Run(args.out, "sweep", params, cfg.seed) as run:
+    # No varied field is an ABM one, so the rows share one AbmConfig.
+    cfg, abm_cfg, counts = _pipeline_config(args, len(values))
+    field = args.vary.replace("-", "_")
+    run = _Run(args.out, "sweep", {**asdict(cfg), "vary": args.vary, "values": values}, cfg.seed)
+    rows = [(_Run(run.out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v}))
+            for v in values]  # each row's config is checked here, before the first stage
+    # Phi rows share one sample and its networks; a k-bar or sample row has its own.
+    groups = [slice(None)] if args.vary == "phi" else [slice(i, i + 1) for i in range(len(rows))]
+    with run:
         # No varied field (phi, k-bar, sample) changes the scenario.
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
         net = infonet.seed_edges(net)
-        field = args.vary.replace("-", "_")
-        rows = [(_Run(run.out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v}))
-                for v in values]
-        # Phi rows share one sample and its networks; a k-bar or sample row has its own.
-        groups = [rows] if args.vary == "phi" else [[row] for row in rows]
-        summaries = [s for group in groups for s in _run_pipeline(group, sc, net, abm_cfg)]
+        summaries = [s for g in groups for s in _run_pipeline(rows[g], sc, net, abm_cfg, counts[g])]
         run.stages += [{**s, "name": f"{row.out.name}/{s['name']}"} for row, _ in rows
                        for s in row.stages]
         run.outputs += [o for row, _ in rows for o in row.outputs]

@@ -70,6 +70,11 @@ class SampledNodes:
     source: np.ndarray
 
 
+def check_sample_fraction(sample_fraction: float) -> None:
+    if not (0 < sample_fraction <= 1):
+        raise ValidationError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
+
+
 def sample_population(
     scenario: Scenario,
     net: InfoNetwork,
@@ -88,8 +93,7 @@ def sample_population(
         ValidationError: a county needs a draw from a party with no
             persona in that county.
     """
-    if not (0 < sample_fraction <= 1):
-        raise ValidationError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
+    check_sample_fraction(sample_fraction)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     party = net.party
 
@@ -135,7 +139,7 @@ def sample_population(
     )
 
 
-def _check_k_bar(k_bar: float) -> None:
+def check_k_bar(k_bar: float) -> None:
     if not (np.isfinite(k_bar) and k_bar > 0):
         raise ValidationError(f"k_bar must be finite and > 0, got {k_bar}")
 
@@ -154,7 +158,7 @@ def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarr
     total edge budget k_bar * n_nodes / 2. Scaling the mobility matrix by any
     positive constant leaves E unchanged.
     """
-    _check_k_bar(k_bar)
+    check_k_bar(k_bar)
     if n_nodes < 2:
         raise ValidationError(f"need at least 2 nodes, got {n_nodes}")
     upper = np.triu(mobility)
@@ -342,7 +346,7 @@ def build_contact_network(
             the distinct node pairs there are, or rejection sampling
             exceeded 100x a block's count.
     """
-    _check_k_bar(k_bar)
+    check_k_bar(k_bar)
     n = len(nodes.county_index)
     n_counties = len(nodes.county_ids)
     if e_matrix.shape != (n_counties, n_counties):

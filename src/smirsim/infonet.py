@@ -106,6 +106,13 @@ class InfoNetwork:
         return out
 
 
+def check_spread(phi: int, mode: str) -> None:
+    if phi < 1:
+        raise ValidationError(f"phi must be >= 1, got {phi}")
+    if mode not in (DISTINCT_FRIENDS, RETWEET_WEIGHTED):
+        raise ValidationError(f"unknown exposure mode {mode!r}")
+
+
 def spread_misinformation(
     net: InfoNetwork, phi: int, mode: str = DISTINCT_FRIENDS
 ) -> np.ndarray:
@@ -118,10 +125,7 @@ def spread_misinformation(
     of those edges in ``retweet_weighted`` mode. The pass never iterates:
     freshly converted nodes do not expose anyone.
     """
-    if phi < 1:
-        raise ValidationError(f"phi must be >= 1, got {phi}")
-    if mode not in (DISTINCT_FRIENDS, RETWEET_WEIGHTED):
-        raise ValidationError(f"unknown exposure mode {mode!r}")
+    check_spread(phi, mode)
     exposure = np.zeros(net.n_nodes, dtype=np.int64)
     net = seed_edges(net)
     np.add.at(exposure, net.edge_dst, 1 if mode == DISTINCT_FRIENDS else net.edge_weight)

@@ -139,25 +139,15 @@ class TestStep:
                     assert any(prev[nb] == abm.I for nb in adj_sets[j])
 
 
-    @pytest.mark.parametrize("carried", [True, False], ids=["carried", "bare"])
-    def test_leaves_its_input_unchanged(self, carried):
+    def test_leaves_its_input_unchanged(self):
         net = stacked_network([(0, 1), (1, 2)], [True, False, True], copies=50)
         cfg = abm.AbmConfig(p_o=0.5, p_m=0.9, gamma=0.3, initial_infected=20)
         state = abm.seed_infection(net, cfg, abm.seeding_stream(3))
-        if carried:
-            state = abm.step(state, net, cfg, abm.day_key(3, 0))
-        else:
-            state = abm.AbmState(state.compartment, 0)
-        names = ("compartment", "infected", "pressure")
-        before = [None if getattr(state, n) is None else getattr(state, n).copy() for n in names]
+        before = state.compartment.copy()
         out = abm.step(state, net, cfg, abm.day_key(3, 1))
         assert not np.array_equal(out.compartment, state.compartment)  # the day changed something
-        assert (state.infected is None) != carried  # a bare state carries nothing
-        for name, copy in zip(names, before):
-            if copy is None:
-                assert getattr(state, name) is None, name
-            else:
-                assert getattr(state, name).tobytes() == copy.tobytes(), name
+        assert state.compartment.tobytes() == before.tobytes()
+        assert (state.day, out.day) == (0, 1)
 
 
 class TestOracleAgreement:
@@ -443,3 +433,32 @@ class TestMeanFieldConsistency:
         prevalence, sd = mean_field_map(n, p, gamma, seeds, days)
         deviation = np.abs(res.mean("prev_I")[1:] - prevalence)
         assert np.all(deviation <= 4 * sd / math.sqrt(reps)), (deviation, sd / math.sqrt(reps))
+
+
+class TestStepChainMatchesRepCounts:
+    """``abm.step`` chained day by day runs the same day as ``abm.rep_counts``."""
+
+    @staticmethod
+    def chained_counts(net, cfg, key):
+        counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
+        state = abm.seed_infection(net, cfg, abm.seeding_stream(key))
+        prev = np.full(net.n_nodes, abm.S, dtype=np.uint8)
+        for day in range(cfg.steps + 1):
+            if day:
+                prev, state = state.compartment, abm.step(state, net, cfg, abm.day_key(key, day))
+            cur = state.compartment
+            for k, nodes in enumerate((cur == abm.I, (cur == abm.I) & (prev == abm.S))):
+                counts[k, :, day] = [np.count_nonzero(nodes & ~net.misinformed),
+                                     np.count_nonzero(nodes & net.misinformed)]
+        return counts
+
+    @pytest.mark.parametrize("gamma, lives", [(0.05, True), (0.8, False)], ids=["alive", "dies"])
+    def test_counts_equal(self, gamma, lives):
+        rng = np.random.default_rng(21)
+        net = stacked_network(_random_graph(rng, 150, 0.04), list(rng.random(150) < 0.5), copies=2)
+        cfg = abm.AbmConfig(p_o=0.1, p_m=0.6, gamma=gamma, initial_infected=3, steps=40)
+        key = derive_seed(8, 0)
+        got = abm.rep_counts(net, cfg, key)
+        assert np.array_equal(got, self.chained_counts(net, cfg, key))
+        live_days = np.count_nonzero(got[0].sum(axis=0))  # days with anyone infected
+        assert live_days == cfg.steps + 1 if lives else live_days < cfg.steps // 2

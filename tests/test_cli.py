@@ -786,8 +786,9 @@ class TestRunRecord:
 
     def test_failed_stage_writes_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "p"
-        assert run_cli(*PIPELINE_BASE, "--k-bar", "nan", "--out", str(out)) == 2
-        assert "stage expected_edges" in capsys.readouterr().err
+        # A valid sample too small for any county to draw a node fails in its stage.
+        assert run_cli(*PIPELINE_BASE, "--sample", "1e-9", "--out", str(out)) == 2
+        assert "stage sample_population" in capsys.readouterr().err
         assert (out / "counties.csv").exists()
         assert not (out / "manifest.json").exists()
 
@@ -874,10 +875,15 @@ def _write_bad_inputs(d):
         "initial_infected_0": {"counties": 3, "initial_infected": 0},
         "p_m_below_p_o": {"counties": 3, "p_m": 0.001},
         "scenario_dir_nul": {"scenario_dir": "scenario\0"},
+        "mode_unknown": {"counties": 3, "mode": "loudest_friend"},
+        "reps_10_20": {"counties": 3, "reps": 10**20},
     }.items():
         (d / f"{name}.json").write_text(
             json.dumps({"subcommand": "pipeline", "parameters": params})
         )
+    # JSON reads 1e400 as inf
+    (d / "k_bar_1e400.json").write_text(
+        '{"subcommand": "pipeline", "parameters": {"counties": 3, "k_bar": 1e400}}')
     (d / "meanfield_manifest.json").write_text(
         json.dumps({"subcommand": "meanfield", "parameters": {"horizon": 10}})
     )
@@ -1082,14 +1088,50 @@ BAD_INPUTS = {
         ["pipeline", "--scenario-dir", "{d}/node_outside"],
         "references counties outside the scenario"),
     "pipeline --k-bar nan": (
-        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "nan"], "stage expected_edges"),
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "nan"],
+        "k_bar must be finite and > 0, got nan"),
     "pipeline --k-bar inf": (
-        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "inf"], "stage expected_edges"),
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "inf"],
+        "k_bar must be finite and > 0, got inf"),
     "sweep --values nan for k-bar": (
         ["sweep", "--synthetic", "--counties", "3", "--vary", "k-bar", "--values", "nan"],
-        "stage expected_edges"),
+        "k_bar must be finite and > 0, got nan"),
     "manifest k_bar NaN": (
-        ["pipeline", "--from-manifest", "{d}/k_bar_nan.json"], "stage expected_edges"),
+        ["pipeline", "--from-manifest", "{d}/k_bar_nan.json"],
+        "k_bar must be finite and > 0, got nan"),
+    # pipeline parameters: rejected before the first stage, from flags, a manifest or any
+    # sweep value
+    "pipeline parameter --phi 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--phi", "0"], "phi must be >= 1, got 0"),
+    "pipeline parameter --sample 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--sample", "0"],
+        "sample_fraction must be in (0, 1], got 0.0"),
+    "pipeline parameter --sample 2": (
+        ["pipeline", "--synthetic", "--counties", "3", "--sample", "2"],
+        "sample_fraction must be in (0, 1], got 2.0"),
+    "pipeline parameter --k-bar 0": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "0"],
+        "k_bar must be finite and > 0, got 0.0"),
+    "pipeline parameter --k-bar -3": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "-3"],
+        "k_bar must be finite and > 0, got -3.0"),
+    "pipeline parameter manifest k_bar 1e400": (
+        ["pipeline", "--from-manifest", "{d}/k_bar_1e400.json"],
+        "k_bar must be finite and > 0, got inf"),
+    "pipeline parameter manifest mode": (
+        ["pipeline", "--from-manifest", "{d}/mode_unknown.json"],
+        "unknown exposure mode 'loudest_friend'"),
+    "pipeline parameter manifest reps 10^20": (
+        ["pipeline", "--from-manifest", "{d}/reps_10_20.json"], "out of memory", 3),
+    "pipeline parameter sweep --vary sample --values 0.5,2": (
+        ["sweep", "--synthetic", "--counties", "3", "--vary", "sample", "--values", "0.5,2"],
+        "sample_fraction must be in (0, 1], got 2.0"),
+    "pipeline parameter sweep --vary phi --values 1,0": (
+        ["sweep", "--synthetic", "--counties", "3", "--vary", "phi", "--values", "1,0"],
+        "phi must be >= 1, got 0"),
+    "pipeline parameter sweep --vary k-bar --values 25,-1": (
+        ["sweep", "--synthetic", "--counties", "3", "--vary", "k-bar", "--values", "25,-1"],
+        "k_bar must be finite and > 0, got -1.0"),
     # ABM parameters: rejected before the first stage, from flags or from a manifest
     "ABM pipeline --gamma 2": (
         ["pipeline", "--synthetic", "--counties", "3", "--gamma", "2"],
@@ -1128,22 +1170,22 @@ BAD_INPUTS = {
     # two ranges of 1001 values each: rejected before any cell is integrated
     "meanfield --grid 10^6 cells": (
         ["meanfield", "--sweep", "alpha=0:1:0.001", "--grid", "beta-o=0:1:0.001"], "cells"),
-    # counts whose arrays NumPy refuses to shape: out of memory, as a MemoryError is
+    # counts whose arrays NumPy refuses to shape: out of memory, as a MemoryError is; a
+    # pipeline's counts are shaped before its first stage
     "meanfield --horizon 10^20": (
         ["meanfield", "--horizon", "100000000000000000000"], "stage integrate: out of memory", 3),
     "meanfield --horizon 2^62": (
         ["meanfield", "--horizon", "4611686018427387904"], "stage integrate: out of memory", 3),
     "pipeline --steps 10^20": (
         ["pipeline", "--synthetic", "--counties", "3", "--steps", "100000000000000000000"],
-        "stage abm: out of memory", 3),
+        "numeric failure: out of memory", 3),
     "pipeline --reps 10^20": (
         ["pipeline", "--synthetic", "--counties", "3", "--reps", "100000000000000000000"],
-        "stage abm: out of memory", 3),
-    # counts are shaped before the work items are listed, one per repetition and row
+        "numeric failure: out of memory", 3),
     "sweep --reps 10^20": (
         ["sweep", "--synthetic", "--counties", "3", "--reps", "100000000000000000000",
          "--vary", "phi", "--values", "1,2"],
-        "stage abm: out of memory", 3),
+        "numeric failure: out of memory", 3),
     "pipeline --counties 10^20": (
         ["pipeline", "--synthetic", "--counties", "100000000000000000000"],
         "stage generate_scenario: out of memory", 3),
@@ -1179,16 +1221,30 @@ def test_sweep_jobs_is_an_unknown_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.startswith("ABM ")])
-def test_bad_abm_parameter_runs_no_stage(tmp_path, capsys, case):
-    argv, expected = BAD_INPUTS[case]
+def assert_runs_no_stage(tmp_path, capsys, case):
+    argv, expected, *code = BAD_INPUTS[case]
     _write_bad_inputs(tmp_path)
     out = tmp_path / "out"
-    assert main([a.format(d=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    code = code[0] if code else 2
+    assert main([a.format(d=tmp_path) for a in argv] + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert expected in err
     assert not any(line.startswith("stage ") for line in err.splitlines())
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.startswith("ABM ")])
+def test_bad_abm_parameter_runs_no_stage(tmp_path, capsys, case):
+    assert_runs_no_stage(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("case", [
+    *(c for c in BAD_INPUTS if c.startswith("pipeline parameter ")),
+    "pipeline --k-bar nan", "pipeline --k-bar inf", "sweep --values nan for k-bar",
+    "manifest k_bar NaN", "pipeline --steps 10^20", "pipeline --reps 10^20", "sweep --reps 10^20",
+])
+def test_bad_pipeline_parameter_runs_no_stage(tmp_path, capsys, case):
+    assert_runs_no_stage(tmp_path, capsys, case)
 
 
 @pytest.mark.parametrize("command, flag, owner, name", [

@@ -48,6 +48,10 @@ class TestExpectedEdges:
         with pytest.raises(ValidationError, match="k_bar"):
             cn.expected_edges(np.ones((2, 2)), k_bar, 10)
 
+    def test_rejects_fewer_than_two_nodes(self):
+        with pytest.raises(ValidationError, match="need at least 2 nodes, got 1"):
+            cn.expected_edges(np.ones((2, 2)), 25.0, 1)
+
 
 class TestSamplePopulation:
     def make_inputs(self, voters, shares, users_per_party=5):
@@ -95,6 +99,12 @@ class TestSamplePopulation:
         scenario, net = self.make_inputs([1000], [0.5])
         with pytest.raises(ValidationError):
             cn.sample_population(scenario, net, 0.0, rng_seed=4)
+
+    def test_no_county_sampled_raises(self):
+        # round(10 * 0.01) = 0 draws in both counties
+        scenario, net = self.make_inputs([10, 10], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="no county sampled any nodes"):
+            cn.sample_population(scenario, net, 0.01, rng_seed=4)
 
     def test_county_marginals_exact(self, rng):
         voters = [1234, 8888, 402, 61000]
@@ -161,6 +171,22 @@ class TestBuildNetwork:
     def test_rejects_k_bar_not_finite_positive(self, k_bar):
         with pytest.raises(ValidationError, match="k_bar"):
             cn.build_contact_network(sampled([1000], [10]), np.array([[1.0]]), k_bar, rng_seed=0)
+
+    def test_rejects_expected_edges_of_another_county_count(self):
+        with pytest.raises(ValidationError, match="does not match county count"):
+            cn.build_contact_network(sampled([1000, 1001], [5, 5]), np.ones((3, 3)), 2.0, 0)
+
+    def test_rejects_nodes_out_of_county_order(self):
+        nodes = replace(sampled([1000, 1001], [2, 2]),
+                        county_index=np.array([1, 1, 0, 0], dtype=np.int32))
+        with pytest.raises(ValidationError, match="ordered by county block"):
+            cn.build_contact_network(nodes, np.ones((2, 2)), 2.0, 0)
+
+    def test_rejects_edges_only_between_empty_counties(self):
+        # Only county 0 expects edges, and it sampled no nodes.
+        e = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="no county pair with positive expected edges"):
+            cn.build_contact_network(sampled([1000, 1001], [0, 10]), e, 2.0, 0)
 
     def test_two_nodes_force_the_single_edge(self):
         nodes = sampled([1000], [2])
@@ -399,6 +425,14 @@ class TestSyntheticMobility:
         e = cn.expected_edges(m, 25.0, 10000)
         assert e.sum() == pytest.approx(125000.0, rel=1e-12)
 
+    def test_rejects_a_county_without_voters(self):
+        with pytest.raises(ValidationError, match="positive county populations"):
+            generate_synthetic_mobility(np.array([100, 0]), 2.0, 0)
+
+    def test_rejects_coordinates_of_another_shape(self):
+        with pytest.raises(ValidationError, match=r"coordinates must have shape \(2, 2\)"):
+            generate_synthetic_mobility(np.array([100, 200]), 2.0, 0, coordinates=np.zeros((3, 2)))
+
 
 class TestValidation:
     """ContactNetwork rejects edge lists and county indices that break its invariants."""
@@ -442,6 +476,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="county index"):
             self.network([[0, 1]], county_index)
 
+    def test_misinformed_of_another_length_raises(self):
+        with pytest.raises(ValidationError, match="misinformed length does not match"):
+            replace(self.network([]), misinformed=np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize("edges", [np.zeros((2, 3)), np.zeros(4)], ids=["3 columns", "flat"])
+    def test_edges_not_of_shape_m_2_raise(self, edges):
+        with pytest.raises(ValidationError, match=r"edges must have shape \(m, 2\)"):
+            replace(self.network([]), edges=edges.astype(np.uint32))
+
 
 class TestPersistence:
     def build(self):
@@ -460,6 +503,12 @@ class TestPersistence:
         assert np.array_equal(back.edges, net.edges)
         assert back.k_bar == net.k_bar
         assert back.seed == net.seed
+
+    def test_short_read_raises(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(bytes(10))
+        with open(path, "rb") as f, pytest.raises(ValidationError, match="short.bin: truncated"):
+            cn._read_array(f, "<u4", 4)
 
     def test_binary_is_byte_stable(self, tmp_path):
         net = self.build()

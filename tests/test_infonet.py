@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -29,6 +31,30 @@ class TestNetworkValidation:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValidationError, match="duplicate"):
             build_infonet(2, [(0, 1, 1), (0, 1, 2)])
+
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValidationError, match="at least one node"):
+            build_infonet(0, [])
+
+    @pytest.mark.parametrize("name", ["county", "alignment", "seed"])
+    def test_rejects_node_array_of_another_length(self, name):
+        net = build_infonet(3, [])
+        with pytest.raises(ValidationError, match=f"{name} length does not match node count"):
+            replace(net, **{name: getattr(net, name)[:2]})
+
+    @pytest.mark.parametrize("name", ["edge_src", "edge_dst", "edge_weight"])
+    def test_rejects_edge_arrays_of_mismatched_lengths(self, name):
+        net = build_infonet(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(ValidationError, match="mismatched lengths"):
+            replace(net, **{name: getattr(net, name)[:1]})
+
+    @pytest.mark.parametrize("edge, end", [
+        ((3, 0, 1), "edge_src"), ((-1, 0, 1), "edge_src"),
+        ((0, 3, 1), "edge_dst"), ((0, -1, 1), "edge_dst"),
+    ])
+    def test_rejects_edge_index_out_of_range(self, edge, end):
+        with pytest.raises(ValidationError, match=f"{end} index out of range"):
+            build_infonet(3, [edge])
 
     def test_party_from_alignment_sign(self):
         net = build_infonet(4, [], alignment=[0.3, -0.7, 0.0, np.nan])

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -98,6 +98,28 @@ class TestMobilityChecks:
     def test_scenario_rejects_mobility(self, mobility, message):
         with pytest.raises(ValidationError, match=message):
             build_scenario([100, 200], mobility=mobility)
+
+
+class TestScenarioChecks:
+    def test_rejects_no_counties(self):
+        with pytest.raises(ValidationError, match="at least one county"):
+            build_scenario([])
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(shares=[0.5]), "republican_share"), (dict(users=[10, 10, 10]), "twitter_users"),
+    ])
+    def test_rejects_county_array_of_another_length(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"{name} length does not match county count"):
+            build_scenario([100, 200], **kwargs)
+
+    def test_rejects_voters_of_another_length(self):
+        scenario = build_scenario([100, 200])
+        with pytest.raises(ValidationError, match="voters length does not match county count"):
+            replace(scenario, voters=scenario.voters[:1])
+
+    def test_rejects_negative_voters(self):
+        with pytest.raises(ValidationError, match="voter populations must be nonnegative"):
+            build_scenario([100, -1])
 
 
 class TestRoundTrip:
