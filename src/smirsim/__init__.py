@@ -8,7 +8,7 @@ and runs discrete-time epidemics on it.
 
 __version__ = "0.3.0"
 
-from .abm import AbmConfig, AbmState, EpidemicResult, run, seed_infection, step
+from .abm import AbmConfig, EpidemicResult, run, seed_infection, step
 from .contactnet import (
     ContactNetwork,
     SampledNodes,
@@ -27,7 +27,6 @@ from .infonet import (
 )
 from .meanfield import (
     MeanFieldParams,
-    MeanFieldState,
     Trajectory,
     TrajectorySummary,
     derivatives,
@@ -50,12 +49,12 @@ from .scenario import (
 
 __all__ = [
     "__version__",
-    "AbmConfig", "AbmState", "EpidemicResult", "run", "seed_infection", "step",
+    "AbmConfig", "EpidemicResult", "run", "seed_infection", "step",
     "ContactNetwork", "SampledNodes", "build_contact_network", "expected_edges",
     "load_contact_network", "sample_population", "save_contact_network",
     "InfoNetwork", "generate_synthetic_infonet",
     "load_infonet", "save_infonet", "spread_misinformation",
-    "MeanFieldParams", "MeanFieldState", "Trajectory", "TrajectorySummary",
+    "MeanFieldParams", "Trajectory", "TrajectorySummary",
     "derivatives", "initial_state", "integrate", "integrate_many", "r0", "summarize",
     "sweep", "sweep_grid",
     "Scenario", "ScenarioConfig", "generate_scenario", "generate_synthetic_mobility",

@@ -15,16 +15,17 @@ so outcomes are independent of evaluation order and thread count, any (day,
 node) of any repetition can be replayed in isolation, and a day evaluates the
 hash only where a decision is made: at its candidates and its infected nodes.
 
-A repetition updates its compartment and each node's count m of infected
-neighbors (4 bytes per node) in place. A day adds one to m at each neighbor
+The state is the compartment array, one uint8 per node (S=0, I=1, R=2). A
+repetition updates it and each node's count m of infected neighbors (4 bytes
+per node) in place. A day adds one to m at each neighbor
 of its new infections and subtracts one at each neighbor of its recoveries,
 gathered through the network's ``adjacency`` index (built once per network,
 ~4 bytes per edge plus 16 bytes per node), and evaluates ``1 - (1 - p)^m``
 only at its candidates, which one flat pass over the nodes finds. A day
 records four counts, from which the nine daily measures are derived once per
-run. `step` is the stand-alone one-day API: it derives m from a compartment
-and never changes its input. Once no node is infected the state is
-absorbing and the remaining days are not stepped.
+run. `step` is the stand-alone one-day API: it returns the next day's
+compartment, deriving m from its input, which it never writes. Once no node
+is infected the state is absorbing and the remaining days are not stepped.
 """
 
 from __future__ import annotations
@@ -83,18 +84,6 @@ class AbmConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class AbmState:
-    """Compartment byte per node (S=0, I=1, R=2) at the given day."""
-
-    compartment: np.ndarray
-    day: int
-
-    def counts(self) -> tuple[int, int, int]:
-        c = np.bincount(self.compartment, minlength=3)
-        return int(c[S]), int(c[I]), int(c[R])
-
-
 def _mix64(z: int) -> int:
     """The SplitMix64 finalizer on one Python int (kept to 64 bits by hand:
     NumPy warns when a uint64 scalar operation wraps)."""
@@ -136,10 +125,9 @@ def uniform(key: int, nodes: np.ndarray, purpose: int) -> np.ndarray:
     return x * 2.0**-53
 
 
-def seed_infection(
-    net: ContactNetwork, cfg: AbmConfig, rng: np.random.Generator
-) -> AbmState:
-    """Infect exactly cfg.initial_infected uniformly chosen misinformed nodes."""
+def seed_infection(net: ContactNetwork, cfg: AbmConfig, rng: np.random.Generator) -> np.ndarray:
+    """The day-0 compartment: cfg.initial_infected uniformly chosen misinformed
+    nodes are infected, every other node is susceptible."""
     candidates = np.flatnonzero(net.misinformed)
     if len(candidates) < cfg.initial_infected:
         raise ValidationError(
@@ -147,9 +135,9 @@ def seed_infection(
             f"only {len(candidates)} misinformed nodes"
         )
     chosen = rng.choice(candidates, size=cfg.initial_infected, replace=False)
-    compartment = np.zeros(net.n_nodes, dtype=np.uint8)
-    compartment[chosen] = I
-    return AbmState(compartment=compartment, day=0)
+    comp = np.zeros(net.n_nodes, dtype=np.uint8)
+    comp[chosen] = I
+    return comp
 
 
 def _neighbors(ptr: np.ndarray, nbr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -195,12 +183,12 @@ def _day(comp, infected, m, net, cfg, key) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([infected[~recovers], new]), new
 
 
-def step(state: AbmState, net: ContactNetwork, cfg: AbmConfig, key: int) -> AbmState:
-    """Advance one day synchronously, reading the uniforms of day key `key`;
-    `state` is left unchanged."""
-    comp = state.compartment.copy()
+def step(comp: np.ndarray, net: ContactNetwork, cfg: AbmConfig, key: int) -> np.ndarray:
+    """The next day's compartment (one uint8 per node) after `comp`, advanced
+    synchronously with the uniforms of day key `key`; `comp` is never written."""
+    comp = comp.copy()
     _day(comp, *_start(comp, net), net, cfg, key)
-    return AbmState(compartment=comp, day=state.day + 1)
+    return comp
 
 
 #: Measure names in CSV column order; *_ord / *_mis restrict to one label.
@@ -263,7 +251,7 @@ class EpidemicResult:
 def rep_counts(net: ContactNetwork, cfg: AbmConfig, rep_key: int) -> np.ndarray:
     """Daily counts of repetition `rep_key`: (infected, new) x (ordinary, misinformed) x day."""
     counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
-    comp = seed_infection(net, cfg, seeding_stream(rep_key)).compartment
+    comp = seed_infection(net, cfg, seeding_stream(rep_key))
     infected, m = _start(comp, net)
     new = infected
     for day in range(cfg.steps + 1):

@@ -12,11 +12,12 @@ goes to standard error. Every successful run writes a manifest.json with the
 resolved parameters, input hashes, seed, outputs and ``stages``: each
 pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
 the process that ran it (a high-water mark, never falling within a process;
-a sweep has one scenario, at its top level, and names its rows' stages
-``phi_1/abm``, ...; sampling reads no labels, so phi rows share one sample and
-each network, recorded under the first row; a network rebuilt per repetition
-is recorded inside ``abm``, with the peak RSS of the forked worker that built
-it). Re-running with the same parameters reproduces every CSV and binary
+stages are listed in the order they ran, as stderr reports them; a sweep has
+one scenario and one record, and names its rows' stages ``phi_1/abm``, ...;
+sampling reads no labels, so phi rows share one sample and each network,
+recorded under the first row; a network rebuilt per repetition is recorded
+inside ``abm``, with the peak RSS of the forked worker that built it).
+Re-running with the same parameters reproduces every CSV and binary
 artifact byte for byte.
 Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
@@ -32,7 +33,7 @@ import resource
 import sys
 import time
 from contextlib import AbstractContextManager, contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -103,6 +104,9 @@ def _sha256(path) -> str:
 
 
 def _out_of_memory(e: MemoryError | ValueError) -> str:
+    """The message of an exhausted memory; re-raises any ValueError but NumPy's `_TOO_BIG`."""
+    if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
+        raise e
     return f"out of memory ({e})" if str(e) else "out of memory"
 
 
@@ -112,8 +116,9 @@ class _Run(AbstractContextManager):
 
     ``out`` is --out, else $SMIRSIM_OUT, else ./smirsim-out; it is created
     when the first output is named. Leaving ``with _Run(...)`` without an
-    error writes manifest.json; a failed run writes none. A sweep row uses a
-    bare ``_Run`` for its own directory, so it writes none either.
+    error writes manifest.json; a failed run writes none. A command has one
+    ``_Run``, sweep rows included; a repetition worker records its stages in
+    a bare ``_Run``, which writes none, and returns them.
     """
 
     def __init__(self, out, subcommand: str = "", params: dict | None = None, seed=None):
@@ -160,8 +165,6 @@ class _Run(AbstractContextManager):
         except NumericError as e:
             raise NumericError(f"stage {name}: {e}") from e
         except (MemoryError, ValueError) as e:
-            if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
-                raise
             raise NumericError(f"stage {name}: {_out_of_memory(e)}") from e
         except (InputError, OSError) as e:
             raise InputError(f"stage {name}: {e}") from e
@@ -396,23 +399,24 @@ def _manifest_parameters(path) -> dict:
     return values
 
 
-def _pipeline_config(args, rows: int = 1) -> tuple[PipelineConfig, abm.AbmConfig, np.ndarray]:
-    """The flags as a PipelineConfig, overridden by --from-manifest when given, its ABM
-    parameters and the ``counts[row, k, j, rep, day]`` of `rows` rows, all checked or
-    shaped here so that a bad parameter fails before any stage runs."""
+def _pipeline_config(args, row_fields=({},)) -> tuple[dict, list[PipelineConfig],
+                                                      abm.AbmConfig, np.ndarray]:
+    """The flags, overridden by --from-manifest when given; one PipelineConfig per row,
+    the flags with that row's `row_fields` replaced; the rows' ABM parameters (no row
+    replaces one) and their ``counts[row, k, j, rep, day]``, all checked or shaped here
+    so that a bad parameter fails before any stage runs."""
     values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.from_manifest:
         values.update(_manifest_parameters(args.from_manifest))
     elif not args.synthetic and not args.scenario_dir:
         raise InputError("choose a scenario source: --synthetic or --scenario-dir")
-    cfg = PipelineConfig(**values)
+    cfgs = [PipelineConfig(**{**values, **row}) for row in row_fields]
+    cfg = cfgs[0]
     abm_cfg = abm.AbmConfig(p_o=cfg.p_o, p_m=cfg.p_m, gamma=cfg.gamma,
                             initial_infected=cfg.initial_infected, steps=cfg.steps,
                             repetitions=cfg.reps)
-    try:
-        return cfg, abm_cfg, np.empty((rows, 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
-    except (MemoryError, ValueError) as e:  # a shape no memory holds
-        raise NumericError(_out_of_memory(e)) from e
+    counts = np.empty((len(cfgs), 2, 2, cfg.reps, cfg.steps + 1), dtype=np.int64)
+    return values, cfgs, abm_cfg, counts
 
 
 _SCENARIO_FILES = ("counties.csv", "mobility.csv", "infonet_nodes.csv", "infonet_edges.csv")
@@ -444,45 +448,50 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
     return sc, net
 
 
-def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm.AbmConfig,
-                  counts: np.ndarray, summary_json=False, svg=False) -> list[dict]:
+def _run_pipeline(run: _Run, rows: list[tuple[str, PipelineConfig]], sc, net,
+                  abm_cfg: abm.AbmConfig, counts: np.ndarray, summary_json=False,
+                  svg=False) -> list[dict]:
     """Spread -> sample -> build -> simulate, with `abm_cfg`, on the scenario `sc` and its
-    infonet `net`, into `counts` (see `_pipeline_config`), for rows ``(run, config)`` that differ
-    only in phi and mode: they share one sample and each network, recorded in the first
-    row's run. The work items, a run's one parallel layer, are ``(rep, rows)``: one per
-    repetition and row, or under --regen-network one per repetition with every row, as
-    its build serves all. Each row saves contactnet.bin and result.csv (and summary.json
-    and epidemic.svg, if asked) as outputs of its run; returns the rows' summaries."""
+    infonet `net`, into `counts` (see `_pipeline_config`), for rows ``(name, config)`` that
+    differ only in phi and mode: they share one sample and each network, recorded under the
+    first row's name. `run` records a sweep row's stages as ``<name>/<stage>`` while they
+    run, and the row writes its files under ``rows/<name>/``; a pipeline's one row is named
+    "". The work items, a run's one parallel layer, are ``(rep, rows)``: one per repetition
+    and row, or under --regen-network one per repetition with every row, as its build
+    serves all. Each row saves contactnet.bin and result.csv (and summary.json and
+    epidemic.svg, if asked); returns the rows' summaries."""
+    prefixes = [f"{name}/" if name else "" for name, _ in rows]
+    folders = [f"rows/{prefix}" if prefix else "" for prefix in prefixes]
     labels = []
-    for run, cfg in rows:
-        with run.stage("spread_misinformation"):
+    for prefix, (_, cfg) in zip(prefixes, rows):
+        with run.stage(prefix + "spread_misinformation"):
             labels.append(infonet.spread_misinformation(net, cfg.phi, cfg.mode))
-    first, cfg = rows[0]
-    with first.stage("sample_population"):
+    first, cfg = prefixes[0], rows[0][1]
+    with run.stage(first + "sample_population"):
         nodes = contactnet.sample_population(
             sc, net, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
         )
     n = len(nodes.source)
-    with first.stage("expected_edges"):
+    with run.stage(first + "expected_edges"):
         e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, n)
     n_edges = contactnet.edge_budget(cfg.k_bar, n)  # what every build places
     workers = None if n_edges >= _FORK_MIN_EDGES else 1  # repetitions fan out to forked workers
     build = partial(contactnet.build_contact_network, nodes, e_matrix, cfg.k_bar)
     if not cfg.regen_network:
-        with first.stage("build_contact_network"):
+        with run.stage(first + "build_contact_network"):
             shared = build(scenario.derive_seed(cfg.seed, _STREAM_NET))
             shared.adjacency  # built once, before any worker forks
     abm_seed = scenario.derive_seed(cfg.seed, _STREAM_ABM)
-    with first.stage("abm"):
+    with run.stage(first + "abm"):
         labels = [misinformed[nodes.source] for misinformed in labels]
-        paths = [run.output("contactnet.bin") for run, _ in rows]
+        paths = [run.output(folder + "contactnet.bin") for folder in folders]
 
         def repetition(item):
             """The counts of repetition `rep` on each row of `at`, and the stages it recorded."""
             rep, at = item
-            record = _Run(first.out)
+            record = _Run(run.out)
             if cfg.regen_network:
-                with record.stage(f"build_contact_network[rep={rep}]"):
+                with record.stage(f"{first}build_contact_network[rep={rep}]"):
                     graph = build(scenario.derive_seed(cfg.seed, _STREAM_NET_REP + rep))
                 key = scenario.derive_seed(scenario.derive_seed(cfg.seed, _STREAM_ABM_REP + rep), 0)
             else:
@@ -497,9 +506,9 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm
         items = [(rep, at) for rep in range(cfg.reps) for at in row_sets]
         for (rep, at), (rep_counts, stages) in zip(items, _fork_map(repetition, items, workers)):
             counts[at, :, :, rep] = rep_counts
-            first.stages += stages
+            run.stages += stages
     summaries = []
-    for (run, _), misinformed, row_counts in zip(rows, labels, counts):
+    for prefix, folder, misinformed, row_counts in zip(prefixes, folders, labels, counts):
         result = abm.result(row_counts)
         misinformed_nodes = int(np.count_nonzero(misinformed))
         summary = {
@@ -514,28 +523,28 @@ def _run_pipeline(rows: list[tuple[_Run, PipelineConfig]], sc, net, abm_cfg: abm
             "cumulative_final_std": result.cumulative_final_std,
         }
         summaries.append(summary)
-        with run.stage("write_outputs"):
-            abm.write_result_csv(result, run.output("result.csv"))
+        with run.stage(prefix + "write_outputs"):
+            abm.write_result_csv(result, run.output(folder + "result.csv"))
             if summary_json:
                 text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-                run.output("summary.json").write_text(text)
+                run.output(folder + "summary.json").write_text(text)
             if svg:
                 days = list(result.days)
                 svgplot.line_chart(
                     [("mean prevalent I", days, list(result.mean("prev_I"))),
                      ("mean cumulative", days, list(result.mean("cum")))],
-                    run.output("epidemic.svg"), title="Epidemic course", xlabel="day",
+                    run.output(folder + "epidemic.svg"), title="Epidemic course", xlabel="day",
                     ylabel="individuals",
                 )
     return summaries
 
 
 def cmd_pipeline(args) -> int:
-    cfg, abm_cfg, counts = _pipeline_config(args)
-    with _Run(args.out, "pipeline", asdict(cfg), cfg.seed) as run:
+    params, [cfg], abm_cfg, counts = _pipeline_config(args)
+    with _Run(args.out, "pipeline", params, cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
         net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
-        [summary] = _run_pipeline([(run, cfg)], sc, net, abm_cfg, counts, summary_json=True,
+        [summary] = _run_pipeline(run, [("", cfg)], sc, net, abm_cfg, counts, summary_json=True,
                                   svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -553,22 +562,18 @@ def _parse_values(text: str, vary: str) -> list:
 def cmd_sweep(args) -> int:
     values = _parse_values(args.values, args.vary)
     _check_output_names(values, "--values")
-    # No varied field is an ABM one, so the rows share one AbmConfig.
-    cfg, abm_cfg, counts = _pipeline_config(args, len(values))
     field = args.vary.replace("-", "_")
-    run = _Run(args.out, "sweep", {**asdict(cfg), "vary": args.vary, "values": values}, cfg.seed)
-    rows = [(_Run(run.out / "rows" / f"{field}_{v:g}"), replace(cfg, **{field: v}))
-            for v in values]  # each row's config is checked here, before the first stage
+    # Only the values that run are checked: the varied flag itself is recorded, not run.
+    params, cfgs, abm_cfg, counts = _pipeline_config(args, [{field: v} for v in values])
+    rows = [(f"{field}_{v:g}", row_cfg) for v, row_cfg in zip(values, cfgs)]
     # Phi rows share one sample and its networks; a k-bar or sample row has its own.
     groups = [slice(None)] if args.vary == "phi" else [slice(i, i + 1) for i in range(len(rows))]
-    with run:
-        # No varied field (phi, k-bar, sample) changes the scenario.
+    cfg = cfgs[0]  # no varied field (phi, k-bar, sample) changes the scenario or the ABM
+    with _Run(args.out, "sweep", {**params, "vary": args.vary, "values": values}, cfg.seed) as run:
         sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
         net = infonet.seed_edges(net)
-        summaries = [s for g in groups for s in _run_pipeline(rows[g], sc, net, abm_cfg, counts[g])]
-        run.stages += [{**s, "name": f"{row.out.name}/{s['name']}"} for row, _ in rows
-                       for s in row.stages]
-        run.outputs += [o for row, _ in rows for o in row.outputs]
+        summaries = [s for g in groups
+                     for s in _run_pipeline(run, rows[g], sc, net, abm_cfg, counts[g])]
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.
@@ -736,7 +741,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except MemoryError as e:  # outside any stage, as in meanfield
+    except (MemoryError, ValueError) as e:  # outside any stage
         print(f"numeric failure: {_out_of_memory(e)}", file=sys.stderr)
         return 3
 

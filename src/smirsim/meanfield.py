@@ -33,7 +33,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,24 +95,14 @@ class MeanFieldParams:
         return 1.0 / self.gamma
 
 
-class MeanFieldState(NamedTuple):
-    """One sample of the six compartment fractions (of the total population)."""
-
-    s_o: float
-    i_o: float
-    r_o: float
-    s_m: float
-    i_m: float
-    r_m: float
-
-
 def r0(params: MeanFieldParams) -> float:
     """Basic reproduction number beta_o / gamma of the ordinary group."""
     return params.beta_o / params.gamma
 
 
-def initial_state(params: MeanFieldParams) -> MeanFieldState:
-    """Canonical initial condition: epsilon split evenly across the two groups.
+def initial_state(params: MeanFieldParams) -> np.ndarray:
+    """Canonical initial condition, the six fractions of the total population
+    as float64 in `COMPARTMENTS` order: epsilon split evenly across the two groups.
 
     When one group is empty (mu in {0, 1}) its compartments are pinned to zero
     and the whole epsilon seed goes to the nonempty group.
@@ -120,16 +110,16 @@ def initial_state(params: MeanFieldParams) -> MeanFieldState:
     eps = params.epsilon
     mu = params.mu
     if mu == 1.0:
-        return MeanFieldState(1.0 - eps, eps, 0.0, 0.0, 0.0, 0.0)
+        return np.array([1.0 - eps, eps, 0.0, 0.0, 0.0, 0.0])
     if mu == 0.0:
-        return MeanFieldState(0.0, 0.0, 0.0, 1.0 - eps, eps, 0.0)
+        return np.array([0.0, 0.0, 0.0, 1.0 - eps, eps, 0.0])
     s_o = mu - eps / 2
     s_m = 1.0 - mu - eps / 2
     if s_o < 0 or s_m < 0:
         raise ValidationError(
             f"epsilon={eps} overdraws a group: mu-eps/2={s_o}, 1-mu-eps/2={s_m}"
         )
-    return MeanFieldState(s_o, eps / 2, 0.0, s_m, eps / 2, 0.0)
+    return np.array([s_o, eps / 2, 0.0, s_m, eps / 2, 0.0])
 
 
 def _blocks(packed: np.ndarray) -> np.ndarray:
@@ -172,8 +162,9 @@ def _flow(y: np.ndarray, k: np.ndarray, rates: tuple[np.ndarray, ...]):
     return flow
 
 
-def derivatives(state: MeanFieldState, params: MeanFieldParams) -> np.ndarray:
-    """Six time-derivatives (dS_O, dI_O, dR_O, dS_M, dI_M, dR_M) at `state`.
+def derivatives(state: Sequence[float], params: MeanFieldParams) -> np.ndarray:
+    """Six time-derivatives (dS_O, dI_O, dR_O, dS_M, dI_M, dR_M) at the six
+    fractions `state`, in `COMPARTMENTS` order.
 
     The six components sum to zero: the system only moves mass between
     compartments.
@@ -197,9 +188,6 @@ class Trajectory:
     horizon: int
     method: str
     states: np.ndarray
-
-    def state(self, day: int) -> MeanFieldState:
-        return MeanFieldState(*self.states[day])
 
     @property
     def days(self) -> np.ndarray:
@@ -263,7 +251,7 @@ def integrate_many(
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     dt, steps_per_day = _resolve_step(dt, method)
-    initial = np.array([initial_state(p) for p in params_seq], dtype=float)
+    initial = np.array([initial_state(p) for p in params_seq])
     states = np.empty((len(params_seq), horizon + 1, 6))
     states[:, 0] = initial
     days = _blocks(states)  # (S/I/R, O/M, row, day) view of `states`

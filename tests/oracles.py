@@ -126,26 +126,24 @@ def empirical_outcome_counts(
     k = len(misinformed)
     net = stacked_network(edges, misinformed, copies)
     comp = np.tile(np.asarray(initial, dtype=np.uint8), copies)
-    state = abm.AbmState(compartment=comp, day=0)
     cfg = abm.AbmConfig(initial_infected=1, **cfg_kwargs)
     for day in range(1, steps + 1):
-        state = abm.step(state, net, cfg, abm.day_key(rep_key, day))
-    codes = state.compartment.reshape(copies, k).astype(np.int64)
+        comp = abm.step(comp, net, cfg, abm.day_key(rep_key, day))
+    codes = comp.reshape(copies, k).astype(np.int64)
     powers = 3 ** np.arange(k - 1, -1, -1)
     return np.bincount(codes @ powers, minlength=3**k)
 
 
 def reference_step(
-    state: abm.AbmState, net: ContactNetwork, cfg: abm.AbmConfig, key: int
-) -> abm.AbmState:
+    comp: np.ndarray, net: ContactNetwork, cfg: abm.AbmConfig, key: int
+) -> np.ndarray:
     """One synchronous day by a full scan of the edge list.
 
     Counts every node's infected neighbors with two bincounts over all
     edges, whatever the number of infected nodes, and evaluates both
     uniforms of day key `key` at every node; ``abm.step`` reads the same
-    values where it needs them, so both give identical states.
+    values where it needs them, so both give identical compartments.
     """
-    comp = state.compartment
     n = len(comp)
     infected = comp == abm.I
     src = net.edges[:, 0]
@@ -161,7 +159,7 @@ def reference_step(
     nxt = comp.copy()
     nxt[(comp == abm.S) & (m > 0) & (u_inf < p_infect)] = abm.I
     nxt[infected & (u_rec < cfg.gamma)] = abm.R
-    return abm.AbmState(compartment=nxt, day=state.day + 1)
+    return nxt
 
 
 def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> abm.EpidemicResult:
@@ -172,14 +170,12 @@ def reference_run(net: ContactNetwork, cfg: abm.AbmConfig, master_seed: int) -> 
     per_rep = {name: np.zeros((cfg.repetitions, t), dtype=np.int64) for name in abm.MEASURES}
     for rep in range(cfg.repetitions):
         rep_key = derive_seed(master_seed, rep)
-        state = abm.seed_infection(net, cfg, abm.seeding_stream(rep_key))
+        comp = abm.seed_infection(net, cfg, abm.seeding_stream(rep_key))
         ever = np.zeros(net.n_nodes, dtype=bool)
         prev = np.zeros(net.n_nodes, dtype=np.uint8)
         for day in range(t):
             if day:
-                prev = state.compartment
-                state = reference_step(state, net, cfg, abm.day_key(rep_key, day))
-            comp = state.compartment
+                prev, comp = comp, reference_step(comp, net, cfg, abm.day_key(rep_key, day))
             newly = (comp == abm.I) & (prev == abm.S)
             ever |= newly
             for suffix, keep in (("", np.ones_like(mis)), ("_ord", ~mis), ("_mis", mis)):

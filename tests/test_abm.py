@@ -54,8 +54,9 @@ class TestSeedInfection:
     def test_exhaustive_draw_infects_every_misinformed(self):
         net = stacked_network([(0, 1)], [True, False], copies=40)
         cfg = abm.AbmConfig(initial_infected=40)
-        state = abm.seed_infection(net, cfg, np.random.default_rng(0))
-        infected = state.compartment == abm.I
+        comp = abm.seed_infection(net, cfg, np.random.default_rng(0))
+        assert comp.dtype == np.uint8 and comp.shape == (net.n_nodes,)
+        infected = comp == abm.I
         assert np.array_equal(infected, net.misinformed)
 
     def test_fixed_rng_gives_identical_seed_sets(self):
@@ -63,8 +64,8 @@ class TestSeedInfection:
         cfg = abm.AbmConfig(initial_infected=100)
         a = abm.seed_infection(net, cfg, abm.seeding_stream(123))
         b = abm.seed_infection(net, cfg, abm.seeding_stream(123))
-        assert np.array_equal(a.compartment, b.compartment)
-        assert a.counts() == (900, 100, 0)
+        assert np.array_equal(a, b)
+        assert np.bincount(a, minlength=3).tolist() == [900, 100, 0]
 
 
 class TestStep:
@@ -74,18 +75,17 @@ class TestStep:
         comp = np.zeros(net.n_nodes, dtype=np.uint8)
         comp[::2] = abm.I  # node 0 of each copy infected
         cfg = abm.AbmConfig(p_o=0.0, p_m=1.0, gamma=0.2)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(7, 1))
-        assert np.all(out.compartment[1::2] == abm.I)
+        out = abm.step(comp, net, cfg, abm.day_key(7, 1))
+        assert np.all(out[1::2] == abm.I)
 
     def test_zero_p_o_never_infects_ordinary(self):
         net = stacked_network([(0, 1)], [True, False], copies=300)
         comp = np.zeros(net.n_nodes, dtype=np.uint8)
         comp[::2] = abm.I
         cfg = abm.AbmConfig(p_o=0.0, p_m=1.0, gamma=0.5)
-        state = abm.AbmState(comp, 0)
         for day in range(5):
-            state = abm.step(state, net, cfg, abm.day_key(99, day))
-        assert np.all(state.compartment[1::2] == abm.S)
+            comp = abm.step(comp, net, cfg, abm.day_key(99, day))
+        assert np.all(comp[1::2] == abm.S)
 
     def test_three_node_path_first_day_probabilities(self):
         # I - S(ordinary) - S(misinformed), p_o=0.5, p_m=1, gamma=0
@@ -95,9 +95,9 @@ class TestStep:
         net = stacked_network(edges, mis, copies)
         comp = np.tile(np.array([abm.I, abm.S, abm.S], dtype=np.uint8), copies)
         cfg = abm.AbmConfig(p_o=0.5, p_m=1.0, gamma=0.0)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(2024, 1))
-        middle = out.compartment[1::3] == abm.I
-        far = out.compartment[2::3] == abm.I
+        out = abm.step(comp, net, cfg, abm.day_key(2024, 1))
+        middle = out[1::3] == abm.I
+        far = out[2::3] == abm.I
         sigma = np.sqrt(0.25 / copies)
         assert abs(middle.mean() - 0.5) <= 3 * sigma
         assert far.sum() == 0  # no infected neighbor on day 0
@@ -108,9 +108,9 @@ class TestStep:
         comp = np.zeros(net.n_nodes, dtype=np.uint8)
         comp[::2] = abm.I
         cfg = abm.AbmConfig(p_o=1.0, p_m=1.0, gamma=1.0)
-        out = abm.step(abm.AbmState(comp, 0), net, cfg, abm.day_key(5, 1))
-        assert np.all(out.compartment[::2] == abm.R)
-        assert np.all(out.compartment[1::2] == abm.I)
+        out = abm.step(comp, net, cfg, abm.day_key(5, 1))
+        assert np.all(out[::2] == abm.R)
+        assert np.all(out[1::2] == abm.I)
 
     def test_compartment_conservation_and_locality(self, rng):
         for trial in range(10):
@@ -119,15 +119,12 @@ class TestStep:
             edges = [(a, b) for a, b in pairs if a != b]
             mis = list(rng.random(k) < 0.5)
             net = stacked_network(edges, mis, copies=30)
-            comp = np.where(rng.random(net.n_nodes) < 0.2, abm.I, abm.S).astype(np.uint8)
-            state = abm.AbmState(comp, 0)
+            cur = np.where(rng.random(net.n_nodes) < 0.2, abm.I, abm.S).astype(np.uint8)
             cfg = abm.AbmConfig(p_o=0.3, p_m=0.9, gamma=0.4)
             adj_sets = adjacency(net.n_nodes, net.edges.tolist())
             n = net.n_nodes
             for day in range(4):
-                prev = state.compartment
-                state = abm.step(state, net, cfg, abm.day_key(trial, day))
-                cur = state.compartment
+                prev, cur = cur, abm.step(cur, net, cfg, abm.day_key(trial, day))
                 assert len(cur) == n and set(np.unique(cur)) <= {0, 1, 2}
                 # transitions only S->I->R
                 assert np.all(cur[prev == abm.R] == abm.R)
@@ -142,12 +139,13 @@ class TestStep:
     def test_leaves_its_input_unchanged(self):
         net = stacked_network([(0, 1), (1, 2)], [True, False, True], copies=50)
         cfg = abm.AbmConfig(p_o=0.5, p_m=0.9, gamma=0.3, initial_infected=20)
-        state = abm.seed_infection(net, cfg, abm.seeding_stream(3))
-        before = state.compartment.copy()
-        out = abm.step(state, net, cfg, abm.day_key(3, 1))
-        assert not np.array_equal(out.compartment, state.compartment)  # the day changed something
-        assert state.compartment.tobytes() == before.tobytes()
-        assert (state.day, out.day) == (0, 1)
+        comp = abm.seed_infection(net, cfg, abm.seeding_stream(3))
+        before = comp.copy()
+        comp.flags.writeable = False  # a write would raise
+        out = abm.step(comp, net, cfg, abm.day_key(3, 1))
+        assert out.dtype == np.uint8 and out.flags.writeable
+        assert not np.array_equal(out, comp)  # the day changed something
+        assert comp.tobytes() == before.tobytes()
 
 
 class TestOracleAgreement:
@@ -441,12 +439,11 @@ class TestStepChainMatchesRepCounts:
     @staticmethod
     def chained_counts(net, cfg, key):
         counts = np.zeros((2, 2, cfg.steps + 1), dtype=np.int64)
-        state = abm.seed_infection(net, cfg, abm.seeding_stream(key))
+        cur = abm.seed_infection(net, cfg, abm.seeding_stream(key))
         prev = np.full(net.n_nodes, abm.S, dtype=np.uint8)
         for day in range(cfg.steps + 1):
             if day:
-                prev, state = state.compartment, abm.step(state, net, cfg, abm.day_key(key, day))
-            cur = state.compartment
+                prev, cur = cur, abm.step(cur, net, cfg, abm.day_key(key, day))
             for k, nodes in enumerate((cur == abm.I, (cur == abm.I) & (prev == abm.S))):
                 counts[k, :, day] = [np.count_nonzero(nodes & ~net.misinformed),
                                      np.count_nonzero(nodes & net.misinformed)]

@@ -119,17 +119,18 @@ def test_criterion_4_algebraic_reduction():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
-        state = mf.MeanFieldState(*rng.dirichlet(np.ones(6)))
+        state = rng.dirichlet(np.ones(6))
+        s_o, i_o, _, s_m, i_m, _ = state
         beta_o = rng.uniform(0.01, 1.0)
         lam = rng.uniform(1.0, 5.0)
         gamma = rng.uniform(0.05, 1.0)
         p = mf.MeanFieldParams(beta_o=beta_o, gamma=gamma, lam=lam, alpha=0.5)
         got = mf.derivatives(state, p)
-        force_o = beta_o * state.s_o * (state.i_o + state.i_m)
-        force_m = lam * beta_o * state.s_m * (state.i_o + state.i_m)
+        force_o = beta_o * s_o * (i_o + i_m)
+        force_m = lam * beta_o * s_m * (i_o + i_m)
         want = np.array([
-            -force_o, force_o - gamma * state.i_o, gamma * state.i_o,
-            -force_m, force_m - gamma * state.i_m, gamma * state.i_m,
+            -force_o, force_o - gamma * i_o, gamma * i_o,
+            -force_m, force_m - gamma * i_m, gamma * i_m,
         ])
         worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-15

@@ -329,6 +329,18 @@ class TestSweepCommand:
         assert (out / "rows" / "phi_1" / "result.csv").exists()
         assert (out / "sweep_cumulative.svg").exists()
 
+    @pytest.mark.parametrize("vary, values", [("phi", "1,2"), ("sample", "0.04,0.05"),
+                                              ("k-bar", "4,6")])
+    def test_only_the_values_that_run_are_checked(self, tmp_path, capsys, vary, values):
+        # The flag the varied field replaces is recorded as given, but never run.
+        out = tmp_path / "s"
+        assert run_cli(*SMALL_SWEEP, f"--{vary}", "0", "--vary", vary, "--values", values,
+                       "--out", str(out)) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params[vary.replace("-", "_")] == 0
+        assert [r["value"] for r in read_csv(out / "sweep_summary.csv")] == [
+            f"{float(v)!r}" for v in values.split(",")]
+
     def test_single_value_sweep_matches_pipeline(self, tmp_path):
         sweep_out = tmp_path / "s"
         pipe_out = tmp_path / "p"
@@ -551,7 +563,7 @@ class TestSweepShares:
         out = tmp_path / "s"
         assert run_cli(*SMALL_SWEEP, "--vary", "phi", "--values", "1,3", "--out", str(out)) == 3
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == ("numeric failure: stage abm: a repetition worker died "
+        assert last == ("numeric failure: stage phi_1/abm: a repetition worker died "
                         "(killed, or out of memory)")
         assert not (out / "manifest.json").exists()
 
@@ -666,22 +678,41 @@ MANIFEST_KEYS = {
 class TestRunRecord:
     """manifest.json records each stage that stderr reports as done."""
 
-    @pytest.mark.parametrize("extra", [[], ["--regen-network"]])
-    def test_manifest_stages_match_stderr(self, tmp_path, capsys, extra):
-        out = tmp_path / "p"
-        assert run_cli(*PIPELINE_BASE, *extra, "--out", str(out)) == 0
+    @staticmethod
+    def stages_done(argv, out, capsys):
+        """The manifest's stages, checked to be the stderr ``done`` lines, and those names."""
+        assert run_cli(*argv, "--out", str(out)) == 0
         done = re.findall(r"^stage (\S+) done in \d+\.\d{3}s$", capsys.readouterr().err, re.M)
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert [s["name"] for s in stages] == done
+        rss = [s["max_rss_mb"] for s in stages]
+        assert rss == sorted(rss) and rss[0] > 0  # serial: a high-water mark never falls
+        return stages, done
+
+    @pytest.mark.parametrize("extra", [[], ["--regen-network"]])
+    def test_manifest_stages_match_stderr(self, tmp_path, capsys, extra):
+        # Serial: the network is too small for the repetitions to fork.
+        stages, done = self.stages_done([*PIPELINE_BASE, *extra], tmp_path / "p", capsys)
         # A regenerated network is built inside the abm stage, once per repetition.
         builds = ([f"build_contact_network[rep={rep}]" for rep in (0, 1)] if extra
                   else ["build_contact_network"])
         assert done == ["generate_scenario", "save_scenario", "spread_misinformation",
                         "sample_population", "expected_edges", *builds, "abm", "write_outputs"]
-        rss = [s["max_rss_mb"] for s in stages]
-        assert rss == sorted(rss) and rss[0] > 0  # a high-water mark never falls
         assert all(s.keys() == {"name", "wall_s", "max_rss_mb"} for s in stages)
         assert all(s["wall_s"] >= 0 for s in stages)
+
+    @pytest.mark.parametrize("extra", [[], ["--regen-network"]])
+    def test_phi_sweep_manifest_stages_match_stderr(self, tmp_path, capsys, extra):
+        # In the order they ran, under their rows' names; the rows share phi_1's sample and
+        # networks, and a regenerated network is built inside phi_1/abm.
+        argv = ["sweep", *PIPELINE_BASE[1:], *extra, "--vary", "phi", "--values", "1,3"]
+        _, done = self.stages_done(argv, tmp_path / "s", capsys)
+        builds = ([f"build_contact_network[rep={rep}]" for rep in (0, 1)] if extra
+                  else ["build_contact_network"])
+        assert done == ["generate_scenario", "save_scenario", "phi_1/spread_misinformation",
+                        "phi_3/spread_misinformation", "phi_1/sample_population",
+                        "phi_1/expected_edges", *(f"phi_1/{b}" for b in builds), "phi_1/abm",
+                        "phi_1/write_outputs", "phi_3/write_outputs", "write_outputs"]
 
     def test_parallel_sweep_lists_every_row_stage(self, tmp_path, cpus):
         # Each k-bar row samples and builds its own network; its repetitions fork.
@@ -766,6 +797,23 @@ class TestRunRecord:
         monkeypatch.setattr(meanfield, "summarize", exhausted)
         assert run_cli("meanfield", "--horizon", "2", "--out", str(tmp_path / "m")) == 3
         assert capsys.readouterr().err.endswith("numeric failure: out of memory\n")
+
+    def test_too_big_array_outside_a_stage_exits_3(self, tmp_path, capsys, monkeypatch):
+        def too_big(*args):
+            raise ValueError("array is too big")  # NumPy's text for a shape no memory holds
+
+        monkeypatch.setattr(meanfield, "summarize", too_big)
+        assert run_cli("meanfield", "--horizon", "2", "--out", str(tmp_path / "m")) == 3
+        assert capsys.readouterr().err.endswith(
+            "numeric failure: out of memory (array is too big)\n")
+
+    def test_other_value_error_outside_a_stage_is_not_out_of_memory(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("Maximum allowed size is a bug here")
+
+        monkeypatch.setattr(meanfield, "summarize", broken)
+        with pytest.raises(ValueError, match="a bug here"):
+            run_cli("meanfield", "--horizon", "2", "--out", str(tmp_path / "m"))
 
     def test_meanfield_out_of_memory_names_the_integrate_stage(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):

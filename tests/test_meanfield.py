@@ -59,7 +59,7 @@ class TestInitialState:
 
     def test_all_ordinary_no_infection(self):
         s = mf.initial_state(mf.MeanFieldParams(beta_o=0.3, gamma=0.2, mu=1.0, epsilon=0.0))
-        assert s == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert s.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_uneven_groups(self):
         s = mf.initial_state(mf.MeanFieldParams(beta_o=0.3, gamma=0.2, mu=0.3, epsilon=0.01))
@@ -73,11 +73,18 @@ class TestInitialState:
         with pytest.raises(ValidationError, match="overdraws a group"):
             mf.initial_state(mf.MeanFieldParams(beta_o=0.3, gamma=0.2, mu=0.0001, epsilon=0.001))
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+    def test_is_the_first_row_of_a_trajectory(self, mu):
+        p = mf.MeanFieldParams(beta_o=0.3, gamma=0.2, mu=mu, epsilon=0.01)
+        s = mf.initial_state(p)
+        assert s.dtype == np.float64 and s.shape == (6,)
+        assert s.tolist() == mf.integrate(p).states[0].tolist()
+
 
 class TestDerivatives:
     def test_disease_free_equilibrium(self):
         p = mf.MeanFieldParams(**FIG2)
-        state = mf.MeanFieldState(0.5, 0.0, 0.0, 0.4, 0.0, 0.1)
+        state = (0.5, 0.0, 0.0, 0.4, 0.0, 0.1)
         assert mf.derivatives(state, p) == pytest.approx([0.0] * 6, abs=0.0)
 
     def test_hand_computed_values(self):
@@ -93,19 +100,19 @@ class TestDerivatives:
         # With alpha = 0.5 the homophily form collapses to beta * S * (I_O + I_M).
         p = mf.MeanFieldParams(beta_o=0.37, gamma=0.21, lam=2.3, alpha=0.5)
         for _ in range(200):
-            raw = rng.dirichlet(np.ones(6))
-            state = mf.MeanFieldState(*raw)
+            state = rng.dirichlet(np.ones(6))
+            s_o, i_o, _, s_m, i_m, _ = state
             d = mf.derivatives(state, p)
-            f_o = p.beta_o * state.s_o * (state.i_o + state.i_m)
-            f_m = p.beta_m * state.s_m * (state.i_o + state.i_m)
-            expect = [-f_o, f_o - p.gamma * state.i_o, p.gamma * state.i_o,
-                      -f_m, f_m - p.gamma * state.i_m, p.gamma * state.i_m]
+            f_o = p.beta_o * s_o * (i_o + i_m)
+            f_m = p.beta_m * s_m * (i_o + i_m)
+            expect = [-f_o, f_o - p.gamma * i_o, p.gamma * i_o,
+                      -f_m, f_m - p.gamma * i_m, p.gamma * i_m]
             assert np.max(np.abs(d - np.array(expect))) <= 1e-15
 
     def test_derivatives_sum_to_zero(self, rng):
         p = mf.MeanFieldParams(beta_o=0.4, gamma=0.25, lam=1.7, alpha=0.8)
         for _ in range(100):
-            state = mf.MeanFieldState(*rng.dirichlet(np.ones(6)))
+            state = rng.dirichlet(np.ones(6))
             assert abs(mf.derivatives(state, p).sum()) < 1e-12
 
 
@@ -132,7 +139,7 @@ class TestIntegrate:
         p = mf.MeanFieldParams(**FIG2)
         traj = mf.integrate(p, horizon=30)
         assert traj.states.shape == (31, 6)
-        assert traj.state(0) == pytest.approx(tuple(mf.initial_state(p)))
+        assert traj.states[0] == pytest.approx(mf.initial_state(p))
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_conservation_per_group(self, method):
@@ -247,8 +254,8 @@ class TestAgainstReferenceLoop:
 
     @given(st.lists(st.floats(-1.0, 2.0), min_size=6, max_size=6), mf_params())
     def test_derivatives_are_bit_identical(self, values, p):
-        state = mf.MeanFieldState(*values)
-        expected = reference_rhs(np.asarray(state, dtype=float), p.beta_o, p.beta_m, p.gamma, p.alpha)
+        state = np.array(values)
+        expected = reference_rhs(state, p.beta_o, p.beta_m, p.gamma, p.alpha)
         assert mf.derivatives(state, p).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
