@@ -156,8 +156,8 @@ class _Run(AbstractContextManager):
     @contextmanager
     def stage(self, name: str):
         """Reports a pipeline stage's wall time on stderr and records it with
-        ``max_rss_mb`` when it succeeds; annotates errors with the stage that
-        raised them."""
+        ``max_rss_mb`` and the ``pid`` of the process that ran it when it
+        succeeds; annotates errors with the stage that raised them."""
         _progress(f"stage {name}")
         started = time.monotonic()
         try:
@@ -174,7 +174,8 @@ class _Run(AbstractContextManager):
         peak = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-        self.stages.append({"name": name, "wall_s": round(wall, 3), "max_rss_mb": round(peak_mb, 1)})
+        self.stages.append({"name": name, "wall_s": round(wall, 3), "max_rss_mb": round(peak_mb, 1),
+                            "pid": os.getpid()})
 
 
 # Most values one --sweep or --grid range, or one grid's cells, may expand to.
@@ -625,7 +626,7 @@ def cmd_inspect(args) -> int:
         raise InputError(f"no such artifact: {path}")
     with open(path, "rb") as f:
         head = f.read(len(contactnet.MAGIC))
-    if head == contactnet.MAGIC:
+    if head[:8] == contactnet.MAGIC[:8]:  # any version: an older one is named, not parsed
         net = contactnet.load_contact_network(path)
         by_county = np.bincount(net.county_index, minlength=len(net.county_ids))
         print(f"contact network: {net.n_nodes} nodes, {net.n_edges} edges")

@@ -14,18 +14,18 @@ sampled individuals:
    node pairs, rejecting self-loops and duplicates, like a stochastic block
    model with homogeneous mixing inside each county. Its nodes are ordinary:
    no step reads a label. ``ContactNetwork.relabel`` puts a labeling's flags,
-   ``misinformed[nodes.source]``, on a copy sharing the edges and ``adjacency``.
+   ``misinformed[nodes.source]``, on a copy sharing the rows and ``adjacency``.
 
 Every stage is fully determined by its seed. Block placement uses one
 generator for the whole graph and makes one vectorized pass per lo county x,
 in ascending order, over all blocks (x, y >= x) at once. Every key of such a
-pass has its lo end in x's node range, so the passes emit the canonical edge
-list (each edge as (lo, hi), rows sorted) in order, without a global sort.
-Arrays use 32-bit indices: the edge list costs 8 bytes per edge plus ~5
-bytes per node, and building it raises the process's peak RSS by ~12 bytes
-per edge (2M nodes and 25M edges: 86 -> 363 MB). The ``adjacency`` index,
-built on first use, keeps ~4 more bytes per edge plus 16 per node in its
-sort keys' buffer; building it allocates at most ~10 per edge (363 -> 531 MB).
+pass has its lo end in x's node range, so the passes emit the graph's rows
+(each edge's hi end under its lo end, ascending) in order, without a global
+sort. Ends are 32-bit: the rows cost 4 bytes per edge plus ~13 bytes per
+node, and building them raises the process's peak RSS by ~8 bytes per edge
+(2M nodes and 25M edges: 90 -> 296 MB). The ``adjacency`` index, built on
+first use, keeps ~4 more bytes per edge plus 8 per node in its sort keys'
+buffer; building it allocates at most ~10 per edge (296 -> 436 MB).
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .tables import lookup
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
 
-MAGIC = b"SMIRCNET2\n"
+MAGIC = b"SMIRCNET3\n"
 # Node count, edge count, k_bar, seed, county count.
 _HEADER = struct.Struct("<QQdQI")
-# Edge rows per block of the blocked passes: the sortedness check, the adjacency's hi half.
+# Rows, or ends, per block of the blocked passes: the row checks, the adjacency's hi half.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -170,17 +170,17 @@ def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class ContactNetwork:
-    """Undirected simple graph of sampled individuals.
+    """Undirected simple graph of sampled individuals, as compressed sparse rows.
 
-    ``edges`` is uint32 with shape (m, 2), each row (lo, hi), lo < hi, rows
-    sorted lexicographically. ``county_index`` maps nodes to positions in
-    ``county_ids``.
+    Node v's edges (v, w), v < w, have their hi ends w, ascending, in ``hi[ptr[v]:ptr[v + 1]]``
+    (m uint32; ``ptr`` is n + 1 int64). ``county_index`` maps nodes to ``county_ids``.
     """
 
     county_ids: np.ndarray
     county_index: np.ndarray
     misinformed: np.ndarray
-    edges: np.ndarray
+    ptr: np.ndarray
+    hi: np.ndarray
     k_bar: float
     seed: int
 
@@ -193,23 +193,25 @@ class ContactNetwork:
         ci = self.county_index
         if ci.min() < 0 or ci.max() >= len(self.county_ids):
             raise ValidationError(f"county index out of range for {len(self.county_ids)} counties")
-        e = self.edges
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValidationError("edges must have shape (m, 2)")
-        if len(e) and e.max() >= n:
+        ptr, hi = self.ptr, self.hi
+        if ptr.shape != (n + 1,) or hi.ndim != 1:
+            raise ValidationError("row pointers must have shape (n + 1,) and hi ends (m,)")
+        if ptr[0] != 0 or ptr[-1] != len(hi) or np.any(ptr[1:] < ptr[:-1]):
+            raise ValidationError(f"row pointers must rise from 0 to {len(hi)} and never fall; "
+                                  f"they run from {ptr[0]} to {ptr[-1]}")
+        if len(hi) and hi.max() >= n:
             raise ValidationError("edge endpoint out of range")
-        # Canonical, sorted and duplicate-free, checked in place one block of
-        # rows at a time, so the bool temporaries stay small (no key array):
-        # lo < hi, lo never decreases, and where lo repeats, hi strictly
-        # increases. Consecutive blocks share a row.
-        for start in range(0, len(e), _BLOCK_ROWS):
-            block = e[start:start + _BLOCK_ROWS + 1]
-            lo, hi = block[:, 0], block[:, 1]
-            if np.any(lo >= hi):
+        # Canonical, sorted and duplicate-free, one block of ends at a time (consecutive blocks
+        # share an end): hi rises along each row, so a row's first end above it puts all above.
+        for start in range(0, len(hi), _BLOCK_ROWS):
+            block = hi[start:start + _BLOCK_ROWS + 1]
+            a, b = np.searchsorted(ptr, [start, start + len(block)])
+            opens = ptr[a:b]  # the block's ends that open rows a..b-1 (or a later row's)
+            if np.any(block[opens - start] <= np.arange(a, b)):
                 raise ValidationError("edges must be canonical (lo < hi), no self-loops")
-            same_lo = lo[1:] == lo[:-1]
-            same_lo &= hi[1:] <= hi[:-1]
-            if np.any(lo[1:] < lo[:-1]) or np.any(same_lo):
+            down = block[1:] <= block[:-1]
+            down[opens[opens > start] - start - 1] = False  # pairs of ends in two rows
+            if np.any(down):
                 raise ValidationError("edges must be sorted and duplicate-free")
 
     @property
@@ -218,7 +220,13 @@ class ContactNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.hi)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The sorted (m, 2) uint32 list of edges (lo, hi), made on each call: not for pipelines."""
+        return np.column_stack([np.repeat(np.arange(self.n_nodes, dtype=np.uint32),
+                                          np.diff(self.ptr)), self.hi])
 
     @property
     def mean_degree(self) -> float:
@@ -230,8 +238,8 @@ class ContactNetwork:
 
     def relabel(self, misinformed: np.ndarray) -> ContactNetwork:
         """This graph with the node labels `misinformed` (a bool per node),
-        sharing its edges, county index and ``adjacency``, built here first.
-        Only the length is checked: the edges were checked with this graph."""
+        sharing its rows, county index and ``adjacency``, built here first.
+        Only the length is checked: the rows were checked with this graph."""
         if len(misinformed) != self.n_nodes:
             raise ValidationError("misinformed length does not match node count")
         self.adjacency  # cached on this graph, then copied with its fields
@@ -246,23 +254,20 @@ class ContactNetwork:
         In each half the neighbors of node v are ``nbr[ptr[v]:ptr[v + 1]]``;
         the first half holds each edge's hi end under its lo end, the second
         its lo end under its hi end, so v's neighbors are the union of its
-        two rows. The first half's neighbors are a view of ``edges``, which
-        is sorted by lo; the second's, 4 bytes per edge, fill the front of
-        the buffer that sorted them. Built once per graph, shared by its
-        relabeled copies, and freed with the last of them.
+        two rows. The first half is the graph's own ``(ptr, hi)``; the
+        second's neighbors, 4 bytes per edge, fill the front of the buffer
+        that sorted them. Built once per graph, shared by its relabeled
+        copies, and freed with the last of them.
         """
-        n = self.n_nodes
-        lo, hi = self.edges[:, 0], self.edges[:, 1]
-        # Row pointers come from binary searches over rows that are already
-        # sorted, with queries of the searched dtype: a bincount would cast
-        # a whole uint32 column to an int64 temporary (8 bytes per edge).
-        lo_ptr = np.searchsorted(lo, np.arange(n + 1, dtype=np.uint32))
+        n, ptr = self.n_nodes, self.ptr
         # Edges sorted by (hi, lo): the low 32 bits of the sorted keys are the lo ends in hi
         # order (edges are unique, so no stable sort is needed, and sorting keys is ~10x faster
         # than argsort). They are moved to the front of the keys, which then shrink to them.
-        keys = hi.astype(np.uint64)
+        keys = self.hi.astype(np.uint64)
         keys <<= np.uint64(32)
-        keys |= lo
+        for r in range(0, n, _BLOCK_ROWS):  # each block of rows' lo ends, in 4 bytes per end
+            p = ptr[r:r + _BLOCK_ROWS + 1]
+            keys[p[0]:p[-1]] |= np.repeat(np.arange(r, r + len(p) - 1, dtype=np.uint32), np.diff(p))
         keys.sort()
         hi_ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.uint64) << np.uint64(32))
         m = len(keys)
@@ -271,7 +276,7 @@ class ContactNetwork:
             keys.view(np.uint32)[start:min(start + _BLOCK_ROWS, m)] = low[start:start + _BLOCK_ROWS]
         del low  # no view may outlive the resize
         keys.resize((m + 1) // 2, refcheck=False)
-        return (lo_ptr, hi), (hi_ptr, keys.view(np.uint32)[:m])
+        return (ptr, self.hi), (hi_ptr, keys.view(np.uint32)[:m])
 
 
 def _place_county_edges(
@@ -338,8 +343,8 @@ def build_contact_network(
     each pass draws all of that county's blocks together and rejects
     self-loops and duplicates in exact-deficit rounds, so each block's edges
     are a uniform simple edge set given its count. A pass's keys all have
-    their lo end in its county's node range, so the passes write the sorted
-    edge list in order, with no global sort.
+    their lo end in its county's node range, so the passes write the rows'
+    hi ends and row pointers in order, with no global sort.
 
     Raises:
         NumericError: the edge budget, or a block's allocation, exceeds
@@ -384,20 +389,22 @@ def build_contact_network(
         )
 
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 1]))
-    edges = np.empty((int(counts.sum()), 2), dtype=np.uint32)
-    filled = 0
+    hi = np.empty(int(counts.sum()), dtype=np.uint32)
+    ptr = np.zeros(n + 1, dtype=np.int64)
     first = np.searchsorted(xs, np.arange(n_counties + 1))  # blocks of each lo county
     for x in range(n_counties):
         blocks = first[x] + np.flatnonzero(counts[first[x]:first[x + 1]])
         keys = _place_county_edges(rng, nodes, starts, sizes, x, ys[blocks], counts[blocks])
-        edges[filled:filled + len(keys), 0] = keys >> np.uint64(32)
-        edges[filled:filled + len(keys), 1] = keys & np.uint64(0xFFFFFFFF)
-        filled += len(keys)
+        at = ptr[starts[x]]  # the edges of earlier passes
+        hi[at:at + len(keys)] = keys  # the cast keeps each key's low word: its hi end
+        rows = np.arange(starts[x], starts[x + 1] + 1, dtype=np.uint64) << np.uint64(32)
+        ptr[starts[x]:starts[x + 1] + 1] = at + np.searchsorted(keys, rows)  # where x's rows open
     return ContactNetwork(
         county_ids=nodes.county_ids,
         county_index=nodes.county_index,
         misinformed=np.zeros(n, dtype=bool),
-        edges=edges,
+        ptr=ptr,
+        hi=hi,
         k_bar=float(k_bar),
         seed=int(rng_seed),
     )
@@ -408,7 +415,8 @@ def save_contact_network(net: ContactNetwork, path) -> None:
 
     Layout: magic, header (node count, edge count, k_bar, seed, county
     count), county id table (int64), per-node county index (uint32), packed
-    label bits, then the sorted edge list (uint32 pairs).
+    label bits, one degree per node (its row's length, uint32), then the
+    rows' hi ends (uint32).
     """
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -424,8 +432,9 @@ def save_contact_network(net: ContactNetwork, path) -> None:
         f.write(net.county_ids.astype("<i8").tobytes())
         f.write(net.county_index.astype("<u4").tobytes())
         f.write(np.packbits(net.misinformed.astype(np.uint8)).tobytes())
-        # Written from the array itself: a uint32 edge list is not copied.
-        f.write(np.ascontiguousarray(net.edges, dtype="<u4"))
+        f.write(np.subtract(net.ptr[1:], net.ptr[:-1], casting="unsafe",  # each row's length
+                            out=np.empty(net.n_nodes, dtype="<u4")))
+        f.write(np.ascontiguousarray(net.hi, dtype="<u4"))  # uint32 ends are not copied
 
 
 def load_contact_network(path) -> ContactNetwork:
@@ -433,13 +442,14 @@ def load_contact_network(path) -> ContactNetwork:
     other than its header declares (truncated, trailing bytes) is invalid."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValidationError(f"{path} is not a contact-network artifact")
+        if magic != MAGIC:  # an older network's format line, such as SMIRCNET2, is named
+            raise ValidationError(f"{path}: format line {magic.strip()!r}, but this version "
+                                  f"reads contact networks of format {MAGIC.strip()!r}")
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValidationError(f"{path}: truncated header")
         n, m, k_bar, seed, n_counties = _HEADER.unpack(header)
-        declared = len(MAGIC) + _HEADER.size + 8 * n_counties + 4 * n + (n + 7) // 8 + 8 * m
+        declared = len(MAGIC) + _HEADER.size + 8 * n_counties + 8 * n + (n + 7) // 8 + 4 * m
         size = os.fstat(f.fileno()).st_size
         if size != declared:
             raise ValidationError(f"{path}: {size} bytes, but its header declares {declared}")
@@ -449,13 +459,16 @@ def load_contact_network(path) -> ContactNetwork:
         county_ids = _read_array(f, "<i8", n_counties)
         county_index = _read_array(f, "<i4", n)
         bits = _read_array(f, np.uint8, (n + 7) // 8)
-        edges = _read_array(f, "<u4", (m, 2))
+        # Degrees summed into row pointers; a sum other than the header's m fails ptr[-1]'s check.
+        ptr = np.concatenate([[0], np.cumsum(_read_array(f, "<u4", n), dtype=np.int64)])
+        hi = _read_array(f, "<u4", m)
     try:
         return ContactNetwork(
             county_ids=county_ids,
             county_index=county_index,
             misinformed=np.unpackbits(bits, count=n).view(bool),
-            edges=edges,
+            ptr=ptr,
+            hi=hi,
             k_bar=float(k_bar),
             seed=int(seed),
         )

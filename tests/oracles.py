@@ -76,6 +76,18 @@ def exact_outcome_distribution(
     return dist
 
 
+def contact_rows(edges, n: int) -> dict[str, np.ndarray]:
+    """The ``ptr`` and ``hi`` fields of a ContactNetwork on `n` nodes whose
+    edges are the (lo, hi) pairs `edges`: row lo lists the hi ends of its
+    pairs in the order they are given, so pairs whose hi ends fall under one
+    lo give a falling row."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
+    by_lo = np.argsort(pairs[:, 0], kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+    return {"ptr": ptr, "hi": pairs[by_lo, 1].astype(np.uint32)}
+
+
 def stacked_network(
     edges: list[tuple[int, int]], misinformed: list[bool], copies: int
 ) -> ContactNetwork:
@@ -94,16 +106,14 @@ def stacked_network(
         all_lo = (lo[None, :] + offs).ravel()
         all_hi = (hi[None, :] + offs).ravel()
         keys = np.sort(all_lo.astype(np.uint64) * np.uint64(n) + all_hi.astype(np.uint64))
-        stacked = np.empty((len(keys), 2), dtype=np.uint32)
-        stacked[:, 0] = (keys // np.uint64(n)).astype(np.uint32)
-        stacked[:, 1] = (keys % np.uint64(n)).astype(np.uint32)
+        stacked = np.column_stack([keys // np.uint64(n), keys % np.uint64(n)])
     else:
         stacked = np.empty((0, 2), dtype=np.uint32)
     return ContactNetwork(
         county_ids=np.array([1000], dtype=np.int64),
         county_index=np.zeros(n, dtype=np.int32),
         misinformed=np.tile(np.asarray(misinformed, dtype=bool), copies),
-        edges=stacked,
+        **contact_rows(stacked, n),
         k_bar=max(2.0 * len(edges) / k, 1.0),
         seed=0,
     )
@@ -192,7 +202,7 @@ def complete_network(n: int) -> ContactNetwork:
         county_ids=np.array([1000], dtype=np.int64),
         county_index=np.zeros(n, dtype=np.int32),
         misinformed=np.ones(n, dtype=bool),
-        edges=np.column_stack([lo, hi]).astype(np.uint32),
+        **contact_rows(zip(lo, hi), n),
         k_bar=float(n - 1),
         seed=0,
     )

@@ -7,8 +7,10 @@ import multiprocessing
 import os
 import re
 import resource
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 from smirsim import abm, cli, contactnet, infonet, meanfield, scenario
 from smirsim.cli import _Run, main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
+
+from oracles import contact_rows
 
 
 def run_cli(*argv):
@@ -698,8 +702,23 @@ class TestRunRecord:
                   else ["build_contact_network"])
         assert done == ["generate_scenario", "save_scenario", "spread_misinformation",
                         "sample_population", "expected_edges", *builds, "abm", "write_outputs"]
-        assert all(s.keys() == {"name", "wall_s", "max_rss_mb"} for s in stages)
-        assert all(s["wall_s"] >= 0 for s in stages)
+        assert all(s.keys() == {"name", "wall_s", "max_rss_mb", "pid"} for s in stages)
+        assert all(s["wall_s"] >= 0 and s["pid"] == os.getpid() for s in stages)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: repetitions run serially")
+    def test_forked_builds_name_their_worker(self, tmp_path, cpus):
+        # Each repetition builds its network in a forked worker, whose own high-water mark
+        # its record carries; within one process the mark never falls.
+        cpus(2)
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--regen-network", "--out", str(out)) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        [abm_pid] = [s["pid"] for s in stages if s["name"] == "abm"]
+        builds = [s for s in stages if s["name"].startswith("build_contact_network[rep=")]
+        assert len(builds) == 2 and all(s["pid"] != abm_pid for s in builds)
+        for pid in {s["pid"] for s in stages}:
+            rss = [s["max_rss_mb"] for s in stages if s["pid"] == pid]
+            assert rss == sorted(rss)
 
     @pytest.mark.parametrize("extra", [[], ["--regen-network"]])
     def test_phi_sweep_manifest_stages_match_stderr(self, tmp_path, capsys, extra):
@@ -881,6 +900,33 @@ class TestOtherCommands:
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert run_cli("inspect", str(tmp_path / "ghost.bin")) == 2
 
+    def test_inspect_older_contactnet_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        _write_bad_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli("inspect", str(tmp_path / "smircnet2.bin")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "b'SMIRCNET3'" in err.splitlines()[-1]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_perfbench_probe_reads_a_pipeline_network(self, tmp_path):
+        # The benchmark harness runs this reader on every pipeline iteration.
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--out", str(out)) == 0
+        root = Path(__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "probe.py"), "net", str(out / "contactnet.bin")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        net = contactnet.load_contact_network(out / "contactnet.bin")
+        county = net.county_index[np.repeat(np.arange(len(net.ptr) - 1), np.diff(net.ptr))]
+        blocks = set(zip(county.tolist(), net.county_index[net.hi].tolist()))
+        assert json.loads(probe.stdout) == {
+            "nodes": len(net.ptr) - 1, "edges": len(net.hi),
+            "blocks": len({(min(pair), max(pair)) for pair in blocks}),
+        }
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SMIRSIM_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -894,7 +940,7 @@ def _small_contactnet_bytes(path) -> bytes:
         county_ids=np.array([1000]),
         county_index=np.zeros(3, dtype=np.int32),
         misinformed=np.array([True, False, False]),
-        edges=np.array([[0, 1], [1, 2]], dtype=np.uint32),
+        **contact_rows([(0, 1), (1, 2)], 3),
         k_bar=2.0,
         seed=0,
     )
@@ -983,6 +1029,10 @@ def _write_bad_inputs(d):
     }.items():
         (d / f"config_{name}.txt").write_text(line + "\n")
     data = _small_contactnet_bytes(d / "good.bin")
+    # The same network in the format before degrees replaced each edge's lo end.
+    (d / "smircnet2.bin").write_bytes(
+        b"SMIRCNET2\n" + contactnet._HEADER.pack(3, 2, 2.0, 0, 1) + (1000).to_bytes(8, "little")
+        + bytes(12) + b"\x80" + np.array([[0, 1], [1, 2]], dtype="<u4").tobytes())
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
     (d / "header_only.bin").write_bytes(data[:20])
@@ -1039,6 +1089,9 @@ BAD_INPUTS = {
         ["inspect", "{d}/county_index_big.bin"], "county_index_big.bin"),
     "inspect contactnet with zero nodes": (["inspect", "{d}/zero_nodes.bin"], "zero_nodes.bin"),
     "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
+    "inspect contactnet of an older format": (
+        ["inspect", "{d}/smircnet2.bin"], "smircnet2.bin: format line b'SMIRCNET2', but this "
+                                          "version reads contact networks of format b'SMIRCNET3'"),
     "manifest phi text": (["pipeline", "--from-manifest", "{d}/phi_text.json"], "phi"),
     "manifest counties text": (
         ["pipeline", "--from-manifest", "{d}/counties_text.json"], "counties"),

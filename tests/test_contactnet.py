@@ -12,6 +12,7 @@ from smirsim.errors import NumericError, ValidationError
 from smirsim.scenario import ScenarioConfig, generate_synthetic_mobility
 
 from conftest import build_infonet, build_scenario
+from oracles import contact_rows
 
 
 class TestExpectedEdges:
@@ -344,7 +345,7 @@ class TestAdjacency:
             county_ids=np.array([1000]),
             county_index=np.zeros(n, dtype=np.int32),
             misinformed=np.zeros(n, dtype=bool),
-            edges=np.column_stack([lo[pick], hi[pick]]).astype(np.uint32),
+            **contact_rows(zip(lo[pick], hi[pick]), n),
             k_bar=1.0,
             seed=0,
         )
@@ -353,14 +354,17 @@ class TestAdjacency:
             want[u].add(v)
             want[v].add(u)
         assert self.neighbor_sets(net) == want
+        assert net.edges.dtype == np.uint32
+        assert np.array_equal(net.edges, np.column_stack([lo[pick], hi[pick]]))
+        assert net.adjacency[0][0] is net.ptr and net.adjacency[0][1] is net.hi
         nbr = net.adjacency[1][1]
         assert nbr.dtype == np.uint32 and nbr.flags.c_contiguous
         assert nbr.base.nbytes == 8 * ((m + 1) // 2)  # the shrunk sort keys
 
     def test_memory_peak_per_edge(self, large_net):
         # The uint64 sort keys, whose front becomes the hi half's uint32
-        # neighbors (the lo half is a view of edges), with no int64 copy of
-        # a whole column and no second uint32 buffer on the side.
+        # neighbors (the lo half is the network's own rows), with no int64
+        # copy of the ends and no second uint32 buffer on the side.
         net = replace(large_net)  # a fresh index, whatever ran before
         peak = traced_peak(lambda: net.adjacency)
         assert peak <= 11 * net.n_edges
@@ -386,7 +390,7 @@ class TestRelabel:
         labels = np.arange(50) % 3 == 0
         a, b = net.relabel(labels), net.relabel(~labels)
         for other in (a, b):
-            assert other.edges is net.edges
+            assert other.ptr is net.ptr and other.hi is net.hi
             assert other.county_index is net.county_index
             assert all(x is y for half, other_half in zip(net.adjacency, other.adjacency)
                        for x, y in zip(half, other_half))
@@ -435,14 +439,28 @@ class TestSyntheticMobility:
 
 
 class TestValidation:
-    """ContactNetwork rejects edge lists and county indices that break its invariants."""
+    """ContactNetwork rejects rows and county indices that break its invariants."""
 
     def network(self, edges, county_index=(0, 0, 1, 1)):
         return cn.ContactNetwork(
             county_ids=np.array([1000, 1001]),
             county_index=np.array(county_index, dtype=np.int32),
             misinformed=np.zeros(len(county_index), dtype=bool),
-            edges=np.array(edges, dtype=np.uint32).reshape(-1, 2),
+            **contact_rows(edges, len(county_index)),
+            k_bar=2.0,
+            seed=0,
+        )
+
+    @staticmethod
+    def rows(ptr, hi):
+        """A one-county network with the given rows, on len(ptr) - 1 nodes."""
+        n = len(ptr) - 1
+        return cn.ContactNetwork(
+            county_ids=np.array([1000]),
+            county_index=np.zeros(n, dtype=np.int32),
+            misinformed=np.zeros(n, dtype=bool),
+            ptr=np.asarray(ptr, dtype=np.int64),
+            hi=np.asarray(hi, dtype=np.uint32),
             k_bar=2.0,
             seed=0,
         )
@@ -453,9 +471,9 @@ class TestValidation:
         assert self.network([]).n_edges == 0
 
     @pytest.mark.parametrize("edges", [
-        [[0, 3], [0, 1]],  # hi decreases under one lo
-        [[1, 2], [0, 3]],  # lo decreases
-        [[0, 1], [2, 3], [1, 2]],
+        [[0, 3], [0, 1]],  # hi decreases along one row
+        [[1, 3], [1, 2]],  # ... a row after an empty one
+        [[0, 1], [1, 3], [1, 2]],
     ])
     def test_unsorted_edges_raise(self, edges):
         with pytest.raises(ValidationError, match="sorted"):
@@ -480,10 +498,56 @@ class TestValidation:
         with pytest.raises(ValidationError, match="misinformed length does not match"):
             replace(self.network([]), misinformed=np.zeros(3, dtype=bool))
 
-    @pytest.mark.parametrize("edges", [np.zeros((2, 3)), np.zeros(4)], ids=["3 columns", "flat"])
-    def test_edges_not_of_shape_m_2_raise(self, edges):
-        with pytest.raises(ValidationError, match=r"edges must have shape \(m, 2\)"):
-            replace(self.network([]), edges=edges.astype(np.uint32))
+    @pytest.mark.parametrize("field, value", [
+        ("ptr", np.zeros(4, dtype=np.int64)),
+        ("ptr", np.zeros((5, 1), dtype=np.int64)),
+        ("hi", np.zeros((0, 2), dtype=np.uint32)),
+    ], ids=["ptr of n", "ptr 2-d", "hi 2-d"])
+    def test_rows_of_another_shape_raise(self, field, value):
+        with pytest.raises(ValidationError, match=r"shape \(n \+ 1,\) and hi ends \(m,\)"):
+            replace(self.network([]), **{field: value})
+
+    @pytest.mark.parametrize("ptr, hi, ends", [
+        ([1, 1, 1], [1], "from 1 to 1"),  # ptr[0] is not 0
+        ([0, 1, 1], [1, 1], "from 0 to 1"),  # ptr[-1] is not m: as if a degree were lost
+        ([0, 2, 1, 2], [1, 2], "from 0 to 2"),  # ptr falls
+    ], ids=["ptr[0]", "ptr[-1]", "falling"])
+    def test_row_pointers_not_rising_from_0_to_m_raise(self, ptr, hi, ends):
+        with pytest.raises(ValidationError, match=f"rise from 0 to {len(hi)} and never fall; "
+                                                  f"they run {ends}"):
+            self.rows(ptr, hi)
+
+    def test_hi_end_out_of_range_raises(self):
+        with pytest.raises(ValidationError, match="edge endpoint out of range"):
+            self.rows([0, 1, 1, 1], [3])
+
+    @pytest.mark.parametrize("opens", [cn._BLOCK_ROWS - 1, cn._BLOCK_ROWS, cn._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_row_opening_near_a_block_seam(self, opens, first):
+        # Row 0 holds ends 1..opens; row 1 opens at end `opens`, two blocks' shared end when
+        # it is _BLOCK_ROWS, with a smaller first end than row 0's last: canonical if above 1.
+        n = cn._BLOCK_ROWS + 4
+        hi = np.concatenate([np.arange(1, opens + 1), np.arange(first, n)])
+        ptr = [0, opens] + [len(hi)] * (n - 1)
+        if first > 1:
+            assert self.rows(ptr, hi).n_edges == len(hi)
+        else:
+            with pytest.raises(ValidationError, match="lo < hi"):
+                self.rows(ptr, hi)
+
+    @pytest.mark.parametrize("at", [cn._BLOCK_ROWS - 1, cn._BLOCK_ROWS, cn._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["repeated", "swapped"])
+    def test_row_spanning_two_blocks_must_rise(self, at, kind):
+        # One row of 2 * _BLOCK_ROWS ends; ends at - 1 and at straddle the blocks' seam
+        # when at is _BLOCK_ROWS.
+        n = 2 * cn._BLOCK_ROWS + 1
+        hi = np.arange(1, n)
+        if kind == "repeated":
+            hi[at] = hi[at - 1]
+        else:
+            hi[at - 1], hi[at] = hi[at], hi[at - 1]
+        with pytest.raises(ValidationError, match="sorted and duplicate-free"):
+            self.rows([0] + [n - 1] * n, hi)
 
 
 class TestPersistence:
@@ -500,6 +564,8 @@ class TestPersistence:
         assert np.array_equal(back.county_ids, net.county_ids)
         assert np.array_equal(back.county_index, net.county_index)
         assert np.array_equal(back.misinformed, net.misinformed)
+        assert back.ptr.dtype == np.int64 and np.array_equal(back.ptr, net.ptr)
+        assert back.hi.dtype == np.uint32 and np.array_equal(back.hi, net.hi)
         assert np.array_equal(back.edges, net.edges)
         assert back.k_bar == net.k_bar
         assert back.seed == net.seed
@@ -517,15 +583,37 @@ class TestPersistence:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_save_does_not_copy_the_edges(self, tmp_path, large_net):
+        # The hi ends are written from the array itself, the degrees from one uint32 per node:
+        # no (m, 2) edge list and no int64 copy of the row pointers.
         peak = traced_peak(lambda: cn.save_contact_network(large_net, tmp_path / "net.bin"))
-        assert peak <= 2 * large_net.n_edges
+        assert peak < large_net.n_edges
 
     def test_load_reads_into_the_kept_arrays(self, tmp_path, large_net):
-        # The network keeps ~8.4 bytes per edge; loading may add the check's
-        # small temporaries, but no second copy of the edges.
+        # The network keeps ~4.7 bytes per edge; loading may add the check's
+        # small temporaries, but no second copy of the ends.
         cn.save_contact_network(large_net, tmp_path / "net.bin")
         peak = traced_peak(lambda: cn.load_contact_network(tmp_path / "net.bin"))
         assert peak <= 10 * large_net.n_edges
+
+    def test_degree_sum_other_than_the_header_raises(self, tmp_path):
+        net = self.build()
+        path = tmp_path / "net.bin"
+        cn.save_contact_network(net, path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 4 * net.n_edges - 4 * net.n_nodes  # node 0's degree
+        data[at:at + 4] = (int(net.ptr[1]) + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=f"net.bin: row pointers must rise from 0 to "
+                                                  f"{net.n_edges} .* to {net.n_edges + 1}"):
+            cn.load_contact_network(path)
+
+    def test_older_format_names_both_formats(self, tmp_path):
+        path = tmp_path / "old.bin"
+        cn.save_contact_network(self.build(), path)
+        path.write_bytes(b"SMIRCNET2\n" + path.read_bytes()[len(cn.MAGIC):])
+        with pytest.raises(ValidationError, match="old.bin: format line b'SMIRCNET2', but this "
+                                                  "version reads .* b'SMIRCNET3'"):
+            cn.load_contact_network(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.bin"

@@ -109,7 +109,7 @@ GOLDEN = {
         ["pipeline", *PIPELINE, "--svg"],
         {
             "contactnet.bin":
-                "56e5e941d4492409f52fbf305fa97823e856a197e7deafa37a2a416d00facf9a",
+                "61fa55027c421f07986ba4f0897adadde13eae1719dee104bce0cdfa5ed0402c",
             "counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "epidemic.svg":
@@ -138,11 +138,11 @@ GOLDEN = {
             "mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/contactnet.bin":
-                "56e5e941d4492409f52fbf305fa97823e856a197e7deafa37a2a416d00facf9a",
+                "61fa55027c421f07986ba4f0897adadde13eae1719dee104bce0cdfa5ed0402c",
             "rows/phi_1/result.csv":
                 "d5cdf063df9095d355c31b77124382f8b18aa454002c3c17f6c01e6302568fbf",
             "rows/phi_3/contactnet.bin":
-                "401be98eac81ab9d520c238db60eac83582fb7e2e3eec8492717536fcd96585d",
+                "c19ef7ba1fe3d2f16b16ee0db97ef5e2ab57c22503f45073660dee5200964090",
             "rows/phi_3/result.csv":
                 "1debe6b10301235bfc428c60065d22dd333c14199ab64995e908350302189ca0",
             "sweep_cumulative.svg":
