@@ -9,15 +9,13 @@ stats).
 Conventions: all data goes to files under --out (default from $SMIRSIM_OUT,
 else ./smirsim-out); standard output carries only the summary table; progress
 goes to standard error. Every successful run writes a manifest.json with the
-resolved parameters, input hashes, seed, outputs and ``stages``: each
-pipeline stage's name, wall time and ``max_rss_mb``, the peak RSS so far of
-the process that ran it (a high-water mark, never falling within a process;
-stages are listed in the order they ran, as stderr reports them; a sweep has
-one scenario and one record, and names its rows' stages ``phi_1/abm``, ...;
-sampling reads no labels, so phi rows share one sample and each network,
-recorded under the first row; a network rebuilt per repetition is recorded
-inside ``abm``, with the peak RSS of the forked worker that built it).
-Re-running with the same parameters reproduces every CSV and binary
+resolved parameters, input hashes, seed, outputs and ``stages``: each stage's
+name, wall time, ``pid`` and ``max_rss_mb`` (that process's peak RSS so far), in
+the order stderr reports them. A sweep has one record and names its rows' stages
+``phi_1/abm``, ...; rows with one sample fraction and k-bar share one sample and
+each network, recorded under their first row, as is the one ``abm`` stage of all
+rows; a network that one work item alone reads is built and recorded inside
+``abm``. Re-running with the same parameters reproduces every CSV and binary
 artifact byte for byte.
 Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
 """
@@ -449,68 +447,77 @@ def _scenario(scenario_dir, scenario_config, counties, seed, run: _Run):
     return sc, net
 
 
-def _run_pipeline(run: _Run, rows: list[tuple[str, PipelineConfig]], sc, net,
-                  abm_cfg: abm.AbmConfig, counts: np.ndarray, summary_json=False,
-                  svg=False) -> list[dict]:
-    """Spread -> sample -> build -> simulate, with `abm_cfg`, on the scenario `sc` and its
-    infonet `net`, into `counts` (see `_pipeline_config`), for rows ``(name, config)`` that
-    differ only in phi and mode: they share one sample and each network, recorded under the
-    first row's name. `run` records a sweep row's stages as ``<name>/<stage>`` while they
-    run, and the row writes its files under ``rows/<name>/``; a pipeline's one row is named
-    "". The work items, a run's one parallel layer, are ``(rep, rows)``: one per repetition
-    and row, or under --regen-network one per repetition with every row, as its build
-    serves all. Each row saves contactnet.bin and result.csv (and summary.json and
-    epidemic.svg, if asked); returns the rows' summaries."""
+def _run_pipeline(run: _Run, rows: list[tuple[str, PipelineConfig]], abm_cfg: abm.AbmConfig,
+                  counts: np.ndarray, summary_json=False, svg=False) -> list[dict]:
+    """Scenario -> spread -> sample -> build -> simulate, with `abm_cfg`, into `counts` (see
+    `_pipeline_config`), for rows ``(name, config)`` that share the first row's scenario, seed
+    and repetitions; rows with one sample fraction and k_bar form a group, which shares one
+    sample and each network, recorded under its first row's name. `run` records a sweep row's
+    stages as ``<name>/<stage>``, and the row writes its files under ``rows/<name>/``; a
+    pipeline's one row is named "". The work items, a command's one parallel layer, are
+    ``(group, rep, rows)``: one per repetition and row, or under --regen-network one per
+    repetition and group, whose build serves all. A network that more than one item reads is
+    built before any worker forks, any other inside its item. Each row saves contactnet.bin
+    and result.csv (and summary.json and epidemic.svg, if asked); returns the rows' summaries."""
+    cfg = rows[0][1]  # its scenario, seed, --reps and --regen-network are every row's
+    sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
+    net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
     prefixes = [f"{name}/" if name else "" for name, _ in rows]
     folders = [f"rows/{prefix}" if prefix else "" for prefix in prefixes]
-    labels = []
-    for prefix, (_, cfg) in zip(prefixes, rows):
+    labels, keyed = [], {}  # keyed: each group's rows by their (sample, k_bar)
+    for row, (prefix, (_, row_cfg)) in enumerate(zip(prefixes, rows)):
         with run.stage(prefix + "spread_misinformation"):
-            labels.append(infonet.spread_misinformation(net, cfg.phi, cfg.mode))
-    first, cfg = prefixes[0], rows[0][1]
-    with run.stage(first + "sample_population"):
-        nodes = contactnet.sample_population(
-            sc, net, cfg.sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE)
-        )
-    n = len(nodes.source)
-    with run.stage(first + "expected_edges"):
-        e_matrix = contactnet.expected_edges(sc.mobility, cfg.k_bar, n)
-    n_edges = contactnet.edge_budget(cfg.k_bar, n)  # what every build places
-    workers = None if n_edges >= _FORK_MIN_EDGES else 1  # repetitions fan out to forked workers
-    build = partial(contactnet.build_contact_network, nodes, e_matrix, cfg.k_bar)
-    if not cfg.regen_network:
-        with run.stage(first + "build_contact_network"):
-            shared = build(scenario.derive_seed(cfg.seed, _STREAM_NET))
-            shared.adjacency  # built once, before any worker forks
+            labels.append(infonet.spread_misinformation(net, row_cfg.phi, row_cfg.mode))
+        keyed.setdefault((row_cfg.sample, row_cfg.k_bar), []).append(row)
+    net_seed, edges, groups = scenario.derive_seed(cfg.seed, _STREAM_NET), [0] * len(rows), []
+    for (sample, k_bar), at in keyed.items():
+        first, shared = prefixes[at[0]], None
+        with run.stage(first + "sample_population"):
+            nodes = contactnet.sample_population(
+                sc, net, sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE))
+        with run.stage(first + "expected_edges"):
+            e_matrix = contactnet.expected_edges(sc.mobility, k_bar, len(nodes.source))
+            n_edges = contactnet.edge_budget(k_bar, len(nodes.source))  # what every build places
+        build = partial(contactnet.build_contact_network, nodes, e_matrix, k_bar)
+        if not cfg.regen_network and len(at) * cfg.reps > 1:  # more than one item reads it
+            with run.stage(first + "build_contact_network"):
+                shared = build(net_seed)
+                shared.adjacency  # built once, before any worker forks
+        for row in at:
+            labels[row], edges[row] = labels[row][nodes.source], n_edges
+        groups.append((at, build, shared, first + "build_contact_network"))
+    workers = None if max(edges) >= _FORK_MIN_EDGES else 1  # repetitions fan out to forked workers
     abm_seed = scenario.derive_seed(cfg.seed, _STREAM_ABM)
-    with run.stage(first + "abm"):
-        labels = [misinformed[nodes.source] for misinformed in labels]
+    with run.stage(prefixes[0] + "abm"):
         paths = [run.output(folder + "contactnet.bin") for folder in folders]
 
         def repetition(item):
             """The counts of repetition `rep` on each row of `at`, and the stages it recorded."""
-            rep, at = item
-            record = _Run(run.out)
-            if cfg.regen_network:
-                with record.stage(f"{first}build_contact_network[rep={rep}]"):
-                    graph = build(scenario.derive_seed(cfg.seed, _STREAM_NET_REP + rep))
+            g, rep, at = item
+            _, build, graph, name = groups[g]
+            record, seed, key = _Run(run.out), net_seed, scenario.derive_seed(abm_seed, rep)
+            if cfg.regen_network:  # one network per repetition
+                name = f"{name}[rep={rep}]"
+                seed = scenario.derive_seed(cfg.seed, _STREAM_NET_REP + rep)
                 key = scenario.derive_seed(scenario.derive_seed(cfg.seed, _STREAM_ABM_REP + rep), 0)
-            else:
-                graph, key = shared, scenario.derive_seed(abm_seed, rep)
+            if graph is None:  # this item alone reads it
+                with record.stage(name):
+                    graph = build(seed)
             cnets = [graph.relabel(labels[row]) for row in at]
             if rep == cfg.reps - 1:  # the last repetition's networks are the rows' artifacts
                 for cnet, row in zip(cnets, at):
                     contactnet.save_contact_network(cnet, paths[row])
             return [abm.rep_counts(cnet, abm_cfg, key) for cnet in cnets], record.stages
 
-        row_sets = [list(range(len(rows)))] if cfg.regen_network else [[r] for r in range(len(rows))]
-        items = [(rep, at) for rep in range(cfg.reps) for at in row_sets]
-        for (rep, at), (rep_counts, stages) in zip(items, _fork_map(repetition, items, workers)):
+        items = [(g, rep, at) for g, (group, *_) in enumerate(groups) for rep in range(cfg.reps)
+                 for at in ([group] if cfg.regen_network else [[row] for row in group])]
+        for (_, rep, at), (rep_counts, stages) in zip(items, _fork_map(repetition, items, workers)):
             counts[at, :, :, rep] = rep_counts
             run.stages += stages
     summaries = []
-    for prefix, folder, misinformed, row_counts in zip(prefixes, folders, labels, counts):
-        result = abm.result(row_counts)
+    for prefix, folder, misinformed, n_edges, row_counts in zip(prefixes, folders, labels, edges,
+                                                                counts):
+        n, result = len(misinformed), abm.result(row_counts)
         misinformed_nodes = int(np.count_nonzero(misinformed))
         summary = {
             "n_nodes": n,
@@ -543,9 +550,7 @@ def _run_pipeline(run: _Run, rows: list[tuple[str, PipelineConfig]], sc, net,
 def cmd_pipeline(args) -> int:
     params, [cfg], abm_cfg, counts = _pipeline_config(args)
     with _Run(args.out, "pipeline", params, cfg.seed) as run:
-        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        net = infonet.seed_edges(net)  # all the spread reads; the full edge list is freed
-        [summary] = _run_pipeline(run, [("", cfg)], sc, net, abm_cfg, counts, summary_json=True,
+        [summary] = _run_pipeline(run, [("", cfg)], abm_cfg, counts, summary_json=True,
                                   svg=args.svg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -567,14 +572,9 @@ def cmd_sweep(args) -> int:
     # Only the values that run are checked: the varied flag itself is recorded, not run.
     params, cfgs, abm_cfg, counts = _pipeline_config(args, [{field: v} for v in values])
     rows = [(f"{field}_{v:g}", row_cfg) for v, row_cfg in zip(values, cfgs)]
-    # Phi rows share one sample and its networks; a k-bar or sample row has its own.
-    groups = [slice(None)] if args.vary == "phi" else [slice(i, i + 1) for i in range(len(rows))]
-    cfg = cfgs[0]  # no varied field (phi, k-bar, sample) changes the scenario or the ABM
-    with _Run(args.out, "sweep", {**params, "vary": args.vary, "values": values}, cfg.seed) as run:
-        sc, net = _scenario(cfg.scenario_dir, cfg.scenario_config, cfg.counties, cfg.seed, run)
-        net = infonet.seed_edges(net)
-        summaries = [s for g in groups
-                     for s in _run_pipeline(run, rows[g], sc, net, abm_cfg, counts[g])]
+    with _Run(args.out, "sweep", {**params, "vary": args.vary, "values": values},
+              cfgs[0].seed) as run:
+        summaries = _run_pipeline(run, rows, abm_cfg, counts)
 
         # Largest phi (the most-resilient scenario) anchors relative increases;
         # for other axes the last value is the baseline.

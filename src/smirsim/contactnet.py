@@ -146,7 +146,10 @@ def check_k_bar(k_bar: float) -> None:
 
 def edge_budget(k_bar: float, n_nodes: int) -> int:
     """The edge count of every network `build_contact_network` makes: round(k_bar * N / 2)."""
-    return int(round(k_bar * n_nodes / 2.0))
+    budget = k_bar * n_nodes / 2.0
+    if not np.isfinite(budget):
+        raise NumericError(f"k_bar {k_bar} asks for more edges than {n_nodes} nodes have pairs")
+    return int(round(budget))
 
 
 def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
@@ -161,6 +164,7 @@ def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarr
     check_k_bar(k_bar)
     if n_nodes < 2:
         raise ValidationError(f"need at least 2 nodes, got {n_nodes}")
+    edge_budget(k_bar, n_nodes)  # a finite budget, before it scales
     upper = np.triu(mobility)
     total_mobility = upper.sum()
     if total_mobility <= 0:

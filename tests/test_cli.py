@@ -489,8 +489,8 @@ def cpus(monkeypatch):
 
 
 class TestSweepShares:
-    """Phi rows share one sample and each network built; a sweep's repetitions
-    and rows fan out as (rep, rows) work items of one pool per sample."""
+    """Phi rows share one sample and each network built; a command's repetitions
+    and rows fan out as (group, rep, rows) work items of one pool."""
 
     @pytest.fixture(scope="class")
     def lone_runs(self, tmp_path_factory):
@@ -529,19 +529,19 @@ class TestSweepShares:
         at = names.index("phi_1/abm")
         assert names[at - len(builds):at] == builds
 
-    @pytest.mark.parametrize("vary, extra, calls", [
+    @pytest.mark.parametrize("vary, extra, items", [
         # one item per (repetition, row) on the rows' one network
-        ("phi", [], [[(rep, [row]) for rep in range(3) for row in (0, 1)]]),
+        ("phi", [], [(0, rep, [row]) for rep in range(3) for row in (0, 1)]),
         # one item per repetition, as its one build serves both rows
-        ("phi", ["--regen-network"], [[(rep, [0, 1]) for rep in range(3)]]),
-        # a k-bar row samples and builds its own network: one pool per row
-        ("k-bar", [], [[(rep, [0]) for rep in range(3)]] * 2),
+        ("phi", ["--regen-network"], [(0, rep, [0, 1]) for rep in range(3)]),
+        # a k-bar row is a group of its own, with its own sample and network
+        ("k-bar", [], [(row, rep, [row]) for row in (0, 1) for rep in range(3)]),
     ], ids=["phi", "regen_phi", "k_bar"])
-    def test_work_items(self, tmp_path, cpus, fake_pool, vary, extra, calls):
+    def test_work_items(self, tmp_path, cpus, fake_pool, vary, extra, items):
         cpus(64)
         assert run_cli(*SMALL_SWEEP, "--reps", "3", *extra, "--vary", vary,
                        "--values", "4,6", "--out", str(tmp_path / "s")) == 0
-        assert fake_pool.calls == [{"max_workers": len(items), "items": items} for items in calls]
+        assert fake_pool.calls == [{"max_workers": len(items), "items": items}]
 
     def test_small_network_sweep_starts_no_pool(self, tmp_path, fake_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -549,12 +549,12 @@ class TestSweepShares:
                        "--out", str(tmp_path / "s")) == 0
         assert fake_pool.calls == []
 
-    def test_one_job_starts_no_pool(self, tmp_path, cpus, fake_pool):
-        # At --reps 1 each k-bar row is one work item, which runs in this process.
+    def test_one_rep_sweep_starts_one_pool(self, tmp_path, cpus, fake_pool):
+        # At --reps 1 each k-bar row is one work item; both share one pool.
         cpus(64)
         assert run_cli(*SMALL_SWEEP, "--vary", "k-bar", "--values", "4,6",
                        "--out", str(tmp_path / "s")) == 0
-        assert fake_pool.calls == []
+        assert fake_pool.calls == [{"max_workers": 2, "items": [(0, 0, [0]), (1, 0, [1])]}]
 
     def test_dead_worker_exits_3(self, tmp_path, cpus, fake_pool, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
@@ -589,6 +589,10 @@ class TestForkedRepetitions:
                    "--values", "6,10"]
     K_BAR_FILES = ["sweep_summary.csv", *(f"rows/k_bar_{k}/{name}" for k in (6, 10)
                                           for name in ("result.csv", "contactnet.bin"))]
+    SAMPLE_SWEEP = ["sweep", *PIPELINE_BASE[1:], "--reps", "1", "--vary", "sample",
+                    "--values", "0.04,0.05,0.06"]
+    SAMPLE_FILES = ["sweep_summary.csv", *(f"rows/sample_{s}/{name}" for s in (0.04, 0.05, 0.06)
+                                           for name in ("result.csv", "contactnet.bin"))]
 
     @pytest.mark.parametrize("command, files", [
         ([*PIPELINE_BASE, "--reps", "3"], PIPELINE_FILES),
@@ -596,7 +600,10 @@ class TestForkedRepetitions:
         ([*PIPELINE_BASE, "--reps", "3", "--regen-network"], PIPELINE_FILES),
         ([*SWEEP, "--regen-network"], SWEEP_FILES),
         (K_BAR_SWEEP, K_BAR_FILES),
-    ], ids=["pipeline", "phi_sweep", "regen_pipeline", "regen_phi_sweep", "k_bar_sweep"])
+        ([*K_BAR_SWEEP, "--regen-network"], K_BAR_FILES),
+        (SAMPLE_SWEEP, SAMPLE_FILES),
+    ], ids=["pipeline", "phi_sweep", "regen_pipeline", "regen_phi_sweep", "k_bar_sweep",
+            "regen_k_bar_sweep", "sample_sweep"])
     def test_artifacts_equal_for_any_worker_count(self, tmp_path, cpus, command, files):
         artifacts, names = [], []
         for k in (1, 2, 3):
@@ -613,7 +620,8 @@ class TestForkedRepetitions:
     def test_workers_capped_at_the_repetitions(self, tmp_path, cpus, fake_pool):
         cpus(64)
         assert run_cli(*PIPELINE_BASE, "--reps", "3", "--out", str(tmp_path / "p")) == 0
-        assert fake_pool.calls == [{"max_workers": 3, "items": [(rep, [0]) for rep in range(3)]}]
+        assert fake_pool.calls == [{"max_workers": 3,
+                                    "items": [(0, rep, [0]) for rep in range(3)]}]
 
     def test_small_network_stays_serial(self, tmp_path, fake_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -734,20 +742,28 @@ class TestRunRecord:
                         "phi_1/write_outputs", "phi_3/write_outputs", "write_outputs"]
 
     def test_parallel_sweep_lists_every_row_stage(self, tmp_path, cpus):
-        # Each k-bar row samples and builds its own network; its repetitions fork.
+        # Each k-bar row samples and builds its own network: in this process when its
+        # repetitions are two items, else inside abm, in the one forked item that reads it.
         cpus(2)
-        out = tmp_path / "s"
-        assert run_cli(
-            "sweep", *PIPELINE_BASE[1:], "--vary", "k-bar", "--values", "6,10",
-            "--out", str(out),
-        ) == 0
-        names = [s["name"] for s in json.loads((out / "manifest.json").read_text())["stages"]]
-        row = ["spread_misinformation", "sample_population", "expected_edges",
-               "build_contact_network", "abm", "write_outputs"]
-        assert names == ["generate_scenario", "save_scenario",
-                         *(f"k_bar_6/{n}" for n in row), *(f"k_bar_10/{n}" for n in row),
-                         "write_outputs"]
-        assert not list((out / "rows").rglob("manifest.json"))
+        rows = ("k_bar_6", "k_bar_10")
+        for reps in (1, 2):
+            out = tmp_path / str(reps)
+            assert run_cli(
+                "sweep", *PIPELINE_BASE[1:], "--reps", str(reps), "--vary", "k-bar",
+                "--values", "6,10", "--out", str(out),
+            ) == 0
+            assert multiprocessing.active_children() == []
+            stages = json.loads((out / "manifest.json").read_text())["stages"]
+            shared = ["build_contact_network"] if reps > 1 else []
+            in_item = [] if shared else [f"{row}/build_contact_network" for row in rows]
+            assert [s["name"] for s in stages] == [
+                "generate_scenario", "save_scenario",
+                *(f"{row}/spread_misinformation" for row in rows),
+                *(f"{row}/{n}" for row in rows
+                  for n in ("sample_population", "expected_edges", *shared)),
+                *in_item, "k_bar_6/abm", *(f"{row}/write_outputs" for row in rows),
+                "write_outputs"]
+            assert not list((out / "rows").rglob("manifest.json"))
 
     @pytest.mark.parametrize("k", [1, 2])  # CPUs; at 2 the rows' items save in workers
     def test_sweep_manifest_lists_row_outputs(self, tmp_path, cpus, k):
@@ -963,6 +979,7 @@ def _write_bad_inputs(d):
         "seed_negative": {"seed": -1},
         "regen_number": {"regen_network": 1},
         "k_bar_nan": {"counties": 3, "k_bar": float("nan")},  # dumped as NaN
+        "k_bar_1e308": {"counties": 3, "k_bar": 1e308},
         "gamma_2": {"counties": 3, "gamma": 2.0},
         "reps_0": {"counties": 3, "reps": 0},
         "steps_0": {"counties": 3, "steps": 0},
@@ -1268,6 +1285,16 @@ BAD_INPUTS = {
     "pipeline --k-bar 1e300": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e300"],
         "stage build_contact_network", 3),
+    # finite, but k_bar * N / 2 is not: rejected where the edge budget is computed
+    "pipeline --k-bar 1e308": (
+        ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e308"],
+        "stage expected_edges: k_bar 1e+308 asks for more edges than 469 nodes have pairs", 3),
+    "sweep --values 1e308 for k-bar": (
+        ["sweep", "--synthetic", "--counties", "3", "--vary", "k-bar", "--values", "1e308"],
+        "stage k_bar_1e+308/expected_edges: k_bar 1e+308 asks for more edges than", 3),
+    "manifest k_bar 1e308": (
+        ["pipeline", "--from-manifest", "{d}/k_bar_1e308.json"],
+        "stage expected_edges: k_bar 1e+308 asks for more edges than", 3),
     # two ranges of 1001 values each: rejected before any cell is integrated
     "meanfield --grid 10^6 cells": (
         ["meanfield", "--sweep", "alpha=0:1:0.001", "--grid", "beta-o=0:1:0.001"], "cells"),
@@ -1399,6 +1426,12 @@ def corrupted_contactnet(draw, data: bytes) -> bytes:
     end = start + contactnet._HEADER.size
     fields = list(contactnet._HEADER.unpack(data[start:end]))
     body = data[end:]
+
+    def body_size(n, m, n_counties):
+        """SMIRCNET3: county ids, 8 bytes per node (index, degree), label bits, 4 per edge."""
+        return 8 * n_counties + 8 * n + (n + 7) // 8 + 4 * m
+
+    assert body_size(fields[0], fields[1], fields[4]) == len(body), "the layout changed"
     kind = draw(st.sampled_from(["bytes", "header", "resize"]))
     if kind == "bytes":
         return draw(truncated_or_flipped(data))
@@ -1408,7 +1441,7 @@ def corrupted_contactnet(draw, data: bytes) -> bytes:
     else:
         n, m, n_counties = (draw(st.integers(0, 4)) for _ in range(3))
         fields[0], fields[1], fields[4] = n, m, n_counties
-        size = 8 * n_counties + 4 * n + (n + 7) // 8 + 8 * m
+        size = body_size(n, m, n_counties)
         body = body[:size].ljust(size, b"\0")
     return data[:start] + contactnet._HEADER.pack(*fields) + body
 
@@ -1580,4 +1613,26 @@ def test_pipeline_flag_values_never_traceback(tmp_path, three_counties, data):
         argv.append(f"{flag}={data.draw(st.sampled_from(PIPELINE_FLAG_VALUES[flag]))}")
     if data.draw(st.booleans()):
         argv.append("--regen-network")
+    assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])
+
+
+# --k-bar and --sample values at the ends of the float range and of each check (k_bar finite
+# and > 0, sample in (0, 1]), with a usual value of each.
+EXTREME_VALUES = ("1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-0.0", "0", "1",
+                  "1.0000000000000002", str(2**63), "inf", "0.05", "10")
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_extreme_k_bar_and_sample_never_traceback(tmp_path, data):
+    value = st.sampled_from(EXTREME_VALUES)
+    command = data.draw(st.sampled_from(["pipeline", "sweep"]))
+    argv = [command, "--synthetic", "--counties", "3", "--steps", "1", "--reps", "1",
+            "--initial-infected", "1"]
+    for flag in data.draw(st.lists(st.sampled_from(["--k-bar", "--sample"]), unique=True)):
+        argv.append(f"{flag}={data.draw(value)}")  # "--x -0.0" would read as two flags
+    if command == "sweep":
+        values = data.draw(st.lists(value, min_size=1, max_size=2, unique=True))
+        argv += ["--vary", data.draw(st.sampled_from(["k-bar", "sample"])),
+                 f"--values={','.join(values)}"]
     assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])

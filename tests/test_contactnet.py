@@ -53,6 +53,14 @@ class TestExpectedEdges:
         with pytest.raises(ValidationError, match="need at least 2 nodes, got 1"):
             cn.expected_edges(np.ones((2, 2)), 25.0, 1)
 
+    def test_rejects_a_budget_past_the_float_range(self):
+        # k_bar is finite, but k_bar * N / 2 is not
+        with pytest.raises(NumericError, match="k_bar 1e[+]308 asks for more edges than 10 nodes"):
+            cn.expected_edges(np.ones((2, 2)), 1e308, 10)
+        with pytest.raises(NumericError, match="k_bar 1e[+]308 asks for more edges than 10 nodes"):
+            cn.edge_budget(1e308, 10)
+        assert cn.edge_budget(1e307, 10) == int(5e307)  # finite, so counted
+
 
 class TestSamplePopulation:
     def make_inputs(self, voters, shares, users_per_party=5):
