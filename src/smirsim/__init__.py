@@ -6,7 +6,7 @@ matched to vote records, wires them into a mobility-informed contact network,
 and runs discrete-time epidemics on it.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .abm import AbmConfig, EpidemicResult, run, seed_infection, step
 from .contactnet import (

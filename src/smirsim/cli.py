@@ -28,6 +28,7 @@ import json
 import math
 import os
 import resource
+import signal
 import sys
 import time
 from contextlib import AbstractContextManager, contextmanager
@@ -80,12 +81,20 @@ def _fork_map(fn, items, workers: int | None = None) -> list:
     workers = min(workers or len(os.sched_getaffinity(0)), len(items)) if safe else 1
     if workers < 2:
         return list(map(fn, items))
+    import ctypes
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+    def start(parent=os.getpid()) -> None:  # a worker dies with its parent, and of Ctrl-C quietly
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        # PR_SET_PDEATHSIG (1): SIGKILL when the thread that forked this worker ends
+        ctypes.CDLL(None).prctl(ctypes.c_int(1), ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() != parent:  # the parent ended before prctl
+            os._exit(1)
+
     _forked = fn
     try:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), start) as pool:
             return list(pool.map(_call_forked, items, chunksize=1))
     except BrokenExecutor as e:  # a worker was killed
         raise NumericError("a repetition worker died (killed, or out of memory)") from e
@@ -155,17 +164,25 @@ class _Run(AbstractContextManager):
     def stage(self, name: str):
         """Reports a pipeline stage's wall time on stderr and records it with
         ``max_rss_mb`` and the ``pid`` of the process that ran it when it
-        succeeds; annotates errors with the stage that raised them."""
+        succeeds; annotates an error, or an interrupt, with the innermost stage
+        it passed."""
         _progress(f"stage {name}")
         started = time.monotonic()
         try:
             yield
-        except NumericError as e:
-            raise NumericError(f"stage {name}: {e}") from e
-        except (MemoryError, ValueError) as e:
-            raise NumericError(f"stage {name}: {_out_of_memory(e)}") from e
-        except (InputError, OSError) as e:
-            raise InputError(f"stage {name}: {e}") from e
+        except KeyboardInterrupt as e:
+            e.stage = getattr(e, "stage", name)
+            raise
+        except (NumericError, InputError, MemoryError, ValueError, OSError) as e:
+            if hasattr(e, "stage"):  # annotated by an inner stage
+                raise
+            if isinstance(e, (InputError, OSError)):
+                staged = InputError(f"stage {name}: {e}")
+            else:
+                staged = NumericError(f"stage {name}: "
+                                      f"{e if isinstance(e, NumericError) else _out_of_memory(e)}")
+            staged.stage = name
+            raise staged from e
         wall = time.monotonic() - started
         _progress(f"stage {name} done in {wall:.3f}s")
         # ru_maxrss: peak RSS so far of this process or its largest reaped worker (KiB; B on macOS)
@@ -477,7 +494,7 @@ def _run_pipeline(run: _Run, rows: list[tuple[str, PipelineConfig]], abm_cfg: ab
                 sc, net, sample, scenario.derive_seed(cfg.seed, _STREAM_SAMPLE))
         with run.stage(first + "expected_edges"):
             e_matrix = contactnet.expected_edges(sc.mobility, k_bar, len(nodes.source))
-            n_edges = contactnet.edge_budget(k_bar, len(nodes.source))  # what every build places
+            n_edges = contactnet.placed_edges(k_bar, len(nodes.source))  # what every build places
         build = partial(contactnet.build_contact_network, nodes, e_matrix, k_bar)
         if not cfg.regen_network and len(at) * cfg.reps > 1:  # more than one item reads it
             with run.stage(first + "build_contact_network"):
@@ -745,6 +762,9 @@ def main(argv=None) -> int:
     except (MemoryError, ValueError) as e:  # outside any stage
         print(f"numeric failure: {_out_of_memory(e)}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt as e:  # with no manifest, and the status a shell reports for it
+        _progress("interrupted" + (f": stage {e.stage}" if hasattr(e, "stage") else ""))
+        return 130
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ generator for the whole graph and makes one vectorized pass per lo county x,
 in ascending order, over all blocks (x, y >= x) at once. Every key of such a
 pass has its lo end in x's node range, so the passes emit the graph's rows
 (each edge's hi end under its lo end, ascending) in order, without a global
-sort. Ends are 32-bit: the rows cost 4 bytes per edge plus ~13 bytes per
-node, and building them raises the process's peak RSS by ~8 bytes per edge
+sort. Ends are 32-bit: in memory the rows cost 4 bytes per edge plus ~13
+bytes per node; on disk, as gaps in 2-byte words (a gap of 2^15 or more
+takes 4 bytes), ~2.1 per edge at 200k nodes and ~2.8 at 2M, plus ~2.1 per
+node. Building the rows raises the process's peak RSS by ~8 bytes per edge
 (2M nodes and 25M edges: 90 -> 296 MB). The ``adjacency`` index, built on
 first use, keeps ~4 more bytes per edge plus 8 per node in its sort keys'
 buffer; building it allocates at most ~10 per edge (296 -> 436 MB).
@@ -46,11 +48,13 @@ from .tables import lookup
 # Draw budget multiplier before giving up on a block (duplicates/self-loops).
 RETRY_FACTOR = 100
 
-MAGIC = b"SMIRCNET3\n"
-# Node count, edge count, k_bar, seed, county count.
-_HEADER = struct.Struct("<QQdQI")
+MAGIC = b"SMIRCNET4\n"
+# Node count, edge count, k_bar, seed, county count, county run count, high word count.
+_HEADER = struct.Struct("<QQdQIQQ")
 # Rows, or ends, per block of the blocked passes: the row checks, the adjacency's hi half.
 _BLOCK_ROWS = 1 << 16
+# Rows per block of contactnet.bin's words, a constant of its layout (~50k ends at k_bar 25).
+_FILE_ROWS = 1 << 12
 
 
 def _round_half_up(x) -> np.ndarray:
@@ -150,6 +154,14 @@ def edge_budget(k_bar: float, n_nodes: int) -> int:
     if not np.isfinite(budget):
         raise NumericError(f"k_bar {k_bar} asks for more edges than {n_nodes} nodes have pairs")
     return int(round(budget))
+
+
+def placed_edges(k_bar: float, n_nodes: int) -> int:
+    """`edge_budget`, checked against the pairs of `n_nodes` nodes: the edges a build places."""
+    budget = edge_budget(k_bar, n_nodes)
+    if budget > n_nodes * (n_nodes - 1) // 2:  # before a draw: multinomial overflows on it
+        raise NumericError(f"k_bar {k_bar} asks for more edges than {n_nodes} nodes have pairs")
+    return budget
 
 
 def expected_edges(mobility: np.ndarray, k_bar: float, n_nodes: int) -> np.ndarray:
@@ -357,6 +369,7 @@ def build_contact_network(
     """
     check_k_bar(k_bar)
     n = len(nodes.county_index)
+    total_edges = placed_edges(k_bar, n)  # first: a budget of 0 is met with no weights
     n_counties = len(nodes.county_ids)
     if e_matrix.shape != (n_counties, n_counties):
         raise ValidationError("expected-edge matrix does not match county count")
@@ -370,20 +383,13 @@ def build_contact_network(
     # Counties that sampled no nodes cannot carry edges.
     empty = sizes == 0
     weights[empty[xs] | empty[ys]] = 0.0
-    if weights.sum() <= 0:
+    if weights.sum() <= 0 < total_edges:
         raise ValidationError("no county pair with positive expected edges has nodes")
 
-    total_edges = edge_budget(k_bar, n)
-    if total_edges > n * (n - 1) // 2:  # before the draw: multinomial overflows on a huge budget
-        raise NumericError(f"k_bar {k_bar} asks for more edges than {n} nodes have pairs")
     alloc_rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0]))
-    counts = alloc_rng.multinomial(total_edges, weights / weights.sum())
+    counts = alloc_rng.multinomial(total_edges, weights / (weights.sum() or 1.0))
 
-    capacity = np.where(
-        xs == ys,
-        sizes[xs].astype(np.int64) * (sizes[xs] - 1) // 2,
-        sizes[xs].astype(np.int64) * sizes[ys],
-    )
+    capacity = np.where(xs == ys, sizes[xs] * (sizes[xs] - 1) // 2, sizes[xs] * sizes[ys])
     over = counts > capacity
     if np.any(over):
         b = int(np.flatnonzero(over)[0])
@@ -415,57 +421,70 @@ def build_contact_network(
 
 
 def save_contact_network(net: ContactNetwork, path) -> None:
-    """Persist to the compact binary format.
-
-    Layout: magic, header (node count, edge count, k_bar, seed, county
-    count), county id table (int64), per-node county index (uint32), packed
-    label bits, one degree per node (its row's length, uint32), then the
-    rows' hi ends (uint32).
-    """
+    """Persist to the compact binary format (its layout is in the README), `_FILE_ROWS` rows
+    at a time: the county index as runs, and each row's hi ends as gaps between them."""
+    n, ptr, hi, ci = net.n_nodes, net.ptr, net.hi, net.county_index
+    if n >= 1 << 31:  # so that every degree and gap is below 2^31
+        raise ValidationError(f"a contact network file holds fewer than 2^31 nodes, not {n}")
+    runs = np.append(0, np.flatnonzero(ci[1:] != ci[:-1]) + 1)  # where each county run opens
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(
-            _HEADER.pack(
-                net.n_nodes,
-                net.n_edges,
-                net.k_bar,
-                net.seed,
-                len(net.county_ids),
-            )
-        )
+        f.write(MAGIC + bytes(_HEADER.size))  # the header is written once its counts are known
         f.write(net.county_ids.astype("<i8").tobytes())
-        f.write(net.county_index.astype("<u4").tobytes())
+        f.write(np.concatenate([ci[runs], np.diff(runs, append=n)]).astype("<u4"))
         f.write(np.packbits(net.misinformed.astype(np.uint8)).tobytes())
-        f.write(np.subtract(net.ptr[1:], net.ptr[:-1], casting="unsafe",  # each row's length
-                            out=np.empty(net.n_nodes, dtype="<u4")))
-        f.write(np.ascontiguousarray(net.hi, dtype="<u4"))  # uint32 ends are not copied
+        high = 0  # the high words written
+        for r in range(0, n, _FILE_ROWS):
+            p = ptr[r:r + _FILE_ROWS + 1]
+            deg, gaps = np.diff(p), np.diff(hi[p[0]:p[-1]], prepend=np.uint32(0))  # uint32
+            first = p[:-1][deg > 0]  # each non-empty row's first end, whose gap wrapped
+            gaps[first - p[0]] = hi[first] - np.arange(r, r + len(deg))[deg > 0]
+            for values in (deg, gaps):  # a word holds a value's low 15 bits, and a flag
+                big = values >= 1 << 15  # that the next high word holds value >> 15
+                f.write((values.astype("<u2") | big.astype("<u2") << 15).astype("<u2", copy=False))
+                f.write((values >> 15).astype("<u2")[np.flatnonzero(big)])  # faster than a mask
+                high += int(np.count_nonzero(big))
+        f.seek(len(MAGIC))
+        f.write(_HEADER.pack(n, len(hi), net.k_bar, net.seed, len(net.county_ids), len(runs), high))
 
 
 def load_contact_network(path) -> ContactNetwork:
-    """Read a `save_contact_network` artifact; a wrong magic or a file size
-    other than its header declares (truncated, trailing bytes) is invalid."""
+    """Read a `save_contact_network` artifact; a wrong magic, a file size other than its
+    header declares (truncated, trailing bytes) or a count its body contradicts is invalid."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
-        if magic != MAGIC:  # an older network's format line, such as SMIRCNET2, is named
+        if magic != MAGIC:  # an older network's format line, such as SMIRCNET3, is named
             raise ValidationError(f"{path}: format line {magic.strip()!r}, but this version "
                                   f"reads contact networks of format {MAGIC.strip()!r}")
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValidationError(f"{path}: truncated header")
-        n, m, k_bar, seed, n_counties = _HEADER.unpack(header)
-        declared = len(MAGIC) + _HEADER.size + 8 * n_counties + 8 * n + (n + 7) // 8 + 4 * m
+        n, m, k_bar, seed, n_counties, n_runs, n_high = _HEADER.unpack(
+            _read_array(f, np.uint8, _HEADER.size))
+        declared = (len(MAGIC) + _HEADER.size + 8 * n_counties + 8 * n_runs + (n + 7) // 8
+                    + 2 * (n + m + n_high))
         size = os.fstat(f.fileno()).st_size
         if size != declared:
             raise ValidationError(f"{path}: {size} bytes, but its header declares {declared}")
-        # Read straight into the arrays the network keeps. The county index
-        # is stored as uint32; a value past the int32 range reads negative
-        # and fails the network's range check.
+        # Read straight into the arrays the network keeps. A county index past the int32
+        # range reads negative and fails the network's range check.
         county_ids = _read_array(f, "<i8", n_counties)
-        county_index = _read_array(f, "<i4", n)
+        runs = _read_array(f, "<i4", n_runs), _read_array(f, "<u4", n_runs)
+        if runs[1].sum(dtype=np.uint64) != n:
+            raise ValidationError(f"{path}: county runs do not sum to its {n} nodes")
+        county_index = np.repeat(*runs)
         bits = _read_array(f, np.uint8, (n + 7) // 8)
-        # Degrees summed into row pointers; a sum other than the header's m fails ptr[-1]'s check.
-        ptr = np.concatenate([[0], np.cumsum(_read_array(f, "<u4", n), dtype=np.int64)])
-        hi = _read_array(f, "<u4", m)
+        ptr, hi, left = np.zeros(n + 1, dtype=np.int64), np.empty(m, dtype=np.uint32), n_high
+        for r in range(0, n, _FILE_ROWS):
+            deg, left = _read_words(f, min(_FILE_ROWS, n - r), left)
+            p, at = ptr[r:r + len(deg) + 1], ptr[r]  # this block's row pointers, a view
+            p[1:] = np.cumsum(deg) + at
+            if p[-1] > m:  # before the degrees slice the gap words
+                raise ValidationError(f"{path}: degrees sum past its {m} edges")
+            gaps, left = _read_words(f, int(p[-1] - at), left)
+            sums = np.append(0, np.cumsum(gaps))  # a row's ends: its node plus its gaps' sums
+            ends = sums[1:] + np.repeat(np.arange(r, r + len(deg)) - sums[p[:-1] - at], deg)
+            if len(ends) and ends.max() >= n:  # on the int64 sums, before the uint32 cast
+                raise ValidationError(f"{path}: edge endpoint out of range")
+            hi[at:at + len(ends)] = ends
+        if ptr[-1] != m or left:
+            raise ValidationError(f"{path}: degree sum {ptr[-1]} of {m}, {left} high words spare")
     try:
         return ContactNetwork(
             county_ids=county_ids,
@@ -478,6 +497,17 @@ def load_contact_network(path) -> ContactNetwork:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from e
+
+
+def _read_words(f, count: int, left: int) -> tuple[np.ndarray, int]:
+    """`count` words and their high words from `f`, of `left`, as int64; and the ones left."""
+    words = _read_array(f, "<u2", count)
+    big = np.flatnonzero(words >= 1 << 15)
+    if len(big) > left:
+        raise ValidationError(f"{f.name}: more words are flagged than there are high words")
+    values = (words & 0x7FFF).astype(np.int64)
+    values[big] |= _read_array(f, "<u2", len(big)).astype(np.int64) << 15
+    return values, left - len(big)
 
 
 def _read_array(f, dtype, shape) -> np.ndarray:

@@ -272,7 +272,8 @@ def generate_synthetic_mobility(
     np.fill_diagonal(dist, LOCAL_DISTANCE)
     dist = np.maximum(dist, LOCAL_DISTANCE)
     pop = voters.astype(float)
-    values = np.outer(pop, pop) / dist**gravity_exponent
+    with np.errstate(over="ignore", divide="ignore"):  # a huge |exponent|: Scenario rejects it
+        values = np.outer(pop, pop) / dist**gravity_exponent
     return (values + values.T) / 2.0
 
 
@@ -285,11 +286,13 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Scenario, InfoNetwork]:
     county_ids = np.arange(1000, 1000 + n, dtype=np.int64)
     voters = np.maximum(
         100, np.floor(rng.lognormal(np.log(cfg.pop_median), cfg.pop_sigma, size=n) + 0.5)
-    ).astype(np.int64)
+    )
     share = rng.beta(cfg.share_alpha, cfg.share_beta, size=n)
-    users = np.maximum(
-        cfg.twitter_users_min, np.floor(voters * cfg.twitter_user_rate + 0.5)
-    ).astype(np.int64)
+    users = np.maximum(cfg.twitter_users_min, np.floor(voters * cfg.twitter_user_rate + 0.5))
+    if not (voters.max() < 2**63 and users.max() < 2**63):  # before the int64 casts
+        raise ValidationError(f"pop_median {cfg.pop_median}, pop_sigma {cfg.pop_sigma} and "
+                              f"twitter_users_min {cfg.twitter_users_min} give counts past 2^63")
+    voters, users = voters.astype(np.int64), users.astype(np.int64)
 
     mobility = generate_synthetic_mobility(
         voters, cfg.gravity_exponent, derive_seed(cfg.seed, _STREAM_MOBILITY)

@@ -10,6 +10,7 @@ contract both sides implement.
 from __future__ import annotations
 
 import csv
+import struct
 from itertools import product
 
 import numpy as np
@@ -206,6 +207,38 @@ def complete_network(n: int) -> ContactNetwork:
         k_bar=float(n - 1),
         seed=0,
     )
+
+
+def contactnet_bytes(net) -> bytes:
+    """The SMIRCNET4 file of `net`, encoded one value at a time from the format's
+    description: the county index as (county, length) runs, and per block of 4096 rows
+    their degrees, then their gaps (a row's first end less its node, each later end less
+    the one before), each list as 15-bit words and then the high words of flagged ones."""
+    n, ptr, hi = net.n_nodes, [int(p) for p in net.ptr], [int(h) for h in net.hi]
+    runs: list[list[int]] = []
+    for c in net.county_index.tolist():
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    labels = list(net.misinformed) + [False] * (-n % 8)
+    bits = bytes(sum(int(labels[i + j]) << (7 - j) for j in range(8)) for i in range(0, n, 8))
+    body, n_high = b"", 0
+    for start in range(0, n, 4096):
+        rows = range(start, min(start + 4096, n))
+        gaps = [w - (hi[i - 1] if i > ptr[v] else v)
+                for v in rows for i, w in enumerate(hi[ptr[v]:ptr[v + 1]], ptr[v])]
+        for values in ([ptr[v + 1] - ptr[v] for v in rows], gaps):
+            assert all(0 <= x < 2**31 for x in values)
+            words = [x if x < 2**15 else 0x8000 | x % 2**15 for x in values]
+            high = [x // 2**15 for x in values if x >= 2**15]
+            body += struct.pack(f"<{len(words)}H{len(high)}H", *words, *high)
+            n_high += len(high)
+    header = struct.pack("<QQdQIQQ", n, len(hi), net.k_bar, net.seed, len(net.county_ids),
+                         len(runs), n_high)
+    return (b"SMIRCNET4\n" + header + struct.pack(f"<{len(net.county_ids)}q", *net.county_ids)
+            + struct.pack(f"<{2 * len(runs)}I", *(r[0] for r in runs), *(r[1] for r in runs))
+            + bits + body)
 
 
 def mean_field_map(n, p, gamma, initial, days) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -7,8 +8,12 @@ import multiprocessing
 import os
 import re
 import resource
+import signal
+import struct
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 from smirsim import abm, cli, contactnet, infonet, meanfield, scenario
 from smirsim.cli import _Run, main, write_trajectory_csv
 from smirsim.contactnet import ContactNetwork, save_contact_network
+from smirsim.errors import InputError, NumericError
 
 from oracles import contact_rows
 
@@ -314,6 +320,50 @@ class TestPipelineCommand:
         assert 3 in codes and set(codes) <= {0, 3}
 
 
+    @pytest.mark.parametrize("k_bar, message", [
+        ("1e300", "stage expected_edges: k_bar 1e+300 asks for more edges than 469 nodes have pairs"),
+        ("400", "stage build_contact_network: county pair (1000, 1000) allocated 20906 edges but "
+                "holds at most 9180"),
+    ], ids=["k_bar_past_the_pairs", "block_past_its_capacity"])
+    def test_error_names_its_stage_once(self, tmp_path, capsys, k_bar, message):
+        # A network that one repetition reads is built inside abm (--reps 1), one that two
+        # read before it (--reps 2), and one per repetition under --regen-network.
+        lines = []
+        for extra in (["--reps", "1"], ["--reps", "2"], ["--regen-network", "--reps", "2"]):
+            assert run_cli("pipeline", "--synthetic", "--counties", "3", "--k-bar", k_bar,
+                           "--steps", "1", "--initial-infected", "1", *extra,
+                           "--out", str(tmp_path / "out")) == 3
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+        if k_bar == "400":  # a regenerated network has its own seed, and its build's stage name
+            assert lines.pop().startswith("numeric failure: stage build_contact_network[rep=0]: "
+                                          "county pair (1000, 1000) allocated ")
+        assert lines == [f"numeric failure: {message}"] * len(lines)
+
+    def test_stages_annotate_an_error_or_interrupt_once(self, tmp_path):
+        run = _Run(tmp_path)
+        for error, match in ((NumericError("x"), "stage inner: x"),
+                             (ValueError("array is too big"), "stage inner: out of memory"),
+                             (OSError("disk"), "stage inner: disk")):
+            with pytest.raises((NumericError, InputError)) as e:
+                with run.stage("outer"), run.stage("inner"):
+                    raise error
+            assert str(e.value).startswith(match) and e.value.stage == "inner"
+        with pytest.raises(KeyboardInterrupt) as e:
+            with run.stage("outer"), run.stage("inner"):
+                raise KeyboardInterrupt
+        assert e.value.stage == "inner"
+
+    @pytest.mark.parametrize("k_bar", ["5e-324", "1e-3"])
+    def test_budget_of_no_edges_builds_an_empty_network(self, tmp_path, k_bar):
+        # round(k_bar * N / 2) is 0 for both; at 5e-324 every expected count is 0 as well.
+        out = tmp_path / "p"
+        assert run_cli("pipeline", "--synthetic", "--counties", "3", "--k-bar", k_bar,
+                       "--steps", "2", "--reps", "1", "--initial-infected", "1",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "summary.json").read_text())["n_edges"] == 0
+        assert contactnet.load_contact_network(out / "contactnet.bin").n_edges == 0
+
+
 class TestSweepCommand:
     def test_phi_sweep_misinformed_non_increasing(self, tmp_path):
         out = tmp_path / "s"
@@ -453,9 +503,10 @@ SMALL_SWEEP = [
 
 class FakePool:
     """A ProcessPoolExecutor stand-in that starts no process: it records each
-    pool's max_workers and the work items it is given, and maps them serially."""
+    pool's max_workers and the work items it is given, and maps them serially.
+    It does not run the worker initializer, which would act on this process."""
 
-    def __init__(self, max_workers=None, mp_context=None):
+    def __init__(self, max_workers=None, mp_context=None, initializer=None):
         self.calls.append({"max_workers": max_workers})
 
     def __enter__(self):
@@ -679,6 +730,83 @@ class TestForkedRepetitions:
         assert run_cli(*PIPELINE_BASE, "--out", str(out)) == 0
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert {s["max_rss_mb"] for s in stages} == {(1 << 30) / 1024}
+
+
+    def test_workers_fork_from_the_main_thread_and_die_with_it(self):
+        # PR_SET_PDEATHSIG fires when the thread that forked a worker ends: ProcessPoolExecutor
+        # forks every worker in the thread that first submits, here the main thread.
+        def worker(_):
+            sig = ctypes.c_int()
+            ctypes.CDLL(None).prctl(2, ctypes.byref(sig))  # PR_GET_PDEATHSIG
+            return threading.current_thread().name, sig.value, os.getppid()
+
+        assert cli._fork_map(worker, [0, 1], 2) == [("MainThread", signal.SIGKILL, os.getpid())] * 2
+
+
+def _children(pid: int) -> set[int]:
+    """The processes whose parent is `pid`."""
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            if int(stat.read_text().rsplit(")", 1)[1].split()[1]) == pid:
+                kids.add(int(stat.parent.name))
+        except (OSError, IndexError, ValueError):  # it ended
+            pass
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` lives and is no zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: repetitions run serially")
+@pytest.mark.parametrize("how", ["SIGINT to the group", "SIGTERM to the parent",
+                                 "SIGKILL to the parent"])
+def test_stopped_run_stops_its_workers(tmp_path, how):
+    # Four repetitions of 100,000 days on 234,450 edges, in two forked workers: an epidemic
+    # that barely recovers would keep them busy for a minute.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smirsim.cli", "pipeline", "--synthetic", "--counties", "3",
+         "--sample", "0.4", "--gamma", "0.0001", "--steps", "100000", "--reps", "4",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    workers: set[int] = set()
+    try:
+        for line in proc.stderr:
+            if line.strip() == "stage abm":
+                break
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _children(proc.pid)
+            time.sleep(0.05)
+        assert len(workers) == 2
+        time.sleep(0.5)  # the workers are in their first repetitions
+        if how == "SIGINT to the group":
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            os.kill(proc.pid, signal.SIGTERM if how == "SIGTERM to the parent" else signal.SIGKILL)
+        err = proc.communicate(timeout=30)[1]
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+        if how == "SIGINT to the group":
+            assert proc.returncode in (130, -signal.SIGINT)
+            assert "Traceback" not in err and err.splitlines()[-1] == "interrupted: stage abm"
+            assert not (out / "manifest.json").exists()
+    finally:
+        for pid in workers | {proc.pid}:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
 
 
 MANIFEST_KEYS = {
@@ -922,26 +1050,45 @@ class TestOtherCommands:
         before = sorted(tmp_path.rglob("*"))
         assert run_cli("inspect", str(tmp_path / "smircnet2.bin")) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "b'SMIRCNET3'" in err.splitlines()[-1]
+        assert "Traceback" not in err and "b'SMIRCNET4'" in err.splitlines()[-1]
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_perfbench_probe_reads_a_pipeline_network(self, tmp_path):
-        # The benchmark harness runs this reader on every pipeline iteration.
-        out = tmp_path / "p"
-        assert run_cli(*PIPELINE_BASE, "--out", str(out)) == 0
+    @staticmethod
+    def assert_probe_reads(path):
+        """perfbench's probe, run as the harness runs it, counts what `load_contact_network`
+        reads from `path`: a layout change cannot break the benchmark's check unnoticed."""
         root = Path(__file__).resolve().parents[1]
         probe = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "probe.py"), "net", str(out / "contactnet.bin")],
+            [sys.executable, str(root / "perfbench" / "probe.py"), "net", str(path)],
             env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
             timeout=300, check=True,
         )
-        net = contactnet.load_contact_network(out / "contactnet.bin")
+        net = contactnet.load_contact_network(path)
         county = net.county_index[np.repeat(np.arange(len(net.ptr) - 1), np.diff(net.ptr))]
         blocks = set(zip(county.tolist(), net.county_index[net.hi].tolist()))
         assert json.loads(probe.stdout) == {
             "nodes": len(net.ptr) - 1, "edges": len(net.hi),
             "blocks": len({(min(pair), max(pair)) for pair in blocks}),
         }
+
+    def test_perfbench_probe_reads_a_pipeline_network(self, tmp_path):
+        # The benchmark harness runs this reader on every pipeline iteration.
+        out = tmp_path / "p"
+        assert run_cli(*PIPELINE_BASE, "--out", str(out)) == 0
+        self.assert_probe_reads(out / "contactnet.bin")
+
+    def test_perfbench_probe_reads_high_words(self, tmp_path):
+        # Two counties of 20,000 nodes, 4,100 rows (two blocks of words) with ends, gaps of
+        # 2^15 and more, and a degree of 2^15 + 1.
+        n = 40_000
+        edges = [(0, w) for w in range(1, 2**15 + 2)] + [(v, v + 35_000) for v in range(1, 4_100)]
+        net = ContactNetwork(
+            county_ids=np.array([1000, 1001]),
+            county_index=np.repeat(np.array([0, 1], dtype=np.int32), n // 2),
+            misinformed=np.arange(n) % 5 == 0, **contact_rows(edges, n), k_bar=2.0, seed=0,
+        )
+        save_contact_network(net, tmp_path / "wide.bin")
+        self.assert_probe_reads(tmp_path / "wide.bin")
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SMIRSIM_OUT", str(tmp_path / "envout"))
@@ -1046,19 +1193,39 @@ def _write_bad_inputs(d):
     }.items():
         (d / f"config_{name}.txt").write_text(line + "\n")
     data = _small_contactnet_bytes(d / "good.bin")
-    # The same network in the format before degrees replaced each edge's lo end.
+    # The same network in the two formats before: with each edge's lo end (SMIRCNET2), and
+    # with a county index per node, a uint32 degree per node and a uint32 per hi end.
+    old_header = struct.pack("<QQdQI", 3, 2, 2.0, 0, 1) + (1000).to_bytes(8, "little")
     (d / "smircnet2.bin").write_bytes(
-        b"SMIRCNET2\n" + contactnet._HEADER.pack(3, 2, 2.0, 0, 1) + (1000).to_bytes(8, "little")
-        + bytes(12) + b"\x80" + np.array([[0, 1], [1, 2]], dtype="<u4").tobytes())
+        b"SMIRCNET2\n" + old_header + bytes(12) + b"\x80"
+        + np.array([[0, 1], [1, 2]], dtype="<u4").tobytes())
+    (d / "smircnet3.bin").write_bytes(
+        b"SMIRCNET3\n" + old_header + bytes(12) + b"\x80" + np.array([1, 1, 0, 1, 2], "<u4").tobytes())
     (d / "truncated.bin").write_bytes(data[:-3])
     (d / "trailing.bin").write_bytes(data + b"\0")
     (d / "header_only.bin").write_bytes(data[:20])
-    (d / "zero_nodes.bin").write_bytes(contactnet.MAGIC + contactnet._HEADER.pack(0, 0, 2.0, 0, 0))
-    index_at = len(contactnet.MAGIC) + contactnet._HEADER.size + 8  # node 0's county index
+    (d / "zero_nodes.bin").write_bytes(
+        contactnet.MAGIC + contactnet._HEADER.pack(0, 0, 2.0, 0, 0, 0, 0))
+    head = len(contactnet.MAGIC) + contactnet._HEADER.size
+    index_at = head + 8  # the county index of node 0's run
     for name, word in (("county_index_max", 0xFFFFFFFF), ("county_index_big", 10**6)):
         bad = bytearray(data)
         bad[index_at:index_at + 4] = word.to_bytes(4, "little")
         (d / f"{name}.bin").write_bytes(bytes(bad))
+    # One word of the network changed: its one run of 3 nodes, the degrees 1, 1, 0 of its
+    # rows, or the gaps 1 and 1 of their ends; with high words added to the header and file.
+    *fields, n_high = contactnet._HEADER.unpack(data[len(contactnet.MAGIC):head])
+    run_at, degree_at = head + 12, head + 17
+    for name, at, word, high in (
+        ("runs_short", run_at, 2, 0), ("degrees_over", degree_at, 2, 0),
+        ("degrees_under", degree_at + 2, 0, 0), ("high_word_missing", degree_at + 6, 0x8001, 0),
+        ("high_word_extra", degree_at + 6, 1, 1), ("gap_zero", degree_at + 8, 0, 0),
+        ("end_past_nodes", degree_at + 8, 5, 0),
+    ):
+        size = 4 if at == run_at else 2
+        (d / f"{name}.bin").write_bytes(
+            contactnet.MAGIC + contactnet._HEADER.pack(*fields, n_high + high) + data[head:at]
+            + word.to_bytes(size, "little") + data[at + size:] + bytes(2 * high))
 
 
 # case -> (argv, with {d} for the input directory; text the error must contain
@@ -1108,7 +1275,25 @@ BAD_INPUTS = {
     "inspect non-UTF-8 file": (["inspect", "{d}/binary.dat"], "unrecognized artifact format"),
     "inspect contactnet of an older format": (
         ["inspect", "{d}/smircnet2.bin"], "smircnet2.bin: format line b'SMIRCNET2', but this "
-                                          "version reads contact networks of format b'SMIRCNET3'"),
+                                          "version reads contact networks of format b'SMIRCNET4'"),
+    "inspect contactnet of the format before": (
+        ["inspect", "{d}/smircnet3.bin"], "smircnet3.bin: format line b'SMIRCNET3', but this "
+                                          "version reads contact networks of format b'SMIRCNET4'"),
+    "inspect contactnet whose county runs miss a node": (
+        ["inspect", "{d}/runs_short.bin"], "runs_short.bin: county runs do not sum to its 3 nodes"),
+    "inspect contactnet whose degrees sum past its edges": (
+        ["inspect", "{d}/degrees_over.bin"], "degrees_over.bin: degrees sum past its 2 edges"),
+    "inspect contactnet whose degrees sum short of its edges": (
+        ["inspect", "{d}/degrees_under.bin"], "degrees_under.bin: degree sum 1 of 2"),
+    "inspect contactnet with a flagged word and no high word": (
+        ["inspect", "{d}/high_word_missing.bin"],
+        "high_word_missing.bin: more words are flagged than there are high words"),
+    "inspect contactnet with a high word no word flags": (
+        ["inspect", "{d}/high_word_extra.bin"], "high_word_extra.bin: degree sum 2 of 2, 1 high"),
+    "inspect contactnet with a gap of 0": (
+        ["inspect", "{d}/gap_zero.bin"], "gap_zero.bin: edges must be canonical"),
+    "inspect contactnet with an end past its nodes": (
+        ["inspect", "{d}/end_past_nodes.bin"], "end_past_nodes.bin: edge endpoint out of range"),
     "manifest phi text": (["pipeline", "--from-manifest", "{d}/phi_text.json"], "phi"),
     "manifest counties text": (
         ["pipeline", "--from-manifest", "{d}/counties_text.json"], "counties"),
@@ -1281,10 +1466,10 @@ BAD_INPUTS = {
     "ABM manifest p_m below p_o": (
         ["sweep", "--from-manifest", "{d}/p_m_below_p_o.json", "--vary", "phi", "--values", "1"],
         "p_m (0.001) must be >= p_o (0.01)"),
-    # more edges than node pairs: rejected before the multinomial draw overflows
+    # more edges than node pairs: rejected where the edge budget is computed, before any build
     "pipeline --k-bar 1e300": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e300"],
-        "stage build_contact_network", 3),
+        "stage expected_edges: k_bar 1e+300 asks for more edges than 469 nodes have pairs", 3),
     # finite, but k_bar * N / 2 is not: rejected where the edge budget is computed
     "pipeline --k-bar 1e308": (
         ["pipeline", "--synthetic", "--counties", "3", "--k-bar", "1e308"],
@@ -1397,10 +1582,11 @@ def test_non_finite_scenario_config_warns_nothing(tmp_path, capsys, case):
 
 
 # Header fields of contactnet.bin, in _HEADER order: node count, edge count,
-# k_bar, seed, county count.
+# k_bar, seed, county count, county run count, high word count.
 _HEADER_FIELDS = (
     st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.floats(),
-    st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
 )
 
 
@@ -1420,18 +1606,21 @@ def truncated_or_flipped(draw, data: bytes) -> bytes:
 @st.composite
 def corrupted_contactnet(draw, data: bytes) -> bytes:
     """`data` truncated, byte-flipped, with header fields edited, or with
-    small node, edge and county counts and a body cut or zero-padded to the
-    size they declare (so the file passes the size check)."""
+    small node, edge, county, county run and high word counts, each as often
+    the file's own, and a body cut or zero-padded to the size they declare (so
+    the file passes the size check, and its words are read)."""
     start = len(contactnet.MAGIC)
     end = start + contactnet._HEADER.size
     fields = list(contactnet._HEADER.unpack(data[start:end]))
     body = data[end:]
+    counts = (0, 1, 4, 5, 6)  # the fields a resize draws: n, m, counties, county runs, high words
 
-    def body_size(n, m, n_counties):
-        """SMIRCNET3: county ids, 8 bytes per node (index, degree), label bits, 4 per edge."""
-        return 8 * n_counties + 8 * n + (n + 7) // 8 + 4 * m
+    def body_size(n, m, n_counties, n_runs, n_high):
+        """SMIRCNET4: county ids, county runs (index, length), label bits, a degree word
+        per node, a gap word per edge, and the high words."""
+        return 8 * n_counties + 8 * n_runs + (n + 7) // 8 + 2 * n + 2 * m + 2 * n_high
 
-    assert body_size(fields[0], fields[1], fields[4]) == len(body), "the layout changed"
+    assert body_size(*(fields[i] for i in counts)) == len(body), "the layout changed"
     kind = draw(st.sampled_from(["bytes", "header", "resize"]))
     if kind == "bytes":
         return draw(truncated_or_flipped(data))
@@ -1439,9 +1628,9 @@ def corrupted_contactnet(draw, data: bytes) -> bytes:
         for i in draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=3)):
             fields[i] = draw(_HEADER_FIELDS[i])
     else:
-        n, m, n_counties = (draw(st.integers(0, 4)) for _ in range(3))
-        fields[0], fields[1], fields[4] = n, m, n_counties
-        size = body_size(n, m, n_counties)
+        for i in counts:
+            fields[i] = draw(st.just(fields[i]) | st.integers(0, 4))
+        size = body_size(*(fields[i] for i in counts))
         body = body[:size].ljust(size, b"\0")
     return data[:start] + contactnet._HEADER.pack(*fields) + body
 
@@ -1636,3 +1825,68 @@ def test_extreme_k_bar_and_sample_never_traceback(tmp_path, data):
         argv += ["--vary", data.draw(st.sampled_from(["k-bar", "sample"])),
                  f"--values={','.join(values)}"]
     assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])
+
+
+# Every other numeric flag and every scenario config key, at the ends of the float and int
+# ranges, the smallest subnormal, -0.0 and the edges of each check, with usual values. Counts
+# that size a run (steps, repetitions, counties, accounts) take no value between 2 and 2^63 - 1,
+# which could shape arrays that fit in memory but take long to fill.
+EXTREME_FLOATS = ("1e308", "-1e308", "5e-324", "-5e-324", "-0.0", "0", "1", "0.9999999999999999",
+                  "1.0000000000000002", str(2**63), str(2**64), "0.05", "2")
+EXTREME_SIZES = ("-1", "0", "1", "2", str(2**63 - 1), str(2**63), str(2**64))
+EXTREME_INTS = (*EXTREME_SIZES, str(2**31), str(2**32))
+PIPELINE_NUMBERS = {
+    **{flag: EXTREME_FLOATS for flag in ("--sample", "--k-bar", "--p-o", "--p-m", "--gamma")},
+    **{flag: EXTREME_INTS for flag in ("--phi", "--initial-infected", "--seed")},
+    **{flag: EXTREME_SIZES for flag in ("--steps", "--reps", "--counties")},
+}
+MEANFIELD_NUMBERS = {
+    **{flag: EXTREME_FLOATS
+       for flag in ("--beta-o", "--gamma", "--lambda", "--mu", "--alpha", "--epsilon", "--dt")},
+    "--horizon": EXTREME_SIZES,
+}
+SCENARIO_KEYS = {f.name: EXTREME_SIZES if f.type == "int" else EXTREME_FLOATS
+                 for f in dataclasses.fields(scenario.ScenarioConfig) if f.name != "seed"}
+
+
+def _numbers(data, table, at_most) -> list[str]:
+    """One to `at_most` of `table`'s flags, each with one of its values."""
+    flags = data.draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=at_most,
+                               unique=True))
+    return [f"{flag}={data.draw(st.sampled_from(table[flag]))}" for flag in flags]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_extreme_pipeline_and_sweep_numbers_never_traceback(tmp_path, data):
+    command = data.draw(st.sampled_from(["pipeline", "sweep"]))
+    argv = [command, "--synthetic", "--counties", "3", "--steps", "1", "--reps", "1",
+            "--initial-infected", "1", *_numbers(data, PIPELINE_NUMBERS, 3)]
+    if command == "sweep":
+        vary = data.draw(st.sampled_from(["phi", "k-bar", "sample"]))
+        values = st.sampled_from(EXTREME_INTS if vary == "phi" else EXTREME_FLOATS)
+        argv += ["--vary", vary,
+                 f"--values={','.join(data.draw(st.lists(values, min_size=1, max_size=2)))}"]
+    assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_extreme_meanfield_numbers_never_traceback(tmp_path, data):
+    argv = ["meanfield", "--horizon", "3", *_numbers(data, MEANFIELD_NUMBERS, 3)]
+    if data.draw(st.booleans()):
+        argv.append("--sweep=lambda=1:2:0.5")
+    assert_exits_cleanly([*argv, "--out", str(tmp_path / "out")])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_extreme_scenario_config_never_traceback(tmp_path, data):
+    lines = ["county_count = 3"] + [
+        f"{key} = {data.draw(st.sampled_from(SCENARIO_KEYS[key]))}" for key in data.draw(
+            st.lists(st.sampled_from(sorted(SCENARIO_KEYS)), min_size=1, max_size=3, unique=True))]
+    config = tmp_path / "config.txt"
+    config.write_text("\n".join(lines) + "\n")  # a key given twice keeps its last value
+    assert_exits_cleanly(["pipeline", "--synthetic", "--scenario-config", str(config),
+                          "--steps", "1", "--reps", "1", "--initial-infected", "1",
+                          "--out", str(tmp_path / "out")])

@@ -1,7 +1,9 @@
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from smirsim.errors import NumericError, ValidationError
 from smirsim.scenario import ScenarioConfig, generate_synthetic_mobility
 
 from conftest import build_infonet, build_scenario
-from oracles import contact_rows
+from oracles import contact_rows, contactnet_bytes
 
 
 class TestExpectedEdges:
@@ -196,6 +198,18 @@ class TestBuildNetwork:
         e = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="no county pair with positive expected edges"):
             cn.build_contact_network(sampled([1000, 1001], [0, 10]), e, 2.0, 0)
+
+    @pytest.mark.parametrize("e", [np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2))])
+    def test_budget_of_no_edges_needs_no_weight(self, e):
+        # round(k_bar * N / 2) is 0: the empty network, even where no pair expects an edge
+        net = cn.build_contact_network(sampled([1000, 1001], [0, 10]), e, 0.01, 0)
+        assert net.n_edges == 0 and np.array_equal(net.ptr, np.zeros(11))
+
+    def test_placed_edges_are_a_budget_the_pairs_hold(self):
+        assert cn.placed_edges(2.0, 3) == 3
+        for k_bar in (4.0, 1e307, 1e308):
+            with pytest.raises(NumericError, match=re.escape(f"k_bar {k_bar} asks for more edges than 3 ")):
+                cn.placed_edges(k_bar, 3)
 
     def test_two_nodes_force_the_single_edge(self):
         nodes = sampled([1000], [2])
@@ -607,24 +621,126 @@ class TestPersistence:
         net = self.build()
         path = tmp_path / "net.bin"
         cn.save_contact_network(net, path)
-        data = bytearray(path.read_bytes())
-        at = len(data) - 4 * net.n_edges - 4 * net.n_nodes  # node 0's degree
-        data[at:at + 4] = (int(net.ptr[1]) + 1).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValidationError, match=f"net.bin: row pointers must rise from 0 to "
-                                                  f"{net.n_edges} .* to {net.n_edges + 1}"):
-            cn.load_contact_network(path)
+        data = path.read_bytes()
+        # node 0's degree word, after 2 county ids, 2 county runs and the label bits
+        at = len(cn.MAGIC) + cn._HEADER.size + 16 + 16 + 7
+        assert data[at:at + 2] == int(net.ptr[1]).to_bytes(2, "little")
+        last = int(np.flatnonzero(np.diff(net.ptr))[-1])  # the last row with ends loses one
+        for v, change, match in ((0, 1, f"degrees sum past its {net.n_edges} edges"),
+                                 (last, -1, f"degree sum {net.n_edges - 1} of {net.n_edges}")):
+            word = (int(net.ptr[v + 1] - net.ptr[v]) + change).to_bytes(2, "little")
+            path.write_bytes(data[:at + 2 * v] + word + data[at + 2 * v + 2:])
+            with pytest.raises(ValidationError, match=f"net.bin: {match}"):
+                cn.load_contact_network(path)
 
     def test_older_format_names_both_formats(self, tmp_path):
         path = tmp_path / "old.bin"
         cn.save_contact_network(self.build(), path)
-        path.write_bytes(b"SMIRCNET2\n" + path.read_bytes()[len(cn.MAGIC):])
-        with pytest.raises(ValidationError, match="old.bin: format line b'SMIRCNET2', but this "
-                                                  "version reads .* b'SMIRCNET3'"):
-            cn.load_contact_network(path)
+        for old in (b"SMIRCNET2", b"SMIRCNET3"):
+            path.write_bytes(old + b"\n" + path.read_bytes()[len(cn.MAGIC):])
+            with pytest.raises(ValidationError, match=f"old.bin: format line {old!r}, but this "
+                                                      "version reads .* b'SMIRCNET4'"):
+                cn.load_contact_network(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.bin"
         p.write_bytes(b"something else entirely")
         with pytest.raises(ValidationError):
             cn.load_contact_network(p)
+
+
+def wide_network() -> cn.ContactNetwork:
+    """70,000 nodes in the county runs 0, 1, 0, 2 (more runs than counties), mostly
+    empty rows, node 0's row of 2^15 + 1 ends, and gaps of 2^15 and more."""
+    n = 70_000
+    edges = {(0, w) for w in range(1, 2**15 + 2)} | {(1, n - 1), (100, 101), (100, 100 + 40_000)}
+    rng = np.random.default_rng(4)
+    edges |= {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, (5000, 2)) if a != b}
+    return cn.ContactNetwork(
+        county_ids=np.array([5, 7, 9]),
+        county_index=np.repeat(np.array([0, 1, 0, 2], dtype=np.int32), [30_000, 20_000, 10_000,
+                                                                        10_000]),
+        misinformed=np.arange(n) % 3 == 0,
+        **contact_rows(sorted(edges), n),
+        k_bar=2.5,
+        seed=9,
+    )
+
+
+def small_network(n, edges, county_index=None) -> cn.ContactNetwork:
+    return cn.ContactNetwork(
+        county_ids=np.array([1000, 1001]),
+        county_index=np.zeros(n, dtype=np.int32) if county_index is None else county_index,
+        misinformed=np.arange(n) % 2 == 1,
+        **contact_rows(edges, n),
+        k_bar=1.0,
+        seed=2,
+    )
+
+
+ROUND_TRIP_NETWORKS = {
+    "empty rows": lambda: small_network(6, [(1, 4), (1, 5), (4, 5)]),
+    "zero edges": lambda: small_network(5, []),
+    "single node": lambda: small_network(1, []),
+    "gaps of 2^15 and more": wide_network,
+    "county index that falls": lambda: small_network(
+        4, [(0, 3)], np.array([1, 0, 0, 1], dtype=np.int32)),
+}
+
+
+class TestFileLayout:
+    @pytest.mark.parametrize("name", ROUND_TRIP_NETWORKS)
+    def test_round_trip_keeps_every_field_and_dtype(self, tmp_path, name):
+        net = ROUND_TRIP_NETWORKS[name]()
+        path = tmp_path / "net.bin"
+        cn.save_contact_network(net, path)
+        back = cn.load_contact_network(path)
+        for field in ("county_ids", "county_index", "misinformed", "ptr", "hi"):
+            got, want = getattr(back, field), getattr(net, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        assert (back.k_bar, back.seed) == (net.k_bar, net.seed)
+
+    @pytest.mark.parametrize("name", ROUND_TRIP_NETWORKS)
+    def test_bytes_are_the_per_value_encoding(self, tmp_path, name):
+        net = ROUND_TRIP_NETWORKS[name]()
+        cn.save_contact_network(net, tmp_path / "net.bin")
+        assert (tmp_path / "net.bin").read_bytes() == contactnet_bytes(net)
+
+    def test_wide_network_needs_high_words(self, tmp_path):
+        net = wide_network()
+        cn.save_contact_network(net, tmp_path / "net.bin")
+        size = (tmp_path / "net.bin").stat().st_size
+        deg = np.diff(net.ptr)
+        lo = np.repeat(np.arange(net.n_nodes), deg)
+        opens = np.r_[True, lo[1:] != lo[:-1]]
+        gaps = net.hi.astype(np.int64) - np.where(opens, lo, np.r_[0, net.hi[:-1]])
+        high = int(np.sum(deg >= 2**15) + np.sum(gaps >= 2**15))
+        assert deg[0] >= 2**15 and np.sum(gaps >= 2**15) >= 2
+        # 8 bytes per county and county run, a bit and 2 bytes per node, 2 per edge and high word
+        fixed = len(cn.MAGIC) + cn._HEADER.size + 8 * 3 + 8 * 4 + (net.n_nodes + 7) // 8
+        assert size == fixed + 2 * (net.n_nodes + net.n_edges + high)
+
+    def test_words_up_to_2_31(self, tmp_path):
+        # No network that fits in memory has a gap of 2^30: these rows are written unchecked,
+        # so that their words can be read back, and the file's ends are past its nodes.
+        ends = np.array([2**30, 2**31 - 1], dtype=np.uint32)
+        fake = SimpleNamespace(n_nodes=3, ptr=np.array([0, 2, 2, 2]), hi=ends,
+                               county_index=np.zeros(3, dtype=np.int32),
+                               misinformed=np.zeros(3, dtype=bool), county_ids=np.array([1]),
+                               k_bar=1.0, seed=0)
+        path = tmp_path / "wide.bin"
+        cn.save_contact_network(fake, path)
+        assert path.read_bytes() == contactnet_bytes(fake)
+        with open(path, "rb") as f:
+            f.seek(len(cn.MAGIC) + cn._HEADER.size + 8 + 8 + 1)
+            deg, left = cn._read_words(f, 3, 2)
+            gaps, left = cn._read_words(f, 2, left)
+        assert deg.tolist() == [2, 0, 0] and gaps.tolist() == [2**30, 2**30 - 1] and left == 0
+        with pytest.raises(ValidationError, match="wide.bin: edge endpoint out of range"):
+            cn.load_contact_network(path)
+
+    def test_save_refuses_2_31_nodes(self, tmp_path):
+        with pytest.raises(ValidationError, match="fewer than 2\\^31 nodes, not 2147483648"):
+            cn.save_contact_network(SimpleNamespace(n_nodes=2**31, ptr=None, hi=None, county_index=None),
+                                    tmp_path / "big.bin")
+        assert not (tmp_path / "big.bin").exists()

@@ -109,7 +109,7 @@ GOLDEN = {
         ["pipeline", *PIPELINE, "--svg"],
         {
             "contactnet.bin":
-                "61fa55027c421f07986ba4f0897adadde13eae1719dee104bce0cdfa5ed0402c",
+                "3d5ae6d178656184576ce77c3d4daa0b8cde0a2f92656bb871f0f9be7c1642ac",
             "counties.csv":
                 "842ef89cb39a40123cadad3b5cf079a923cb8c3cd0e6e2d6da4bb8b64095b5b3",
             "epidemic.svg":
@@ -138,11 +138,11 @@ GOLDEN = {
             "mobility.csv":
                 "413a39f382f3f3264497caa03b61c3feeef03578eb80f3ef68da8933109ff8a0",
             "rows/phi_1/contactnet.bin":
-                "61fa55027c421f07986ba4f0897adadde13eae1719dee104bce0cdfa5ed0402c",
+                "3d5ae6d178656184576ce77c3d4daa0b8cde0a2f92656bb871f0f9be7c1642ac",
             "rows/phi_1/result.csv":
                 "d5cdf063df9095d355c31b77124382f8b18aa454002c3c17f6c01e6302568fbf",
             "rows/phi_3/contactnet.bin":
-                "c19ef7ba1fe3d2f16b16ee0db97ef5e2ab57c22503f45073660dee5200964090",
+                "107b1a8f50ac368f969c85b7ef7c2f326fa36a49fe0a2fa41942096c0ad7f1c6",
             "rows/phi_3/result.csv":
                 "1debe6b10301235bfc428c60065d22dd333c14199ab64995e908350302189ca0",
             "sweep_cumulative.svg":
