@@ -17,7 +17,8 @@ each network, recorded under their first row, as is the one ``abm`` stage of all
 rows; a network that one work item alone reads is built and recorded inside
 ``abm``. Re-running with the same parameters reproduces every CSV and binary
 artifact byte for byte.
-Exit codes: 0 on success, 2 for argument/input errors, 3 for numeric failures.
+Exit codes, all set by ``main``: 0 on success, 2 for argument/input errors, 3 for numeric
+failures and 130 on Ctrl-C; its stderr line names the innermost stage an error passed.
 """
 
 from __future__ import annotations
@@ -110,20 +111,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _out_of_memory(e: MemoryError | ValueError) -> str:
-    """The message of an exhausted memory; re-raises any ValueError but NumPy's `_TOO_BIG`."""
-    if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
-        raise e
-    return f"out of memory ({e})" if str(e) else "out of memory"
-
-
 class _Run(AbstractContextManager):
     """The record of one command run: out dir, parameters, seed, inputs,
     outputs and stages.
 
-    ``out`` is --out, else $SMIRSIM_OUT, else ./smirsim-out; it is created
-    when the first output is named. Leaving ``with _Run(...)`` without an
-    error writes manifest.json; a failed run writes none. A command has one
+    ``out`` is --out, else $SMIRSIM_OUT, else ./smirsim-out. Naming the first
+    output creates it and deletes an older manifest.json. Leaving ``with _Run(...)``
+    without an error writes manifest.json; a failed run writes none. A command has one
     ``_Run``, sweep rows included; a repetition worker records its stages in
     a bare ``_Run``, which writes none, and returns them.
     """
@@ -157,6 +151,8 @@ class _Run(AbstractContextManager):
         """``out / name``, recorded as an output; its directory is created."""
         path = self.out / name
         path.parent.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:  # out now holds no finished run
+            (self.out / "manifest.json").unlink(missing_ok=True)
         self.outputs.append(path)
         return path
 
@@ -164,25 +160,15 @@ class _Run(AbstractContextManager):
     def stage(self, name: str):
         """Reports a pipeline stage's wall time on stderr and records it with
         ``max_rss_mb`` and the ``pid`` of the process that ran it when it
-        succeeds; annotates an error, or an interrupt, with the innermost stage
-        it passed."""
+        succeeds; tags whatever leaves it, an error or an interrupt, with
+        ``stage``, the innermost stage it passed. `main` says what that means."""
         _progress(f"stage {name}")
         started = time.monotonic()
         try:
             yield
-        except KeyboardInterrupt as e:
+        except BaseException as e:  # the same object, which a worker's pickle carries back
             e.stage = getattr(e, "stage", name)
             raise
-        except (NumericError, InputError, MemoryError, ValueError, OSError) as e:
-            if hasattr(e, "stage"):  # annotated by an inner stage
-                raise
-            if isinstance(e, (InputError, OSError)):
-                staged = InputError(f"stage {name}: {e}")
-            else:
-                staged = NumericError(f"stage {name}: "
-                                      f"{e if isinstance(e, NumericError) else _out_of_memory(e)}")
-            staged.stage = name
-            raise staged from e
         wall = time.monotonic() - started
         _progress(f"stage {name} done in {wall:.3f}s")
         # ru_maxrss: peak RSS so far of this process or its largest reaped worker (KiB; B on macOS)
@@ -753,14 +739,16 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    except (MemoryError, ValueError) as e:  # outside any stage
-        print(f"numeric failure: {_out_of_memory(e)}", file=sys.stderr)
+    except (InputError, OSError, NumericError, MemoryError, ValueError) as e:
+        if isinstance(e, ValueError) and not str(e).startswith(_TOO_BIG):
+            raise  # a bug, not an exhausted memory
+        at = f"stage {e.stage}: " if hasattr(e, "stage") else ""
+        if isinstance(e, (InputError, OSError)):
+            print(f"error: {at}{e}", file=sys.stderr)
+            return 2
+        if not isinstance(e, NumericError):
+            e = f"out of memory ({e})" if str(e) else "out of memory"
+        print(f"numeric failure: {at}{e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt as e:  # with no manifest, and the status a shell reports for it
         _progress("interrupted" + (f": stage {e.stage}" if hasattr(e, "stage") else ""))

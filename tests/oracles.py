@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -120,6 +121,14 @@ def stacked_network(
     )
 
 
+@lru_cache(maxsize=1)
+def _unlabeled_stack(edges: tuple[tuple[int, int], ...], k: int, copies: int) -> ContactNetwork:
+    """`stacked_network` of `edges` over `k` nodes, none misinformed. Cached, so
+    that one graph run under each of its labelings in turn builds its stack,
+    and the ``adjacency`` that its first ``relabel`` adds, once."""
+    return stacked_network(list(edges), [False] * k, copies)
+
+
 def empirical_outcome_counts(
     edges: list[tuple[int, int]],
     misinformed: list[bool],
@@ -135,7 +144,8 @@ def empirical_outcome_counts(
     tuple.
     """
     k = len(misinformed)
-    net = stacked_network(edges, misinformed, copies)
+    net = _unlabeled_stack(tuple(edges), k, copies).relabel(
+        np.tile(np.asarray(misinformed, dtype=bool), copies))
     comp = np.tile(np.asarray(initial, dtype=np.uint8), copies)
     cfg = abm.AbmConfig(initial_infected=1, **cfg_kwargs)
     for day in range(1, steps + 1):
